@@ -15,10 +15,9 @@
 // faults on VFS's busiest probe site and reports the recovery-induced
 // latency-spike width on top of the same load.
 //
-// Configs swept: baseline (all fast-path flags off), each flag alone
-// (arena / batching / zero-copy), and all flags together — the before/after
-// columns for BENCH_serving.json. Acceptance: fastpath >= 1.5x baseline
-// steady-state msgs/sec.
+// Configs swept: baseline (both fast-path flags off; bulk payloads ride
+// grant spans in every config), each flag alone (arena / batching), and both
+// together — the before/after columns for BENCH_serving.json.
 //
 // A final miss-regime sweep (DESIGN.md §16) shrinks the block cache to an
 // eighth of the working set and runs the full fast path with the VFS fiber
@@ -633,11 +632,6 @@ int main(int argc, char** argv) {
     kernel::FastPath f;
     f.batching = true;
     configs.push_back({"batching", f});
-  }
-  {
-    kernel::FastPath f;
-    f.zero_copy = true;
-    configs.push_back({"zero_copy", f});
   }
   configs.push_back({"fastpath", kernel::FastPath::all_on()});
 

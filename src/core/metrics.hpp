@@ -60,8 +60,8 @@ struct SystemMetrics {
   std::uint64_t hangs = 0;
 
   // IPC fast path (DESIGN.md §14): queue depth, dispatch batching, and
-  // zero-copy accounting. All zero when the corresponding flags are off,
-  // except queue_high_water which the kernel always tracks.
+  // grant copy accounting. The arena and batching counters stay zero while
+  // their flags are off; the rest are always tracked.
   std::uint64_t queue_high_water = 0;
   std::uint64_t arena_spills = 0;
   std::uint64_t batches = 0;

@@ -401,9 +401,10 @@ std::int64_t MiniFs::read(Ino ino, std::uint32_t offset, std::span<std::byte> ou
   std::size_t done = 0;
   alignas(8) std::byte blk[kBlockSize];
   bool dirty = false;
-  // Borrow the indirect block once instead of re-reading it per data block.
-  // Any fallback read_block may evict the borrowed entry, so re-borrow after.
-  const std::uint32_t* ind = peek_indirect(di);
+  // Borrow the indirect block when a chunk first needs it instead of
+  // re-reading it per data block. Any fallback read_block may evict the
+  // borrowed entry, so drop the borrow after one.
+  const std::uint32_t* ind = nullptr;
   while (done < want) {
     const std::uint32_t pos = offset + static_cast<std::uint32_t>(done);
     const std::uint32_t fbn = pos / kBlockSize;
@@ -412,11 +413,10 @@ std::int64_t MiniFs::read(Ino ino, std::uint32_t offset, std::span<std::byte> ou
     std::uint32_t bno;
     if (fbn < kDirect) {
       bno = di.direct[fbn];
-    } else if (ind != nullptr && fbn - kDirect < kPtrsPerBlock) {
-      bno = ind[fbn - kDirect];
     } else {
-      bno = bmap(di, &dirty, fbn, false);
-      ind = peek_indirect(di);
+      if (ind == nullptr) ind = peek_indirect(di);
+      bno = ind != nullptr && fbn - kDirect < kPtrsPerBlock ? ind[fbn - kDirect]
+                                                            : bmap(di, &dirty, fbn, false);
     }
     if (bno == 0) {
       std::memset(out.data() + done, 0, chunk);  // hole
@@ -425,7 +425,7 @@ std::int64_t MiniFs::read(Ino ino, std::uint32_t offset, std::span<std::byte> ou
     } else {
       store_.read_block(bno, std::span<std::byte, kBlockSize>(blk));
       std::memcpy(out.data() + done, blk + in_blk, chunk);
-      ind = peek_indirect(di);
+      ind = nullptr;
     }
     done += chunk;
   }
@@ -442,11 +442,6 @@ std::int64_t MiniFs::write(Ino ino, std::uint32_t offset, std::span<const std::b
   std::size_t done = 0;
   alignas(8) std::byte blk[kBlockSize];
   bool inode_dirty = false;
-  // Borrow the indirect block for the no-allocation steady state; fall back
-  // to bmap (which may allocate and do its own block I/O) when a pointer is
-  // missing. Every store access below may evict the borrow, so re-borrow
-  // after each one.
-  const std::uint32_t* ind = peek_indirect(di);
   while (done < in.size()) {
     const std::uint32_t pos = offset + static_cast<std::uint32_t>(done);
     const std::uint32_t fbn = pos / kBlockSize;
@@ -455,16 +450,20 @@ std::int64_t MiniFs::write(Ino ino, std::uint32_t offset, std::span<const std::b
     std::uint32_t bno = 0;
     if (fbn < kDirect) {
       bno = di.direct[fbn];
-    } else if (ind != nullptr && fbn - kDirect < kPtrsPerBlock) {
-      bno = ind[fbn - kDirect];
+    } else if (fbn - kDirect < kPtrsPerBlock) {
+      // Borrow the indirect block for the no-allocation steady state; bmap
+      // (which may allocate and do its own block I/O) covers a missing
+      // pointer. Every chunk ends in a store access that may evict the
+      // borrow, so each chunk borrows afresh.
+      if (const std::uint32_t* ind = peek_indirect(di)) bno = ind[fbn - kDirect];
     }
     if (bno == 0) {
       bno = bmap(di, &inode_dirty, fbn, true);
       if (bno == 0) break;  // disk full: partial write
     }
     if (chunk == kBlockSize) {
-      // Full-block overwrite: write straight from the caller's buffer (on the
-      // VFS zero-copy path that is grant memory -> cache in a single copy).
+      // Full-block overwrite: write straight from the caller's buffer (under
+      // VFS that is grant memory -> cache in a single copy).
       store_.write_block(bno,
                          std::span<const std::byte, kBlockSize>(in.data() + done, kBlockSize));
     } else {
@@ -472,7 +471,6 @@ std::int64_t MiniFs::write(Ino ino, std::uint32_t offset, std::span<const std::b
       std::memcpy(blk + in_blk, in.data() + done, chunk);
       store_.write_block(bno, std::span<const std::byte, kBlockSize>(blk));
     }
-    ind = peek_indirect(di);
     done += chunk;
   }
   const std::uint32_t end = offset + static_cast<std::uint32_t>(done);

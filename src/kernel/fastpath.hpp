@@ -1,8 +1,8 @@
 // Fast-path configuration for the IPC substrate (DESIGN.md §14).
 //
-// Three independent optimizations, each behind its own flag so the serving
-// benchmark can report before/after columns and the golden-trace tests can
-// pin observational equivalence per flag:
+// Two independent queue/dispatch optimizations, each behind its own flag so
+// the serving benchmark can report before/after columns and the golden-trace
+// tests can pin observational equivalence per flag:
 //
 //   - arena_queue: back the kernel message queue with a fixed-capacity ring
 //     so steady-state enqueue/dispatch does zero heap allocation. Bursts
@@ -16,22 +16,18 @@
 //     eligibility declaratively (NSM requests leave the undo log clean, so
 //     every window open after the first finds nothing to truncate).
 //
-//   - zero_copy: route bulk payloads (above the inline-text threshold)
-//     through kernel-checked grant spans instead of staging them through a
-//     heap buffer and safecopy. Consumed by the VFS read/write paths.
+// Whatever the flags, VFS moves every file payload through a kernel-checked
+// grant span (Kernel::grant_span).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-
-#include "kernel/message.hpp"
 
 namespace osiris::kernel {
 
 struct FastPath {
   bool arena_queue = false;
   bool batching = false;
-  bool zero_copy = false;
 
   /// Ring slots for the arena queue; beyond this, sends spill to the heap.
   std::size_t ring_capacity = 1024;
@@ -40,16 +36,10 @@ struct FastPath {
   /// per-iteration bookkeeping (histogram buckets sized to match).
   std::size_t max_batch = 16;
 
-  /// Payloads strictly larger than this go through grant spans when
-  /// zero_copy is set; at or below, the staging copy is cheaper than the
-  /// grant check. Matches the inline message text capacity.
-  std::size_t zero_copy_threshold = kMsgTextCap;
-
   [[nodiscard]] static FastPath all_on() {
     FastPath f;
     f.arena_queue = true;
     f.batching = true;
-    f.zero_copy = true;
     return f;
   }
 };

@@ -152,18 +152,17 @@ class Kernel {
                            std::size_t len);
   [[nodiscard]] std::size_t grant_size(GrantId id) const;
 
-  /// Zero-copy fast path: a validated direct span over the grant region, so
-  /// bulk payloads skip the staging buffer + safecopy. Same checks (and
-  /// error codes) as safecopy; returns nullptr with *err set on failure so
-  /// callers can fall back to the copy path. The span itself emits no trace
-  /// event and bumps no counter — callers note the logical copy with
-  /// note_grant_bypass() at exactly the point the copy path would have
-  /// called safecopy, keeping traces identical across the flag.
+  /// Zero-copy: a validated direct span over the grant region, so bulk
+  /// payloads skip the staging buffer + safecopy. Same checks (and error
+  /// codes) as safecopy; returns nullptr with *err set on failure. The span
+  /// itself emits no trace event and bumps no copy counter — callers note the
+  /// logical copy with note_grant_bypass() at exactly the point a safecopy
+  /// would have run, so the trace reads the same as the MINIX copy idiom.
   std::byte* grant_span(Endpoint grantee, GrantId id, std::size_t offset, std::size_t len,
                         Access need, std::int64_t* err);
 
-  /// Account (and trace) a logical grant copy that the zero-copy path
-  /// performed in place. dir: 0 = from grant (read by grantee), 1 = to grant.
+  /// Account (and trace) a logical grant copy that a grant span performed in
+  /// place. dir: 0 = from grant (read by grantee), 1 = to grant.
   void note_grant_bypass(Endpoint grantee, std::size_t len, int dir);
 
   // --- scheduling ------------------------------------------------------

@@ -52,10 +52,10 @@ struct OsConfig {
   /// that must retain a full run.
   std::size_t trace_ring_capacity = 1024;
 
-  /// IPC fast path (DESIGN.md §14): arena-backed message queue, per-endpoint
-  /// dispatch batching, and grant-based zero-copy for bulk payloads. All off
-  /// by default; the serving benchmark reports before/after columns per
-  /// flag, and golden traces pin observational equivalence.
+  /// IPC fast path (DESIGN.md §14): arena-backed message queue and
+  /// per-endpoint dispatch batching. Both off by default; the serving
+  /// benchmark reports before/after columns per flag, and golden traces pin
+  /// observational equivalence. Bulk file payloads always ride grant spans.
   kernel::FastPath fastpath;
 
   /// FOM request executor for VFS (DESIGN.md §16): cache misses park the

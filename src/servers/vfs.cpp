@@ -176,7 +176,7 @@ void Vfs::CachedStore::read_block(std::uint32_t bno,
     // when the window already closed (nothing left to preserve by parking) or
     // the retry cap fired; the executor degrades to the pre-FOM blocking wait.
     vfs_.dev_.read_now(bno, out);
-    std::optional<std::pair<std::uint32_t, std::vector<std::byte>>> evicted_sync;
+    std::optional<fs::DirtyBlock> evicted_sync;
     vfs_.cache_.insert(bno, std::span<const std::byte, fs::kBlockSize>(out), &evicted_sync);
     if (evicted_sync) {
       vfs_.dev_.submit_write(evicted_sync->first,
@@ -191,7 +191,7 @@ void Vfs::CachedStore::read_block(std::uint32_t bno,
     // analyze-suppress(blocking-in-handler): only reachable when no worker is
     // bound, i.e. during mount before dispatch begins — no request, no window.
     vfs_.dev_.read_now(bno, out);
-    std::optional<std::pair<std::uint32_t, std::vector<std::byte>>> evicted_boot;
+    std::optional<fs::DirtyBlock> evicted_boot;
     vfs_.cache_.insert(bno, std::span<const std::byte, fs::kBlockSize>(out), &evicted_boot);
     return;
   }
@@ -218,7 +218,7 @@ void Vfs::CachedStore::read_block(std::uint32_t bno,
   cothread::Fiber::suspend();
   w->wait_token = 0;
 
-  std::optional<std::pair<std::uint32_t, std::vector<std::byte>>> evicted;
+  std::optional<fs::DirtyBlock> evicted;
   std::byte* cached = vfs_.cache_.insert(
       bno, std::span<const std::byte, fs::kBlockSize>(*staging), &evicted);
   if (evicted) {
@@ -230,13 +230,11 @@ void Vfs::CachedStore::read_block(std::uint32_t bno,
 }
 
 const std::byte* Vfs::CachedStore::peek_block(std::uint32_t bno) {
-  // Part of the zero-copy fast path: with the flag off MiniFs keeps its
-  // original staged-copy algorithm so the baseline bench column measures the
-  // pre-optimization system. Succeeds exactly when read_block would have hit
-  // the cache, so worker parking / recovery-window behaviour is unchanged —
-  // only the staging memcpy is elided.
-  if (!vfs_.kern().fastpath().zero_copy) return nullptr;
-  return vfs_.cache_.lookup(bno);
+  // Succeeds exactly when read_block would have hit the cache, so worker
+  // parking / recovery-window behaviour is unchanged — only the staging
+  // memcpy is elided. A miss is left uncounted: MiniFs falls back to
+  // read_block, whose lookup counts it where the block is fetched.
+  return vfs_.cache_.peek(bno);
 }
 
 void Vfs::CachedStore::write_block(std::uint32_t bno,
@@ -245,9 +243,8 @@ void Vfs::CachedStore::write_block(std::uint32_t bno,
   // be rolled back by VFS's undo log, so it must close the recovery window
   // (equivalent to a state-modifying SEEP into the FS/driver domain).
   vfs_.window().on_outbound(seep::SeepClass::kStateModifying);
-  std::optional<std::pair<std::uint32_t, std::vector<std::byte>>> evicted;
-  vfs_.cache_.insert(bno, data, &evicted);
-  vfs_.cache_.mark_dirty(bno);
+  std::optional<fs::DirtyBlock> evicted;
+  vfs_.cache_.insert(bno, data, &evicted, /*dirty=*/true);
   if (evicted) {
     vfs_.dev_.submit_write(evicted->first,
                            std::span<const std::byte, fs::kBlockSize>(evicted->second), [] {});
@@ -461,7 +458,7 @@ bool Vfs::fom_dev_done(std::uint64_t token) {
   PendingRead pr = std::move(it->second);
   pending_reads_.erase(it);
   if (pr.staging) {
-    std::optional<std::pair<std::uint32_t, std::vector<std::byte>>> evicted;
+    std::optional<fs::DirtyBlock> evicted;
     cache_.insert(pr.bno, std::span<const std::byte, fs::kBlockSize>(*pr.staging), &evicted);
     if (evicted) {
       dev_.submit_write(evicted->first,
@@ -1096,24 +1093,20 @@ kernel::Message Vfs::fs_read(const Message& m, std::size_t file_idx) {
   FI_BLOCK("vfs");
   const VfsFile& f = st().files.at(file_idx);
   const auto len = static_cast<std::size_t>(m.arg[2]);
-  // Bulk zero-copy (DESIGN.md §14): the file system reads straight into the
-  // kernel-checked grant span, eliminating the staging buffer, its zero
-  // fill, and one full-payload copy. A refused span (short or revoked
-  // grant) falls back to the staging path, which reproduces the baseline
-  // error codes exactly. The logical grant copy is noted at the same point
-  // the staging path would safecopy, so traces are identical per flag.
-  const kernel::FastPath& fp = kern().fastpath();
-  std::byte* dst = nullptr;
-  if (fp.zero_copy && len > fp.zero_copy_threshold) {
-    std::int64_t err = OK;
-    dst = kern().grant_span(endpoint(), m.arg[1], 0, len, kernel::Access::kWrite, &err);
-  }
+  // Bulk zero-copy (DESIGN.md §14): the file system reads straight from the
+  // cache into the kernel-checked grant span — one copy, no staging buffer.
+  // The logical grant copy is noted where a safecopy_to would run.
+  std::int64_t err = OK;
+  std::byte* dst = kern().grant_span(endpoint(), m.arg[1], 0, len, kernel::Access::kWrite, &err);
   std::int64_t n = 0;
   if (dst != nullptr) {
     n = minifs_.read(f.ino, f.pos, std::span<std::byte>(dst, len));
     if (n < 0) return make_reply(m.type, n);
     kern().note_grant_bypass(endpoint(), static_cast<std::size_t>(n), /*dir: to grant*/ 1);
   } else {
+    // A grant shorter than `len` still serves a read that the file's tail
+    // cuts short, so a refused span falls back to staging and copies only
+    // the bytes read; safecopy_to then reports any other refusal.
     std::vector<std::byte> tmp(len);
     n = minifs_.read(f.ino, f.pos, std::span<std::byte>(tmp.data(), len));
     if (n < 0) return make_reply(m.type, n);
@@ -1133,23 +1126,14 @@ kernel::Message Vfs::fs_write(const Message& m, std::size_t file_idx) {
   if ((f.flags & (O_WRONLY | O_RDWR)) == 0) return make_reply(m.type, E_BADF);
   const auto len = static_cast<std::size_t>(m.arg[2]);
   // Bulk zero-copy mirror of fs_read: the file system consumes the payload
-  // directly from the grant span; the logical copy is noted where the
-  // staging path would safecopy_from (before the append probe and the
-  // write), keeping event order identical across the flag.
-  const kernel::FastPath& fp = kern().fastpath();
-  const std::byte* src = nullptr;
-  if (fp.zero_copy && len > fp.zero_copy_threshold) {
-    std::int64_t err = OK;
-    src = kern().grant_span(endpoint(), m.arg[1], 0, len, kernel::Access::kRead, &err);
-    if (src != nullptr) kern().note_grant_bypass(endpoint(), len, /*dir: from grant*/ 0);
-  }
-  std::vector<std::byte> tmp;
-  if (src == nullptr) {
-    tmp.resize(len);
-    const std::int64_t copied = kern().safecopy_from(endpoint(), m.arg[1], 0, tmp.data(), len);
-    if (copied < 0) return make_reply(m.type, copied);
-    src = tmp.data();
-  }
+  // directly from the grant span. A refused span fails exactly as
+  // safecopy_from would; the logical copy is noted where safecopy_from would
+  // run (before the append probe and the write).
+  std::int64_t err = OK;
+  const std::byte* src =
+      kern().grant_span(endpoint(), m.arg[1], 0, len, kernel::Access::kRead, &err);
+  if (src == nullptr) return make_reply(m.type, err);
+  kern().note_grant_bypass(endpoint(), len, /*dir: from grant*/ 0);
 
   std::uint32_t pos = f.pos;
   if ((f.flags & O_APPEND) != 0) {

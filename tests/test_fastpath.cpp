@@ -4,6 +4,7 @@
 // checkpoint / metrics surfacing that ride along.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <deque>
 #include <string>
@@ -341,11 +342,9 @@ TEST(ZeroCopy, EveryBulkEligibleSpecRowRoundTripsThroughGrantSpans) {
   // extend the body below to exercise it end to end.
   EXPECT_EQ(bulk_rows(), (std::vector<std::string>{"VFS_READ", "VFS_WRITE"}));
 
-  os::OsConfig cfg;
-  cfg.fastpath.zero_copy = true;
-  OsInstance inst(cfg);
+  OsInstance inst{os::OsConfig{}};
   inst.boot();
-  const std::size_t bulk = 3 * kernel::kMsgTextCap;  // above the inline threshold
+  const std::size_t bulk = 3 * kernel::kMsgTextCap;
 
   std::uint64_t bypass_after_write = 0;
   const auto outcome = inst.run([&](ISys& sys) {
@@ -370,54 +369,146 @@ TEST(ZeroCopy, EveryBulkEligibleSpecRowRoundTripsThroughGrantSpans) {
   });
   EXPECT_EQ(outcome, OsInstance::Outcome::kCompleted);
   EXPECT_GT(inst.kern().stats().grant_spans, 0u);
+  EXPECT_EQ(inst.kern().stats().safecopy_bytes, 0u) << "file payloads must never stage";
 }
 
-TEST(ZeroCopy, InlineSizedPayloadsSkipTheBypass) {
-  os::OsConfig cfg;
-  cfg.fastpath.zero_copy = true;
-  OsInstance inst(cfg);
+TEST(ZeroCopy, InlineSizedPayloadsAlsoTakeTheSpan) {
+  // There is no size threshold: a payload that would fit the inline message
+  // text rides the grant span like any other.
+  OsInstance inst{os::OsConfig{}};
   inst.boot();
   const auto outcome = inst.run([&](ISys& sys) {
     const std::int64_t fd = sys.open("/tmp/small", servers::O_CREAT | servers::O_RDWR);
     ASSERT_GE(fd, 0);
-    // At the threshold, the staging copy is cheaper than the grant check.
-    std::vector<std::byte> buf(kernel::kMsgTextCap, std::byte{0x11});
-    ASSERT_EQ(sys.write(fd, buf), static_cast<std::int64_t>(buf.size()));
-    EXPECT_EQ(inst.kern().stats().grant_bypass_bytes, 0u);
-    EXPECT_GT(inst.kern().stats().safecopy_bytes, 0u);
+    std::vector<std::byte> buf(64, std::byte{0x11});
+    ASSERT_EQ(sys.write(fd, buf), 64);
+    EXPECT_EQ(inst.kern().stats().grant_bypass_bytes, 64u);
+    ASSERT_EQ(sys.lseek(fd, 0, 0), 0);
+    std::vector<std::byte> back(64);
+    ASSERT_EQ(sys.read(fd, back), 64);
+    EXPECT_EQ(back, buf);
+    EXPECT_EQ(inst.kern().stats().grant_bypass_bytes, 128u);
+    EXPECT_EQ(inst.kern().stats().safecopy_bytes, 0u);
   });
   EXPECT_EQ(outcome, OsInstance::Outcome::kCompleted);
 }
 
-TEST(ZeroCopy, FlagOffNeverBypasses) {
+namespace {
+
+/// A raw kernel client registered with VFS as a boot process, so a test can
+/// send VFS requests whose grant and length disagree — which ISys never does.
+class RawVfsClient : public kernel::IClient {
+ public:
+  RawVfsClient(OsInstance& inst, std::int32_t pid) : inst_(inst) {
+    ep_ = inst.kern().register_client(this);
+    inst.vfs().register_boot_proc(pid, ep_);
+  }
+  void on_reply(const Message& m) override {
+    reply_ = m;
+    waiting_ = false;
+  }
+  void on_notify(const Message&) override {}
+
+  /// sendrec: run the machine until the reply lands.
+  Message call(const Message& m) {
+    waiting_ = true;
+    inst_.kern().send(ep_, kernel::kVfsEp, m);
+    while (waiting_) {
+      if (!inst_.kern().dispatch_pending() && !inst_.clock().advance_to_next()) {
+        ADD_FAILURE() << "request never answered";
+        break;
+      }
+    }
+    return reply_;
+  }
+  /// VFS_READ/VFS_WRITE of `len` bytes through a grant over `buf`.
+  std::int64_t rw(std::uint32_t type, std::int64_t fd, std::span<std::byte> buf, std::size_t len) {
+    const Access access = type == servers::VFS_READ ? Access::kWrite : Access::kRead;
+    const kernel::GrantId g =
+        inst_.kern().make_grant(ep_, kernel::kVfsEp, buf.data(), buf.size(), access);
+    const Message r = call(servers::encode(type, fd, g, len));
+    inst_.kern().revoke_grant(g);
+    return r.sarg(0);
+  }
+
+ private:
+  OsInstance& inst_;
+  Endpoint ep_;
+  bool waiting_ = false;
+  Message reply_;
+};
+
+}  // namespace
+
+TEST(ZeroCopy, ShortGrantReadFallsBackAndShortGrantWriteFails) {
   OsInstance inst{os::OsConfig{}};
   inst.boot();
-  const std::size_t bulk = 3 * kernel::kMsgTextCap;
-  const auto outcome = inst.run([&](ISys& sys) {
-    const std::int64_t fd = sys.open("/tmp/off", servers::O_CREAT | servers::O_RDWR);
-    ASSERT_GE(fd, 0);
-    std::vector<std::byte> buf(bulk, std::byte{0x22});
-    ASSERT_EQ(sys.write(fd, buf), static_cast<std::int64_t>(bulk));
-    std::vector<std::byte> back(bulk);
-    ASSERT_EQ(sys.lseek(fd, 0, 0), 0);
-    ASSERT_EQ(sys.read(fd, back), static_cast<std::int64_t>(bulk));
-    EXPECT_EQ(back, buf);
-  });
-  EXPECT_EQ(outcome, OsInstance::Outcome::kCompleted);
-  EXPECT_EQ(inst.kern().stats().grant_bypass_bytes, 0u);
-  EXPECT_EQ(inst.kern().stats().grant_spans, 0u);
+  RawVfsClient cli(inst, 77);
+  const std::int64_t fd =
+      cli.call(servers::encode_text(servers::VFS_OPEN, "/tmp/short",
+                                    servers::O_CREAT | servers::O_RDWR))
+          .sarg(0);
+  ASSERT_GE(fd, 0);
+  std::vector<std::byte> data(100);
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::byte>(i);
+  ASSERT_EQ(cli.rw(servers::VFS_WRITE, fd, data, data.size()), 100);
+  const std::uint64_t spans = inst.kern().stats().grant_spans;
+
+  // A write whose grant is shorter than its length is refused up front,
+  // exactly as safecopy_from refuses it.
+  EXPECT_EQ(cli.rw(servers::VFS_WRITE, fd, std::span(data).first(30), 64), kernel::E_INVAL);
+  EXPECT_EQ(inst.kern().stats().grant_spans, spans);
+
+  // A read asking for 64 bytes through a 40-byte grant, with 40 bytes left
+  // in the file: the span is refused, the staging fallback copies what was
+  // read, and the read succeeds.
+  ASSERT_EQ(cli.call(servers::encode(servers::VFS_LSEEK, fd, 60, 0)).sarg(0), 60);
+  std::vector<std::byte> tail(40, std::byte{0xee});
+  EXPECT_EQ(cli.rw(servers::VFS_READ, fd, tail, 64), 40);
+  EXPECT_TRUE(std::equal(tail.begin(), tail.end(), data.begin() + 60));
+  EXPECT_EQ(inst.kern().stats().safecopy_bytes, 40u);
+
+  // The same short grant over a longer tail cannot hold what was read.
+  ASSERT_EQ(cli.call(servers::encode(servers::VFS_LSEEK, fd, 0, 0)).sarg(0), 0);
+  EXPECT_EQ(cli.rw(servers::VFS_READ, fd, tail, 64), kernel::E_INVAL);
 }
 
-// --- MiniFs borrow path: contents identical across the flag -----------------
+TEST(ZeroCopy, CacheMissesMatchDiskReadsOnTheBorrowPath) {
+  // A borrow that misses falls back to read_block, which fetches the block:
+  // the miss is counted once, at the fetch, so every counted miss is one
+  // device read.
+  os::OsConfig cfg;
+  cfg.cache_blocks = 4;
+  OsInstance inst(cfg);
+  inst.boot();
+  const auto outcome = inst.run([&](ISys& sys) {
+    const std::int64_t fd = sys.open("/tmp/cold", servers::O_CREAT | servers::O_RDWR);
+    ASSERT_GE(fd, 0);
+    std::vector<std::byte> buf(16 * fs::kBlockSize, std::byte{0x5c});
+    ASSERT_EQ(sys.write(fd, buf), static_cast<std::int64_t>(buf.size()));
+    ASSERT_EQ(sys.lseek(fd, 0, 0), 0);
+    const std::uint64_t misses = inst.vfs().cache_stats().misses;
+    const std::uint64_t reads = inst.disk().stats().reads;
+    std::vector<std::byte> back(buf.size());
+    ASSERT_EQ(sys.read(fd, back), static_cast<std::int64_t>(back.size()));
+    EXPECT_EQ(back, buf);
+    EXPECT_GT(inst.disk().stats().reads, reads) << "the read never went to disk";
+    EXPECT_EQ(inst.vfs().cache_stats().misses - misses, inst.disk().stats().reads - reads);
+  });
+  EXPECT_EQ(outcome, OsInstance::Outcome::kCompleted);
+}
 
-TEST(ZeroCopy, RandomizedFileOpsMatchReferenceModelAcrossFlag) {
+// --- MiniFs borrow path: contents match a byte model at any cache size ------
+
+TEST(ZeroCopy, RandomizedFileOpsMatchReferenceModelAcrossCacheSizes) {
   // Random read/write/lseek sequences, mirrored against an in-memory byte
-  // model, once per flag setting. This exercises the MiniFs peek path:
+  // model, once with a 4-block cache (borrows miss and evict constantly) and
+  // once with the default 64. This exercises the MiniFs peek path:
   // indirect-block borrows, partial-block RMW, full-block write-through,
   // holes from sparse lseek, and the borrow-invalidates-on-store rule.
-  for (const bool zero_copy : {false, true}) {
+  for (const std::size_t cache_blocks : {4u, 64u}) {
     os::OsConfig cfg;
-    cfg.fastpath.zero_copy = zero_copy;
+    cfg.cache_blocks = cache_blocks;
     OsInstance inst(cfg);
     inst.boot();
     const auto outcome = inst.run([&](ISys& sys) {
@@ -428,7 +519,7 @@ TEST(ZeroCopy, RandomizedFileOpsMatchReferenceModelAcrossFlag) {
 
       const std::int64_t fd = sys.open("/tmp/prop", servers::O_CREAT | servers::O_RDWR);
       ASSERT_GE(fd, 0);
-      Rng rng(zero_copy ? 21u : 22u);
+      Rng rng(cache_blocks);
       std::uint8_t tint = 1;
       for (int op = 0; op < 150; ++op) {
         const std::size_t pos = rng.below(kMax);
@@ -451,7 +542,7 @@ TEST(ZeroCopy, RandomizedFileOpsMatchReferenceModelAcrossFlag) {
       }
       EXPECT_EQ(sys.close(fd), kernel::OK);
     });
-    EXPECT_EQ(outcome, OsInstance::Outcome::kCompleted) << "zero_copy=" << zero_copy;
+    EXPECT_EQ(outcome, OsInstance::Outcome::kCompleted) << "cache_blocks=" << cache_blocks;
   }
 }
 

@@ -2,12 +2,19 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
+#include <list>
+#include <optional>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "fs/blockdev.hpp"
 #include "fs/cache.hpp"
 #include "fs/direct_store.hpp"
 #include "fs/minifs.hpp"
 #include "support/clock.hpp"
+#include "support/rng.hpp"
 
 using namespace osiris;
 using fs::BlockCache;
@@ -115,7 +122,7 @@ TEST(BlockCache, DirtyVictimIsReported) {
   std::memset(data, 9, sizeof data);
   cache.insert(1, std::span<const std::byte, kBlockSize>(data), nullptr);
   cache.mark_dirty(1);
-  std::optional<std::pair<std::uint32_t, std::vector<std::byte>>> evicted;
+  std::optional<fs::DirtyBlock> evicted;
   cache.insert(2, std::span<const std::byte, kBlockSize>(data), &evicted);
   ASSERT_TRUE(evicted.has_value());
   EXPECT_EQ(evicted->first, 1u);
@@ -131,6 +138,195 @@ TEST(BlockCache, TakeDirtyClearsFlags) {
   EXPECT_EQ(cache.take_dirty().size(), 1u);
   EXPECT_TRUE(cache.take_dirty().empty());
   EXPECT_FALSE(cache.is_dirty(1));
+}
+
+TEST(BlockCache, PeekMissThenLookupMissCountsOneMiss) {
+  // The VFS borrow path peeks first and falls back to read_block, whose
+  // lookup fetches the block: one absent block is one miss, not two.
+  BlockCache cache(2);
+  EXPECT_EQ(cache.peek(3), nullptr);
+  EXPECT_EQ(cache.stats().misses, 0u);
+  EXPECT_EQ(cache.lookup(3), nullptr);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  alignas(8) std::byte data[kBlockSize] = {};
+  cache.insert(3, std::span<const std::byte, kBlockSize>(data), nullptr);
+  EXPECT_NE(cache.peek(3), nullptr);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+TEST(BlockCache, DirtyInsertMarksInTheSameCall) {
+  BlockCache cache(2);
+  alignas(8) std::byte data[kBlockSize] = {};
+  cache.insert(1, std::span<const std::byte, kBlockSize>(data), nullptr, /*dirty=*/true);
+  EXPECT_TRUE(cache.is_dirty(1));
+  // A clean overwrite of a dirty block leaves it dirty: the bytes still
+  // differ from the disk copy.
+  cache.insert(1, std::span<const std::byte, kBlockSize>(data), nullptr);
+  EXPECT_TRUE(cache.is_dirty(1));
+}
+
+namespace {
+
+/// The list + hash-map LRU the slab cache replaced, kept as its reference
+/// model: same victims, same take_dirty order, same counters.
+class ListLru {
+ public:
+  using Victim = std::pair<std::uint32_t, std::vector<std::byte>>;
+
+  explicit ListLru(std::size_t capacity) : capacity_(capacity) {}
+
+  const std::byte* lookup(std::uint32_t bno, bool count_miss) {
+    const auto it = map_.find(bno);
+    if (it == map_.end()) {
+      if (count_miss) ++stats.misses;
+      return nullptr;
+    }
+    ++stats.hits;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return lru_.front().data.data();
+  }
+
+  std::optional<Victim> insert(std::uint32_t bno, const std::byte* data, bool dirty) {
+    std::optional<Victim> victim;
+    if (const auto it = map_.find(bno); it != map_.end()) {
+      std::memcpy(it->second->data.data(), data, kBlockSize);
+      it->second->dirty = it->second->dirty || dirty;
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return victim;
+    }
+    if (map_.size() >= capacity_) {
+      Entry& v = lru_.back();
+      ++stats.evictions;
+      if (v.dirty) {
+        ++stats.writebacks;
+        victim.emplace(v.bno, std::move(v.data));
+      }
+      map_.erase(v.bno);
+      lru_.pop_back();
+    }
+    lru_.push_front(Entry{bno, dirty, std::vector<std::byte>(data, data + kBlockSize)});
+    map_[bno] = lru_.begin();
+    return victim;
+  }
+
+  void mark_dirty(std::uint32_t bno) { map_.at(bno)->dirty = true; }
+  [[nodiscard]] bool is_dirty(std::uint32_t bno) const {
+    const auto it = map_.find(bno);
+    return it != map_.end() && it->second->dirty;
+  }
+
+  std::vector<Victim> take_dirty() {
+    std::vector<Victim> out;
+    for (Entry& e : lru_) {
+      if (!e.dirty) continue;
+      out.emplace_back(e.bno, e.data);
+      e.dirty = false;
+    }
+    return out;
+  }
+
+  void invalidate_all() {
+    lru_.clear();
+    map_.clear();
+  }
+
+  [[nodiscard]] std::size_t size() const { return map_.size(); }
+  /// The cached block `roll % size()` positions from the most recent.
+  [[nodiscard]] std::uint32_t nth_cached(std::uint64_t roll) const {
+    auto it = lru_.begin();
+    std::advance(it, static_cast<std::ptrdiff_t>(roll % lru_.size()));
+    return it->bno;
+  }
+
+  fs::CacheStats stats;
+
+ private:
+  struct Entry {
+    std::uint32_t bno;
+    bool dirty;
+    std::vector<std::byte> data;
+  };
+  std::size_t capacity_;
+  std::list<Entry> lru_;  // front = most recent
+  std::unordered_map<std::uint32_t, std::list<Entry>::iterator> map_;
+};
+
+bool same_bytes(const std::byte* a, const std::byte* b) {
+  return std::memcmp(a, b, kBlockSize) == 0;
+}
+
+}  // namespace
+
+TEST(BlockCache, RandomOpsMatchListReferenceModel) {
+  for (std::size_t cap = 1; cap <= 8; ++cap) {
+    BlockCache cache(cap);
+    ListLru model(cap);
+    Rng rng(1000 + cap);
+    std::uint8_t tint = 0;
+    // Twice the capacity plus two distinct blocks: hits, misses, evictions
+    // and dirty write-backs all happen often.
+    const std::uint64_t span = 2 * cap + 2;
+    for (int op = 0; op < 4000; ++op) {
+      const auto bno = static_cast<std::uint32_t>(rng.below(span) * 37);  // spread the keys
+      const std::uint64_t roll = rng.below(100);
+      SCOPED_TRACE("cap " + std::to_string(cap) + " op " + std::to_string(op));
+      if (roll < 35) {
+        const std::byte* want = model.lookup(bno, /*count_miss=*/true);
+        const std::byte* got = cache.lookup(bno);
+        ASSERT_EQ(got == nullptr, want == nullptr);
+        if (got != nullptr) {
+          ASSERT_TRUE(same_bytes(got, want));
+        }
+      } else if (roll < 45) {
+        const std::byte* want = model.lookup(bno, /*count_miss=*/false);
+        const std::byte* got = cache.peek(bno);
+        ASSERT_EQ(got == nullptr, want == nullptr);
+        if (got != nullptr) {
+          ASSERT_TRUE(same_bytes(got, want));
+        }
+      } else if (roll < 80) {
+        alignas(8) std::byte data[kBlockSize];
+        std::memset(data, ++tint, sizeof data);
+        std::memcpy(data, &bno, sizeof bno);
+        const bool dirty = rng.below(2) == 0;
+        const std::optional<ListLru::Victim> want = model.insert(bno, data, dirty);
+        std::optional<fs::DirtyBlock> got;
+        const std::byte* stored =
+            cache.insert(bno, std::span<const std::byte, kBlockSize>(data), &got, dirty);
+        ASSERT_TRUE(same_bytes(stored, data));
+        ASSERT_EQ(got.has_value(), want.has_value());
+        if (got) {
+          ASSERT_EQ(got->first, want->first);
+          ASSERT_TRUE(same_bytes(got->second.data(), want->second.data()));
+        }
+      } else if (roll < 88) {
+        if (model.size() == 0) continue;
+        const std::uint32_t b = model.nth_cached(rng.below(cap));
+        model.mark_dirty(b);
+        cache.mark_dirty(b);
+      } else if (roll < 92) {
+        ASSERT_EQ(cache.is_dirty(bno), model.is_dirty(bno));
+      } else if (roll < 98) {
+        const std::vector<ListLru::Victim> want = model.take_dirty();
+        const std::vector<fs::DirtyBlock> got = cache.take_dirty();
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i].first, want[i].first) << "take_dirty order differs at " << i;
+          ASSERT_TRUE(same_bytes(got[i].second.data(), want[i].second.data()));
+        }
+      } else {
+        model.invalidate_all();
+        cache.invalidate_all();
+      }
+      ASSERT_EQ(cache.size(), model.size());
+      ASSERT_EQ(cache.stats().hits, model.stats.hits);
+      ASSERT_EQ(cache.stats().misses, model.stats.misses);
+      ASSERT_EQ(cache.stats().evictions, model.stats.evictions);
+      ASSERT_EQ(cache.stats().writebacks, model.stats.writebacks);
+    }
+    EXPECT_GT(model.stats.writebacks, 0u) << "cap " << cap;
+  }
 }
 
 // --- MiniFS ------------------------------------------------------------

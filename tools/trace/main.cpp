@@ -46,9 +46,9 @@ int usage(const char* argv0) {
             << "  --chrome FILE write a Chrome trace_event JSON timeline to FILE\n"
             << "  --ring N      per-component ring capacity in events (default "
             << osiris::trace::kDefaultRingCapacity << ")\n"
-            << "  --fastpath    run with the IPC fast path on (arena + batching +\n"
-            << "                zero-copy); the exported timeline must be identical\n"
-            << "                to the default run's — diff them to check\n";
+            << "  --fastpath    run with the IPC fast path on (arena + batching);\n"
+            << "                the exported timeline must be identical to the\n"
+            << "                default run's — diff them to check\n";
   return 2;
 }
 
