@@ -4,7 +4,8 @@
 # hot-path numbers:
 #
 #   BENCH_ckpt.json     checkpointing microbenchmarks (google-benchmark)
-#   BENCH_serving.json  open-loop serving load, baseline vs fast-path columns
+#   BENCH_serving.json  open-loop serving load (steady, faulted, and the
+#                       miss-regime fiber vs FOM depth sweep)
 #   BENCH_storm.json    storm-detection campaign (liveness faults vs the
 #                       health monitor), incl. detection-latency columns
 #

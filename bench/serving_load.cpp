@@ -8,23 +8,17 @@
 // moment the reply lands, so queueing delay is charged to the system, not
 // silently absorbed by the load generator (no coordinated omission).
 //
-// Each run reports steady-state msgs/sec and p50/p99/p999 reply latency
-// (host wall time — virtual ticks are identical across fast-path configs by
-// construction, the observational-equivalence guarantee; what the fast path
-// buys is host work per message). A faulted phase arms periodic fail-stop
-// faults on VFS's busiest probe site and reports the recovery-induced
-// latency-spike width on top of the same load.
-//
-// Configs swept: baseline (both fast-path flags off; bulk payloads ride
-// grant spans in every config), each flag alone (arena / batching), and both
-// together — the before/after columns for BENCH_serving.json.
+// Each run reports steady-state msgs/sec and p50/p99/p999 reply latency in
+// host wall time (bulk payloads ride grant spans, DESIGN.md §14). A faulted
+// phase arms periodic fail-stop faults on VFS's busiest probe site and
+// reports the recovery-induced latency-spike width on top of the same load.
 //
 // A final miss-regime sweep (DESIGN.md §16) shrinks the block cache to an
-// eighth of the working set and runs the full fast path with the VFS fiber
-// path vs the FOM executor across an in-flight-depth axis (1, N/4, N
-// clients): the executor overlaps the 40-tick disk waits the fiber path
-// serializes, and the per-run fom_stats (parks, in_flight_high_water) land
-// in the JSON so the overlap is auditable, not inferred.
+// eighth of the working set and runs the VFS fiber path vs the FOM executor
+// across an in-flight-depth axis (1, N/4, N clients): the executor overlaps
+// the 40-tick disk waits the fiber path serializes, and the per-run
+// fom_stats (parks, in_flight_high_water) land in the JSON so the overlap is
+// auditable, not inferred.
 //
 // Usage: serving_load [--clients N] [--seconds S] [--interval TICKS]
 //                     [--payload BYTES] [--seed S] [--profile mixed|bulk|meta]
@@ -64,7 +58,7 @@ std::uint64_t to_ns(HostClock::duration d) {
 struct Options {
   int clients = 32;
   double seconds = 2.0;       // timed window per run
-  int reps = 3;               // interleaved repetitions per config (median wins)
+  int reps = 3;               // repetitions per steady / miss-sweep point (median wins)
   double mean_interval = 6.0; // mean inter-arrival per client, virtual ticks
   std::size_t payload = 32 * 1024;  // bulk op size; well past the inline-text cap
   std::uint64_t seed = 42;
@@ -369,9 +363,8 @@ double spike_width_ms(const RunAccum& acc, double steady_mean_ns) {
   return static_cast<double>(best) * 5.0;
 }
 
-RunResult run_serving(const Options& opt, const std::string& config_name,
-                      const kernel::FastPath& fp, fi::Site* fault_site, double steady_mean_ns,
-                      bool fom = false, bool miss_regime = false) {
+RunResult run_serving(const Options& opt, const std::string& config_name, fi::Site* fault_site,
+                      double steady_mean_ns, bool fom = false, bool miss_regime = false) {
   fi::Registry::instance().disarm();
   fi::Registry::instance().reset_counts();
 
@@ -385,8 +378,8 @@ RunResult run_serving(const Options& opt, const std::string& config_name,
   // Size the disk for every client's working file and keep the whole working
   // set block-cache-resident: a cache miss parks the VFS worker on a 40-tick
   // virtual disk read, and an open-loop generator saturates a disk-bound
-  // system in virtual time no matter how fast the host is. The fast path
-  // optimizes host work per message, so the serving benchmark measures the
+  // system in virtual time no matter how fast the host is. The steady and
+  // faulted phases measure host work per message, so they run in the
   // cache-hit regime (the setup writes below warm the cache).
   // 8x the payload per file (clamped to the FS max) keeps the rewind lseek —
   // a cheap non-FS message — a small fraction of the bulk op stream. Miss
@@ -406,7 +399,6 @@ RunResult run_serving(const Options& opt, const std::string& config_name,
     cfg.cache_blocks = std::max<std::size_t>(file_blocks / 8, 16);
   }
   cfg.vfs_fom = fom;
-  cfg.fastpath = fp;
   os::OsInstance inst(cfg);
   inst.boot();
 
@@ -438,7 +430,7 @@ RunResult run_serving(const Options& opt, const std::string& config_name,
   // Self-rescheduling Poisson arrival chain per client. Inter-arrival gaps
   // are exponential in virtual ticks; clamping to >= 1 keeps the clock
   // strictly advancing. Multiple clients landing on the same tick is what
-  // feeds multi-message dispatch rounds (and batches, when enabled).
+  // feeds multi-message dispatch rounds.
   Rng arrivals(opt.seed ^ 0x9e3779b9u);
   std::function<void(BenchClient*)> chain = [&](BenchClient* c) {
     if (acc.stopped) return;
@@ -551,23 +543,11 @@ void json_run(std::FILE* f, const RunResult& r, bool last) {
                  static_cast<unsigned long long>(r.fom.wait_ticks_total));
   }
   std::fprintf(f,
-               "     \"kernel\": {\"messages_queued\": %llu, \"queue_high_water\": %llu, "
-               "\"arena_spills\": %llu,\n"
-               "                \"batches\": %llu, \"batched_messages\": %llu, "
-               "\"batch_hist\": [",
-               static_cast<unsigned long long>(k.messages_queued),
-               static_cast<unsigned long long>(k.queue_high_water),
-               static_cast<unsigned long long>(k.arena_spills),
-               static_cast<unsigned long long>(k.batches),
-               static_cast<unsigned long long>(k.batched_messages));
-  for (std::size_t i = 0; i < kernel::kBatchHistBuckets; ++i) {
-    std::fprintf(f, "%s%llu", i == 0 ? "" : ", ",
-                 static_cast<unsigned long long>(k.batch_hist[i]));
-  }
-  std::fprintf(f,
-               "],\n"
+               "     \"kernel\": {\"messages_queued\": %llu, \"queue_high_water\": %llu,\n"
                "                \"safecopy_bytes\": %llu, \"grant_bypass_bytes\": %llu, "
                "\"grant_spans\": %llu}}%s\n",
+               static_cast<unsigned long long>(k.messages_queued),
+               static_cast<unsigned long long>(k.queue_high_water),
                static_cast<unsigned long long>(k.safecopy_bytes),
                static_cast<unsigned long long>(k.grant_bypass_bytes),
                static_cast<unsigned long long>(k.grant_spans), last ? "" : ",");
@@ -617,24 +597,6 @@ int main(int argc, char** argv) {
 
   fi::Site* vfs_site = vfs_entry_site();
 
-  struct Config {
-    const char* name;
-    kernel::FastPath fp;
-  };
-  std::vector<Config> configs;
-  configs.push_back({"baseline", kernel::FastPath{}});
-  {
-    kernel::FastPath f;
-    f.arena_queue = true;
-    configs.push_back({"arena", f});
-  }
-  {
-    kernel::FastPath f;
-    f.batching = true;
-    configs.push_back({"batching", f});
-  }
-  configs.push_back({"fastpath", kernel::FastPath::all_on()});
-
   std::printf("serving_load: %d clients, %.1fs/run, profile=%s, payload=%zu, seed=%llu\n",
               opt.clients, opt.seconds, opt.profile.c_str(), opt.payload,
               static_cast<unsigned long long>(opt.seed));
@@ -642,22 +604,13 @@ int main(int argc, char** argv) {
               "p99us", "p999us", "spike ms");
 
   // Untimed warm-up: the first run otherwise pays CPU-frequency ramp, page
-  // faults, and cold allocator state, skewing whichever config goes first.
+  // faults, and cold allocator state.
   {
     Options warm = opt;
     warm.seconds = std::min(0.3, opt.seconds);
-    (void)run_serving(warm, "warmup", kernel::FastPath{}, nullptr, 0.0);
+    (void)run_serving(warm, "warmup", nullptr, 0.0);
   }
 
-  // Interleave repetitions across configs (rep-major order) so slow drift —
-  // thermal throttling, noisy neighbours — spreads over every column instead
-  // of biasing whichever config runs last; the per-config median rep wins.
-  std::vector<std::vector<RunResult>> steady_reps(configs.size());
-  for (int rep = 0; rep < opt.reps; ++rep) {
-    for (std::size_t ci = 0; ci < configs.size(); ++ci) {
-      steady_reps[ci].push_back(run_serving(opt, configs[ci].name, configs[ci].fp, nullptr, 0.0));
-    }
-  }
   auto median_rep = [](std::vector<RunResult>& reps) -> RunResult {
     std::sort(reps.begin(), reps.end(),
               [](const RunResult& a, const RunResult& b) { return a.msgs_per_sec < b.msgs_per_sec; });
@@ -665,49 +618,29 @@ int main(int argc, char** argv) {
   };
 
   std::vector<RunResult> results;
-  double base_steady = 0.0, fast_steady = 0.0;
-  double base_mean_ns = 0.0, fast_mean_ns = 0.0;
-  double base_spike = 0.0, fast_spike = 0.0;
-  for (std::size_t ci = 0; ci < configs.size(); ++ci) {
-    RunResult steady = median_rep(steady_reps[ci]);
-    std::printf("%-10s %-8s %12.1f %10.2f %10.2f %10.2f %10s\n", steady.config.c_str(),
-                steady.phase.c_str(), steady.msgs_per_sec, steady.p50_us, steady.p99_us,
-                steady.p999_us, "-");
-    std::fflush(stdout);
-    if (std::strcmp(configs[ci].name, "baseline") == 0) {
-      base_steady = steady.msgs_per_sec;
-      base_mean_ns = steady.mean_us * 1000.0;
-    }
-    if (std::strcmp(configs[ci].name, "fastpath") == 0) {
-      fast_steady = steady.msgs_per_sec;
-      fast_mean_ns = steady.mean_us * 1000.0;
-    }
-    results.push_back(steady);
+  std::vector<RunResult> steady_reps;
+  for (int rep = 0; rep < opt.reps; ++rep) {
+    steady_reps.push_back(run_serving(opt, "baseline", nullptr, 0.0));
   }
-  // Faulted phase for the before/after endpoints of the sweep, after the
-  // steady sweep so fault influx never warps a steady column.
-  for (const Config& c : configs) {
-    const bool is_base = std::strcmp(c.name, "baseline") == 0;
-    const bool is_fast = std::strcmp(c.name, "fastpath") == 0;
-    if (!is_base && !is_fast) continue;
-    RunResult faulted =
-        run_serving(opt, c.name, c.fp, vfs_site, is_base ? base_mean_ns : fast_mean_ns);
-    std::printf("%-10s %-8s %12.1f %10.2f %10.2f %10.2f %10.1f\n", faulted.config.c_str(),
-                faulted.phase.c_str(), faulted.msgs_per_sec, faulted.p50_us, faulted.p99_us,
-                faulted.p999_us, faulted.spike_width_ms);
-    std::fflush(stdout);
-    if (is_base) base_spike = faulted.spike_width_ms;
-    if (is_fast) fast_spike = faulted.spike_width_ms;
-    results.push_back(faulted);
-  }
-  const double speedup = base_steady > 0 ? fast_steady / base_steady : 0.0;
-  std::printf("\nsteady-state speedup (fastpath / baseline): %.2fx\n", speedup);
+  const RunResult steady = median_rep(steady_reps);
+  std::printf("%-10s %-8s %12.1f %10.2f %10.2f %10.2f %10s\n", steady.config.c_str(),
+              steady.phase.c_str(), steady.msgs_per_sec, steady.p50_us, steady.p99_us,
+              steady.p999_us, "-");
+  std::fflush(stdout);
+  results.push_back(steady);
+  // Faulted phase after the steady reps, so fault influx never warps them.
+  const RunResult faulted = run_serving(opt, "baseline", vfs_site, steady.mean_us * 1000.0);
+  std::printf("%-10s %-8s %12.1f %10.2f %10.2f %10.2f %10.1f\n", faulted.config.c_str(),
+              faulted.phase.c_str(), faulted.msgs_per_sec, faulted.p50_us, faulted.p99_us,
+              faulted.p999_us, faulted.spike_width_ms);
+  std::fflush(stdout);
+  results.push_back(faulted);
 
   // Miss-regime sweep over in-flight depth (DESIGN.md §16): fiber path vs
-  // FOM executor, both on the full fast path, with the cache shrunk to an
-  // eighth of the working set. Depth = concurrent clients: at depth 1 the
-  // two paths tie (nothing to overlap), and the executor's advantage grows
-  // with depth because parked requests stop serializing the disk waits.
+  // FOM executor, with the cache shrunk to an eighth of the working set.
+  // Depth = concurrent clients: at depth 1 the two paths tie (nothing to
+  // overlap), and the executor's advantage grows with depth because parked
+  // requests stop serializing the disk waits.
   std::printf("\n%-14s %-6s %6s %12s %12s %10s %9s %8s\n", "config", "phase", "depth",
               "msgs/ktick", "msgs/sec", "p50us", "inflight", "parks");
   std::vector<int> depths;
@@ -727,8 +660,7 @@ int main(int argc, char** argv) {
     for (const bool fom : {false, true}) {
       std::vector<RunResult> reps;
       for (int rep = 0; rep < opt.reps; ++rep) {
-        reps.push_back(run_serving(miss_opt, fom ? "fastpath_fom" : "fastpath",
-                                   kernel::FastPath::all_on(), nullptr, 0.0, fom,
+        reps.push_back(run_serving(miss_opt, fom ? "fom" : "fiber", nullptr, 0.0, fom,
                                    /*miss_regime=*/true));
       }
       RunResult miss = median_rep(reps);
@@ -759,14 +691,13 @@ int main(int argc, char** argv) {
                "{\n  \"bench\": \"serving_load\",\n  \"clients\": %d,\n  \"seconds\": %.2f,\n"
                "  \"profile\": \"%s\",\n  \"payload_bytes\": %zu,\n  \"seed\": %llu,\n"
                "  \"mean_interval_ticks\": %.1f,\n  \"fault_interval\": %llu,\n"
-               "  \"speedup_steady\": %.3f,\n"
                "  \"speedup_miss_fom\": %.3f,\n"
-               "  \"spike_width_ms\": {\"baseline\": %.1f, \"fastpath\": %.1f},\n"
+               "  \"spike_width_ms\": %.1f,\n"
                "  \"runs\": [\n",
                opt.clients, opt.seconds, opt.profile.c_str(), opt.payload,
                static_cast<unsigned long long>(opt.seed), opt.mean_interval,
-               static_cast<unsigned long long>(opt.fault_interval), speedup, fom_speedup,
-               base_spike, fast_spike);
+               static_cast<unsigned long long>(opt.fault_interval), fom_speedup,
+               faulted.spike_width_ms);
   for (std::size_t i = 0; i < results.size(); ++i) {
     json_run(f, results[i], i + 1 == results.size());
   }

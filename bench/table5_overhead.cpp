@@ -234,14 +234,13 @@ int main(int argc, char** argv) {
   traced.trace_enabled = true;
 
   // Enhanced plus the page tier and the MB-scale aux state it serves
-  // (DESIGN.md §17): DS's blob table and VFS's op journal. Not an isolated
-  // tier cost — the slots knobs add the journaling/blob work itself, which
-  // the other columns never execute. BENCH_ckpt.json's sweep separates the
-  // tier's capture cost from the feature work.
+  // (DESIGN.md §17): DS's blob table. Not an isolated tier cost — the slots
+  // knob adds the blob work itself, which the other columns never execute.
+  // BENCH_ckpt.json's sweep separates the tier's capture cost from the
+  // feature work.
   os::OsConfig paged = enh;
   paged.ckpt_pages.enabled = true;
   paged.ds_blob_slots = 256;
-  paged.vfs_journal_slots = 512;
 
   const std::vector<Config> configs = {{"Without opt.", noopt},
                                        {"Pessimistic", pess},
@@ -294,8 +293,8 @@ int main(int argc, char** argv) {
       "outside the recovery window collapses the overhead from ~23%% to ~5%%;\n"
       "compute-bound rows stay at ~1.00 in every configuration.\n"
       "tracing overhead on top of Enhanced: %+.1f%% (budget: <5%%)\n"
-      "Enhanced+pages vs Enhanced: %+.1f%% — includes the blob/journal work\n"
-      "itself (those tables don't exist in the other columns), not just the\n"
+      "Enhanced+pages vs Enhanced: %+.1f%% — includes the DS blob work itself\n"
+      "(the blob table doesn't exist in the other columns), not just the\n"
       "tier's capture cost; BENCH_ckpt.json isolates the latter.\n\n",
       trace_overhead * 100.0, pages_overhead * 100.0);
   return check_dispatch_overhead(runs) ? 0 : 1;

@@ -39,8 +39,8 @@ Totals run_config(const os::OsConfig& cfg, bool with_pages_columns) {
 
   std::vector<std::string> headers = {"Server", "Base state", "+clone", "+undo log (max)"};
   if (with_pages_columns) {
-    // DESIGN.md §17: the aux regions (DS blobs, VFS journal) and the page
-    // tier's snapshot-buffer high-water. The clone column already includes
+    // DESIGN.md §17: the aux region (DS blobs) and the page tier's
+    // snapshot-buffer high-water. The clone column already includes
     // the aux image — the overhead the tier's delta restarts amortize.
     headers.push_back("+aux region");
     headers.push_back("+page snaps (max)");
@@ -97,16 +97,15 @@ int main() {
   std::printf("paper shape: VM dominates both the clone pre-allocation and the\n"
               "undo-log columns; the other servers' overheads are comparatively tiny\n");
 
-  // The same accounting at the ROADMAP's scale: MB aux regions behind the
+  // The same accounting at the ROADMAP's scale: an MB aux region behind the
   // page tier. The undo-log high-water must NOT grow with the aux state —
   // stores landing there cost page snapshots, bounded by the per-window
   // dirty set, not by region size.
   os::OsConfig paged = cfg;
   paged.ckpt_pages.enabled = true;
-  paged.ds_blob_slots = 1024;     // ~4 MiB of DS blob payloads
-  paged.vfs_journal_slots = 4096; // MB-scale VFS op journal
+  paged.ds_blob_slots = 1024;  // ~4 MiB of DS blob payloads
   std::printf("\nTable VI.b — with the page tier and MB-scale aux state "
-              "(ckpt_pages on)\n\n");
+              "(ckpt_pages on; DS blobs only)\n\n");
   const Totals p = run_config(paged, /*with_pages_columns=*/true);
   const double aux_mb = static_cast<double>(p.aux) / (1024.0 * 1024.0);
   const double snap_pct =

@@ -56,7 +56,6 @@ class PagedTable {
     Header* h = header();
     h->free_head = 0;
     h->in_use_n = 0;
-    h->user = 0;
     for (std::size_t i = 0; i < cap_; ++i) next_free()[i] = i + 1 < cap_ ? i + 1 : kNil;
   }
 
@@ -107,24 +106,6 @@ class PagedTable {
     --h->in_use_n;
   }
 
-  /// Ring-style slot claim for put-only tables (e.g. an op journal indexed
-  /// by sequence % capacity): marks the slot used if it was not, logs the
-  /// element's old bytes, and hands out a mutable reference. A table written
-  /// through put() must never use alloc()/free() — put() bypasses the free
-  /// list, which stays a boot-time artifact.
-  [[nodiscard]] T& put(std::size_t i) {
-    OSIRIS_ASSERT(i < cap_);
-    if (used()[i] == 0) {
-      Context::log_write(&used()[i], sizeof(std::uint8_t));
-      used()[i] = 1;
-      Header* h = header();
-      Context::log_write(&h->in_use_n, sizeof(h->in_use_n));
-      ++h->in_use_n;
-    }
-    Context::log_write(&elems()[i], sizeof(T));
-    return elems()[i];
-  }
-
   [[nodiscard]] const T& at(std::size_t i) const noexcept {
     OSIRIS_ASSERT(i < cap_ && used()[i] != 0);
     return elems()[i];
@@ -153,24 +134,12 @@ class PagedTable {
     }
   }
 
-  /// One recoverable scalar riding in the region header — for cursors that
-  /// belong to the table's lifecycle (the journal's sequence number) and
-  /// must not widen the component's inline State (golden traces embed its
-  /// size). Logged like any other store.
-  [[nodiscard]] std::uint64_t user_word() const noexcept { return header()->user; }
-  void set_user_word(std::uint64_t v) {
-    Header* h = header();
-    Context::log_write(&h->user, sizeof(h->user));
-    h->user = v;
-  }
-
  private:
   static constexpr std::uint64_t kNil = ~std::uint64_t{0};
 
   struct Header {
     std::uint64_t free_head;
     std::uint64_t in_use_n;
-    std::uint64_t user;
   };
 
   [[nodiscard]] Header* header() noexcept { return reinterpret_cast<Header*>(buf_.get()); }

@@ -22,7 +22,6 @@ SystemMetrics collect_metrics(os::OsInstance& inst) {
     const ckpt::UndoLogStats& ls = comp->ckpt_context().log().stats();
     cm.max_undo_log_bytes = ls.max_log_bytes;
     cm.undo_records = ls.records;
-    cm.checkpoints_skipped = ls.checkpoints_skipped;
     cm.aux_bytes = comp->aux_section_size();
     cm.page_records = ls.page_records;
     cm.page_bytes_logged = ls.page_bytes_logged;
@@ -63,10 +62,6 @@ SystemMetrics collect_metrics(os::OsInstance& inst) {
   m.hangs = ks.hangs;
 
   m.queue_high_water = ks.queue_high_water;
-  m.arena_spills = ks.arena_spills;
-  m.batches = ks.batches;
-  m.batched_messages = ks.batched_messages;
-  for (std::size_t i = 0; i < kernel::kBatchHistBuckets; ++i) m.batch_hist[i] = ks.batch_hist[i];
   m.safecopy_bytes = ks.safecopy_bytes;
   m.grant_bypass_bytes = ks.grant_bypass_bytes;
   m.grant_spans = ks.grant_spans;
@@ -125,13 +120,8 @@ std::string SystemMetrics::report() const {
   out += "kernel: " + std::to_string(messages) + " messages, " + std::to_string(nested_calls) +
          " nested calls, " + std::to_string(crashes) + " crashes, " + std::to_string(hangs) +
          " hangs\n";
-  out += "fastpath: queue high-water " + std::to_string(queue_high_water) + ", " +
-         std::to_string(arena_spills) + " arena spills, " + std::to_string(batches) +
-         " batches (" + std::to_string(batched_messages) + " msgs; sizes";
-  for (std::size_t i = 0; i < kernel::kBatchHistBuckets; ++i) {
-    out += (i == 0 ? " " : "/") + std::to_string(batch_hist[i]);
-  }
-  out += "), " + std::to_string(safecopy_bytes) + " B safecopied, " +
+  out += "ipc: queue high-water " + std::to_string(queue_high_water) + ", " +
+         std::to_string(safecopy_bytes) + " B safecopied, " +
          std::to_string(grant_bypass_bytes) + " B zero-copy over " +
          std::to_string(grant_spans) + " spans\n";
   out += "engine: " + std::to_string(restarts) + " restarts, " + std::to_string(rollbacks) +

@@ -19,7 +19,6 @@ struct ComponentMetrics {
   std::size_t clone_bytes = 0;        // Table VI "+clone"
   std::size_t max_undo_log_bytes = 0;  // Table VI "+undo log"
   std::uint64_t undo_records = 0;
-  std::uint64_t checkpoints_skipped = 0;  // lazy checkpoints elided (DESIGN.md §14)
   std::uint32_t recoveries = 0;
 
   // Page tier (DESIGN.md §17): all zero unless the component has a PageStore
@@ -59,14 +58,8 @@ struct SystemMetrics {
   std::uint64_t crashes = 0;
   std::uint64_t hangs = 0;
 
-  // IPC fast path (DESIGN.md §14): queue depth, dispatch batching, and
-  // grant copy accounting. The arena and batching counters stay zero while
-  // their flags are off; the rest are always tracked.
+  // IPC (DESIGN.md §14): queue depth and grant copy accounting.
   std::uint64_t queue_high_water = 0;
-  std::uint64_t arena_spills = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t batched_messages = 0;
-  std::uint64_t batch_hist[kernel::kBatchHistBuckets] = {};
   std::uint64_t safecopy_bytes = 0;
   std::uint64_t grant_bypass_bytes = 0;
   std::uint64_t grant_spans = 0;

@@ -85,6 +85,16 @@ enum Errno : std::int64_t {
   E_DEADLK = -22,
 };
 
+/// The error-virtualized reply to `request` (paper SIII-C). arg1 travels
+/// back unchanged: an asynchronous requester matches replies to its pending
+/// work by it (VFS_PM_EXEC's correlation pid), and every other reply consumer
+/// reads arg1 only after an OK status.
+inline Message make_crash_reply(const Message& request) {
+  Message m = make_reply(request.type, E_CRASH);
+  m.arg[1] = request.arg[1];
+  return m;
+}
+
 /// Human-readable name for an Errno (for logs and test diagnostics).
 const char* errno_name(std::int64_t e);
 

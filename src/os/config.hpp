@@ -5,7 +5,6 @@
 
 #include "ckpt/context.hpp"
 #include "ckpt/page_store.hpp"
-#include "kernel/fastpath.hpp"
 #include "kernel/health.hpp"
 #include "recovery/ladder.hpp"
 #include "seep/policy.hpp"
@@ -52,12 +51,6 @@ struct OsConfig {
   /// that must retain a full run.
   std::size_t trace_ring_capacity = 1024;
 
-  /// IPC fast path (DESIGN.md §14): arena-backed message queue and
-  /// per-endpoint dispatch batching. Both off by default; the serving
-  /// benchmark reports before/after columns per flag, and golden traces pin
-  /// observational equivalence. Bulk file payloads always ride grant spans.
-  kernel::FastPath fastpath;
-
   /// FOM request executor for VFS (DESIGN.md §16): cache misses park the
   /// request as a resumable state machine instead of suspending a worker
   /// fiber, so the SEEP window machinery stays live across the disk wait.
@@ -71,17 +64,13 @@ struct OsConfig {
   /// phase moves only transfer-dirty pages (delta restart). Off by default
   /// so every pre-existing scenario — and every golden trace — is
   /// bit-identical; only meaningful for components with an aux region
-  /// (ds_blob_slots / vfs_journal_slots below).
+  /// (ds_blob_slots below).
   ckpt::PagesConfig ckpt_pages;
 
   /// Capacity of DS's heap-backed blob table (4 KiB payload slots behind
   /// DS_PUBLISH/RETRIEVE/DELETE). 0 = no blob tier; sized MB+ (e.g. 512
   /// slots = 2 MiB) for the large-state experiments.
   std::size_t ds_blob_slots = 0;
-
-  /// Capacity of VFS's heap-backed op-journal ring (one 128-byte record per
-  /// dispatched request). 0 = no journal.
-  std::size_t vfs_journal_slots = 0;
 
   /// Physiological health monitor (DESIGN.md §15): per-endpoint fever
   /// detection feeding the ladder's storm rung. Off by default so every

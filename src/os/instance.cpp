@@ -133,10 +133,6 @@ void OsInstance::boot() {
   }
 
   kernel_ = std::make_unique<kernel::Kernel>(clock_);
-  kernel_->set_fastpath(cfg_.fastpath);
-  // Batch eligibility is a pure derivation from the spec table's SEEP
-  // classes; the kernel only sees the predicate.
-  kernel_->set_batch_eligible(&servers::is_batch_eligible);
   kernel_->set_health(cfg_.health);
   kernel_->set_throttle_exempt(&servers::is_throttle_exempt);
   kernel_->set_dispatch_burst_cap(cfg_.max_dispatch_burst);
@@ -148,8 +144,7 @@ void OsInstance::boot() {
   pm_ = std::make_unique<servers::Pm>(*kernel_, classification_, cfg_.policy, mode);
   vm_ = std::make_unique<servers::Vm>(*kernel_, classification_, cfg_.policy, mode);
   vfs_ = std::make_unique<servers::Vfs>(*kernel_, classification_, cfg_.policy, mode, *disk_,
-                                        cfg_.cache_blocks, cfg_.vfs_journal_slots,
-                                        cfg_.ckpt_pages);
+                                        cfg_.cache_blocks);
   vfs_->set_fom_enabled(cfg_.vfs_fom);
   ds_ = std::make_unique<servers::Ds>(*kernel_, classification_, cfg_.policy, mode,
                                       cfg_.ds_blob_slots, cfg_.ckpt_pages);

@@ -14,9 +14,7 @@ namespace osiris::recovery {
 using kernel::CrashAction;
 using kernel::CrashContext;
 using kernel::CrashDecision;
-using kernel::E_CRASH;
 using kernel::Endpoint;
-using kernel::make_reply;
 
 Engine::Engine(kernel::Kernel& kernel, const seep::Classification& classification,
                seep::Policy policy, std::uint32_t max_recoveries_per_component,
@@ -73,6 +71,11 @@ bool Engine::is_parked(Endpoint ep) const {
 std::uint32_t Engine::rung_of(Endpoint ep) const {
   auto it = slots_.find(ep.value);
   return it == slots_.end() ? 0 : it->second.rung;
+}
+
+CrashDecision Engine::error_reply(const CrashContext& ctx) {
+  ++stats_.error_replies;
+  return CrashDecision{CrashAction::kErrorReply, kernel::make_crash_reply(ctx.inflight)};
 }
 
 bool Engine::replyable(const CrashContext& ctx) const {
@@ -191,10 +194,7 @@ CrashDecision Engine::escalate(Slot& slot, const CrashContext& ctx, Tick now) {
   kernel_.quarantine(comp.endpoint());
   announce_park(comp.endpoint(), slot.backoff, slot.rung);
 
-  if (replyable(ctx)) {
-    ++stats_.error_replies;
-    return CrashDecision{CrashAction::kErrorReply, make_reply(ctx.inflight.type, E_CRASH)};
-  }
+  if (replyable(ctx)) return error_reply(ctx);
   return CrashDecision{CrashAction::kNoReply, {}};
 }
 
@@ -388,9 +388,7 @@ CrashDecision Engine::recover_windowed(Slot& slot, const CrashContext& ctx) {
   // Phase 3: reconciliation — error virtualization. The requester receives
   // E_CRASH and handles it like any other failed call; the original request
   // is discarded, which also neutralizes persistent faults.
-  ++stats_.error_replies;
-  return CrashDecision{CrashAction::kErrorReply,
-                       make_reply(ctx.inflight.type, E_CRASH)};
+  return error_reply(ctx);
 }
 
 CrashDecision Engine::recover_stateless(Slot& slot, const CrashContext& ctx) {
@@ -424,10 +422,7 @@ CrashDecision Engine::recover_naive(Slot& slot, const CrashContext& ctx) {
   comp.ckpt_context().log().checkpoint();
   comp.window().end_of_request();
   comp.reinitialize();
-  if (replyable(ctx)) {
-    ++stats_.error_replies;
-    return CrashDecision{CrashAction::kErrorReply, make_reply(ctx.inflight.type, E_CRASH)};
-  }
+  if (replyable(ctx)) return error_reply(ctx);
   return CrashDecision{CrashAction::kNoReply, {}};
 }
 

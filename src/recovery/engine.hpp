@@ -172,6 +172,9 @@ class Engine {
   [[nodiscard]] std::uint32_t crashes_in_window(const Slot& slot, Tick now) const;
   void announce_park(kernel::Endpoint ep, Tick cooldown, std::uint32_t rung);
   [[nodiscard]] bool replyable(const kernel::CrashContext& ctx) const;
+  /// Reconciliation by error virtualization: answer the in-flight request
+  /// with kernel::make_crash_reply and count it.
+  kernel::CrashDecision error_reply(const kernel::CrashContext& ctx);
 
   kernel::Kernel& kernel_;
   const seep::Classification& classification_;

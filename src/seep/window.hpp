@@ -86,11 +86,7 @@ class Window {
   /// being processed, feeding the per-handler stats.
   void open(std::uint32_t msg_type = 0) {
     if (!policy_uses_windows(policy_)) return;
-    if (lazy_checkpoint_) {
-      ctx_.log().checkpoint_if_dirty();
-    } else {
-      ctx_.log().checkpoint();
-    }
+    ctx_.log().checkpoint();
     open_ = true;
     tainted_ = false;
     current_msg_ = msg_type;
@@ -148,11 +144,7 @@ class Window {
   /// health monitor keep their one-window-per-request meaning).
   void fom_resume(std::uint32_t msg_type) {
     if (!policy_uses_windows(policy_)) return;
-    if (lazy_checkpoint_) {
-      ctx_.log().checkpoint_if_dirty();
-    } else {
-      ctx_.log().checkpoint();
-    }
+    ctx_.log().checkpoint();
     open_ = true;
     tainted_ = false;
     current_msg_ = msg_type;
@@ -189,11 +181,6 @@ class Window {
     return per_msg_;
   }
 
-  /// Fast path (DESIGN.md §14): let open() skip the physical undo-log reset
-  /// when the log is already clean. Trace-invariant; driven by the kernel's
-  /// batching flag via ServerCommon.
-  void set_lazy_checkpoint(bool on) noexcept { lazy_checkpoint_ = on; }
-
  private:
   void close_common([[maybe_unused]] std::uint64_t cause,
                     [[maybe_unused]] std::uint64_t seep_cls) {
@@ -209,7 +196,6 @@ class Window {
   ckpt::Context& ctx_;
   bool open_ = false;
   bool tainted_ = false;
-  bool lazy_checkpoint_ = false;
   std::uint32_t current_msg_ = 0;
   WindowStats stats_;
   std::map<std::uint32_t, MsgWindowStats> per_msg_;

@@ -214,21 +214,6 @@ inline constexpr std::array<std::int16_t, kMsgSlots> kIndex = build_index();
   return i < 0 ? nullptr : &kMsgSpecTable[i];
 }
 
-/// Declarative batching eligibility for the kernel dispatch fast path
-/// (DESIGN.md §14): a message may share a dispatch batch — and therefore a
-/// single physical checkpoint — exactly when the spec table classifies it as
-/// a non-state-modifying replyable request. NSM handlers never dirty the
-/// undo log, so every window open after the batch's first finds a clean log
-/// and the lazy checkpoint elides the reset. SM/RSC requests, sends,
-/// notifications, and replies all break the batch. Installed into the kernel
-/// via Kernel::set_batch_eligible (the substrate stays below the protocol).
-[[nodiscard]] inline constexpr bool is_batch_eligible(std::uint32_t type) noexcept {
-  if ((type & (kernel::kNotifyBit | kernel::kReplyBit)) != 0) return false;
-  const MsgSpec* s = find_msg_spec(type);
-  return s != nullptr && s->kind == MsgKind::kRequest &&
-         s->seep == seep::SeepClass::kNonStateModifying;
-}
-
 /// Heartbeat-protocol traffic, exempt from the kernel's storm-throttle gate
 /// (Kernel::set_throttle_exempt): dropping a throttled component's pongs
 /// would convert every throttle into a phantom hang, and the storm rung's

@@ -129,10 +129,7 @@ class ServerCommon : public kernel::IServer, public recovery::Recoverable {
     if (spec->replyable() && !is_notify && !is_reply) {
       // Attribute the window to the request's message type: the per-msg
       // close/taint stats are the runtime ground truth for the Pass 4
-      // handler-granularity predictions. Under the batching fast path the
-      // physical checkpoint (undo-log reset) is elided when the log is
-      // already clean — one physical checkpoint per batch of NSM requests.
-      window_.set_lazy_checkpoint(kernel_.fastpath().batching);
+      // handler-granularity predictions.
       window_.open(m.type);
     }
 

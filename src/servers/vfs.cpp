@@ -27,17 +27,12 @@ constexpr auto kNpos = static_cast<std::size_t>(-1);
 }
 
 Vfs::Vfs(kernel::Kernel& kernel, const seep::Classification& classification,
-         seep::Policy policy, ckpt::Mode mode, fs::BlockDevice& dev, std::size_t cache_blocks,
-         std::size_t journal_slots, const ckpt::PagesConfig& pages)
+         seep::Policy policy, ckpt::Mode mode, fs::BlockDevice& dev, std::size_t cache_blocks)
     : ServerBase(kernel, kernel::kVfsEp, "vfs", classification, policy, mode),
       dev_(dev),
       cache_(cache_blocks),
       store_(*this),
       minifs_(store_) {
-  if (journal_slots > 0) {
-    journal_ = std::make_unique<ckpt::PagedTable<VfsOpRecord>>(journal_slots, pages.page_bytes);
-    set_aux_region(journal_->region_data(), journal_->region_bytes(), pages);
-  }
   workers_.resize(kVfsWorkers);
   for (std::size_t i = 0; i < kVfsWorkers; ++i) {
     Worker* w = &workers_[i];
@@ -112,7 +107,7 @@ void Vfs::on_restored(bool rolled_back) {
         // The crash hit a *resumed* attempt: the dispatched message was the
         // disk-completion notify, so the engine cannot answer the requester —
         // the executor reconciles it here (error virtualization, E_CRASH).
-        seep_deferred_reply(rec.req.sender, make_reply(rec.req.type, kernel::E_CRASH));
+        seep_deferred_reply(rec.req.sender, kernel::make_crash_reply(rec.req));
       }
       OSIRIS_TRACE_EVENT(kFomAbort, endpoint().value, current_fom_, reconcile ? 1 : 0);
       fom_.abort(current_fom_);
@@ -135,7 +130,7 @@ void Vfs::on_restored(bool rolled_back) {
     const bool engine_replies = id == current_fom_ && current_initial_;
     const bool window_replies = policy_uses_windows(window().policy());
     if (!engine_replies && window_replies) {
-      seep_deferred_reply(rec.req.sender, make_reply(rec.req.type, kernel::E_CRASH));
+      seep_deferred_reply(rec.req.sender, kernel::make_crash_reply(rec.req));
     }
     OSIRIS_TRACE_EVENT(kFomAbort, endpoint().value, id, engine_replies ? 0 : 1);
     fom_.abort(id);
@@ -281,28 +276,9 @@ void Vfs::register_handlers() {
   on(VFS_PM_EXEC, &Vfs::do_worker_op);
 }
 
-void Vfs::on_message(const Message& m) {
+void Vfs::on_message(const Message&) {
   FI_BLOCK("vfs");
   st().ops += 1;
-  journal_append(m);
-}
-
-/// Ring-append one op record. Runs in the per-message prologue, inside the
-/// freshly-decided window, so a mid-request rollback rewinds the journal
-/// (and its cursor) together with the state the request touched.
-void Vfs::journal_append(const Message& m) {
-  if (journal_ == nullptr) return;
-  const std::uint64_t seq = journal_->user_word();
-  VfsOpRecord& rec = journal_->put(static_cast<std::size_t>(seq % journal_->capacity()));
-  rec = VfsOpRecord{};
-  rec.type = m.type;
-  rec.sender = m.sender.value;
-  rec.seq = seq;
-  rec.arg0 = m.arg[0];
-  const std::string_view text = m.text.view();
-  const std::size_t n = text.size() < sizeof(rec.text) ? text.size() : sizeof(rec.text);
-  std::memcpy(rec.text, text.data(), n);
-  journal_->set_user_word(seq + 1);
 }
 
 std::optional<Message> Vfs::do_dev_done(const Message& m) {

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "ckpt/cell.hpp"
-#include "ckpt/paged_table.hpp"
 #include "cothread/fiber.hpp"
 #include "fs/blockdev.hpp"
 #include "fs/cache.hpp"
@@ -83,21 +82,6 @@ struct VfsPipe {
   VfsPipeWaiter wwait;
 };
 
-/// One record of VFS's MB+ op journal (DESIGN.md §17): an audit ring of
-/// every dispatched request, written through the checkpoint stack so it
-/// rolls back and restarts consistently with the state it describes. Lives
-/// OUTSIDE VfsState — inline growth would change the data-section size the
-/// golden traces embed. The ring cursor rides in the journal's region
-/// header (PagedTable::user_word) for the same reason.
-struct VfsOpRecord {
-  std::uint32_t type = 0;
-  std::int32_t sender = -1;
-  std::uint64_t seq = 0;
-  std::uint64_t arg0 = 0;
-  char text[104]{};
-};
-static_assert(sizeof(VfsOpRecord) == 128);
-
 struct VfsState {
   ckpt::Table<VfsFdTable, kMaxProcs> procs;
   ckpt::Table<VfsFile, kMaxFiles> files;
@@ -111,12 +95,8 @@ struct VfsState {
 
 class Vfs final : public ServerBase<VfsState> {
  public:
-  /// `journal_slots` > 0 grows VFS a heap-backed op-journal ring wired into
-  /// the recovery images; `pages.enabled` checkpoints it through the page
-  /// tier. Defaults reproduce the paper-scale server bit-for-bit.
   Vfs(kernel::Kernel& kernel, const seep::Classification& classification, seep::Policy policy,
-      ckpt::Mode mode, fs::BlockDevice& dev, std::size_t cache_blocks = 64,
-      std::size_t journal_slots = 0, const ckpt::PagesConfig& pages = {});
+      ckpt::Mode mode, fs::BlockDevice& dev, std::size_t cache_blocks = 64);
   ~Vfs() override;
 
   /// Boot: mount the (already formatted) device.
@@ -145,8 +125,6 @@ class Vfs final : public ServerBase<VfsState> {
 
  private:
   void register_handlers();
-
-  void journal_append(const kernel::Message& m);
 
   struct Worker {
     std::unique_ptr<cothread::Fiber> fiber;
@@ -245,7 +223,6 @@ class Vfs final : public ServerBase<VfsState> {
   fs::BlockCache cache_;
   CachedStore store_;
   fs::MiniFs minifs_;
-  std::unique_ptr<ckpt::PagedTable<VfsOpRecord>> journal_;  // nullptr = paper scale
   std::vector<Worker> workers_;
   Worker* current_worker_ = nullptr;  // the "current thread variable" (SIV-E)
   std::deque<kernel::Message> backlog_;

@@ -96,12 +96,10 @@ RunClass run_one_injection(seep::Policy policy, const Injection& inj, std::strin
 
   os::OsConfig cfg;
   cfg.policy = policy;
-  cfg.fastpath = opts.fastpath;
   cfg.vfs_fom = opts.vfs_fom;
   if (opts.cache_blocks != 0) cfg.cache_blocks = opts.cache_blocks;
   cfg.ckpt_pages = opts.ckpt_pages;
   cfg.ds_blob_slots = opts.ds_blob_slots;
-  cfg.vfs_journal_slots = opts.vfs_journal_slots;
 #if OSIRIS_TRACE_ENABLED
   cfg.trace_enabled = trace_out != nullptr;
 #endif

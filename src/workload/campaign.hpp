@@ -24,7 +24,6 @@
 #include "ckpt/page_store.hpp"
 #include "fi/fault.hpp"
 #include "fi/registry.hpp"
-#include "kernel/fastpath.hpp"
 #include "seep/policy.hpp"
 #include "support/clock.hpp"
 
@@ -89,10 +88,6 @@ struct CampaignOptions {
   /// byte-identical across jobs settings. Requires an OSIRIS_TRACE=ON build;
   /// otherwise the strings come back empty.
   std::vector<std::string>* traces = nullptr;
-  /// Kernel IPC fast-path flags for every run in the plan. Classifications
-  /// and traces must be invariant under these (DESIGN.md §14) — campaigns
-  /// with batching or the arena on are how that is tested at scale.
-  kernel::FastPath fastpath{};
   /// Run every injection with the VFS FOM executor (DESIGN.md §16): the
   /// multi-request rollback path is then what the campaign recovers through.
   bool vfs_fom = false;
@@ -101,13 +96,11 @@ struct CampaignOptions {
   /// file traffic actually misses.
   std::size_t cache_blocks = 0;
   /// Page-tier checkpointing for every run (DESIGN.md §17). Classifications
-  /// and traces must be invariant under `enabled` plus the large-state knobs
+  /// and traces must be invariant under `enabled` plus the blob-table knob
   /// below — campaigns with the tier on are how that is tested at scale.
   ckpt::PagesConfig ckpt_pages{};
   /// DS blob-table slots per run; 0 keeps blobs off (the paper-scale store).
   std::size_t ds_blob_slots = 0;
-  /// VFS op-journal slots per run; 0 keeps the journal off.
-  std::size_t vfs_journal_slots = 0;
 };
 
 /// Run one injection under a policy; returns its classification. Touches
@@ -115,7 +108,7 @@ struct CampaignOptions {
 /// distinct threads. When `trace_out` is non-null (and the build has
 /// OSIRIS_TRACE=ON), the run executes with event tracing enabled and the
 /// merged, sequence-ordered text trace is stored there. `opts` carries the
-/// per-run OsConfig knobs (fast path, FOM executor, cache size); its
+/// per-run OsConfig knobs (FOM executor, cache size, page tier); its
 /// jobs/progress/traces fields are ignored here.
 RunClass run_one_injection(seep::Policy policy, const Injection& inj,
                            std::string* trace_out = nullptr, const CampaignOptions& opts = {});

@@ -323,23 +323,6 @@ TEST(UndoLogPages, EmptyAndStatsMergePageTier) {
   EXPECT_GE(log.stats().page_bytes_logged, kPage);
 }
 
-TEST(UndoLogPages, CheckpointIfDirtySeesPageTier) {
-  // The lazy-checkpoint elision (DESIGN.md §14) may only skip when BOTH
-  // tiers are clean, or a dirty page would leak across a window boundary.
-  ckpt::UndoLog log;
-  ckpt::PageStore ps(tiny_pages());
-  Scratch s(1);
-  ps.register_region(s.data(), s.size());
-  log.attach_pages(&ps);
-
-  log.checkpoint_if_dirty();
-  EXPECT_EQ(log.stats().checkpoints_skipped, 1u);
-  ps.on_store(s.data(), 1, true);
-  log.checkpoint_if_dirty();  // page tier dirty: must be a real checkpoint
-  EXPECT_EQ(log.stats().checkpoints_skipped, 1u);
-  EXPECT_TRUE(ps.clean());
-}
-
 // --- PagedTable -------------------------------------------------------------
 
 TEST(PagedTable, RegionIsPageMultiple) {
@@ -408,26 +391,6 @@ TEST(PagedTable, AllocatorRollsBackThroughPageTier) {
   EXPECT_EQ(t.alloc(), b);  // free list replays identically post-rollback
 }
 
-TEST(PagedTable, PutRingAndUserWordRollBack) {
-  ScopedCtx s(ckpt::Mode::kAlways);
-  ckpt::PageStore ps(tiny_pages());
-  ckpt::PagedTable<std::uint64_t> t(4, kPage);
-  ps.register_region(t.region_data(), t.region_bytes());
-  s.ctx.set_page_store(&ps);
-
-  t.put(0) = 111;
-  t.set_user_word(1);
-  s.ctx.log().checkpoint();
-  t.put(0) = 222;  // ring overwrite of a used slot
-  t.put(1) = 333;
-  t.set_user_word(3);
-  s.ctx.log().rollback();
-  EXPECT_EQ(t.at(0), 111u);
-  EXPECT_FALSE(t.in_use(1));
-  EXPECT_EQ(t.user_word(), 1u);
-  EXPECT_EQ(t.in_use_count(), 1u);
-}
-
 // --- randomized rollback equivalence ---------------------------------------
 
 namespace {
@@ -442,8 +405,7 @@ namespace {
 /// partial rollback is first-write-approximate — a post-mark store aliasing
 /// pre-mark-dirty state (an exact range for the arena, a page for the page
 /// tier) is filtered and survives the retry — so the script keeps attempt
-/// stores (upper half) disjoint from steady-state stores (lower half), the
-/// way VFS keeps FOM attempts off the prologue-written journal pages. Full
+/// stores (upper half) disjoint from steady-state stores (lower half). Full
 /// rollback is exact for arbitrary sequences; the attempt confinement only
 /// matters for the mid-script rollback_to steps.
 void run_script(ckpt::Context& ctx, std::byte* buf, std::size_t len, std::uint64_t seed,
@@ -640,7 +602,6 @@ std::vector<std::uint64_t> run_blob_workload(const os::OsConfig& cfg) {
 os::OsConfig large_state_cfg(bool pages_on) {
   os::OsConfig cfg;
   cfg.ds_blob_slots = 8;
-  cfg.vfs_journal_slots = 32;
   cfg.ckpt_pages.enabled = pages_on;
   return cfg;
 }

@@ -265,3 +265,23 @@ TEST_F(KernelFixture, StatsCountTraffic) {
   EXPECT_EQ(kern.stats().server_dispatches, 1u);
   EXPECT_GE(kern.stats().replies_to_clients, 1u);
 }
+
+TEST_F(KernelFixture, BurstCapValveStopsSelfSustainingDrain) {
+  // A server that re-sends to itself keeps the drain loop fed forever. With
+  // the valve at N, exactly N deliveries happen, then the backlog is dropped
+  // and dispatch_pending returns.
+  constexpr std::uint64_t kCap = 50;
+  StubServer looper("looper", [this](const Message& m) -> std::optional<Message> {
+    kern.send(kernel::kVfsEp, kernel::kVfsEp, make_msg(m.type, m.arg[0] + 1));
+    return std::nullopt;
+  });
+  kern.register_server(kernel::kVfsEp, &looper);
+  kern.set_dispatch_burst_cap(kCap);
+  kern.send(client_ep, kernel::kVfsEp, make_msg(0x77, 0));
+  EXPECT_TRUE(kern.dispatch_pending());
+  EXPECT_EQ(looper.dispatches, static_cast<int>(kCap));
+  EXPECT_EQ(looper.last.arg[0], kCap - 1);  // delivered in send order
+  EXPECT_EQ(kern.stats().dispatch_aborts, 1u);
+  EXPECT_TRUE(kern.queue_empty());
+  EXPECT_FALSE(kern.dispatch_pending());
+}

@@ -278,6 +278,53 @@ TEST(RecoveryIntegration, VfsWorkerCrashGetsThreadFixup) {
   }
 }
 
+TEST(RecoveryIntegration, VfsCrashDuringExecCheckAnswersTheExecingChild) {
+  // PM checks an exec's binary with an asynchronous VFS_PM_EXEC and matches
+  // the reply to the pending exec by its arg1 correlation pid. When VFS
+  // crashes inside its window while serving that check, the E_CRASH reply
+  // must carry the pid too, or PM drops it as stale: the child never returns
+  // from exec and the parent's wait_pid hangs.
+  FiGuard guard;
+  const auto exec_true = [](ISys& sys) {
+    for (int i = 0; i < 3; ++i) {
+      const std::int64_t pid = sys.fork([](ISys& c) {
+        c.exec("/bin/true");
+        c.exit(1);
+      });
+      std::int64_t st = 0;
+      if (pid > 0) sys.wait_pid(pid, &st);
+    }
+  };
+  fi::Site* site = busiest_site("vfs", exec_true);  // VFS's request-loop probe
+  ASSERT_NE(site, nullptr);
+
+  fi::Registry::instance().reset_counts();
+  os::OsConfig cfg;
+  os::OsInstance inst(cfg);
+  workload::register_suite_programs(inst.programs());
+  inst.boot();
+  std::int64_t exec_rc = 0;
+  std::int64_t status = -1;
+  std::int64_t waited = 0;
+  const auto outcome = inst.run([&](ISys& sys) {
+    const std::int64_t pid = sys.fork([&exec_rc, site](ISys& c) {
+      // The next VFS message is this exec's binary check.
+      fi::Registry::instance().arm(site, fi::FaultType::kNullDeref, site->hits() + 1);
+      exec_rc = c.exec("/bin/true");
+      c.exit(7);
+    });
+    ASSERT_GT(pid, 1);
+    waited = sys.wait_pid(pid, &status);
+  });
+  EXPECT_EQ(outcome, OsInstance::Outcome::kCompleted);
+  EXPECT_EQ(exec_rc, kernel::E_CRASH);
+  EXPECT_GT(waited, 1);
+  EXPECT_EQ(status, 7);
+  EXPECT_EQ(inst.engine().recoveries_of(kernel::kVfsEp), 1u);
+  EXPECT_EQ(inst.engine().stats().rollbacks, 1u);
+  EXPECT_EQ(inst.engine().stats().error_replies, 1u);
+}
+
 TEST(RecoveryIntegration, UndoLogHighWaterIsBounded) {
   // The design premise (SIV-C): OS components do little work per request, so
   // per-request undo logs stay small even under the full suite.

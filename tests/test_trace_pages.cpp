@@ -46,7 +46,6 @@ os::OsConfig paged_cfg(bool pages_on) {
   cfg.trace_enabled = true;
   cfg.trace_ring_capacity = 1u << 16;
   cfg.ds_blob_slots = 8;
-  cfg.vfs_journal_slots = 16;
   cfg.ckpt_pages.enabled = pages_on;
   return cfg;
 }
@@ -161,7 +160,7 @@ TEST(TracePages, TierOffEmitsNoPageEvents) {
 
 // --- Campaign determinism with the page tier enabled ------------------------
 // The --jobs=N contract from test_campaign_parallel.cpp, re-pinned with
-// epoch/page checkpointing (plus the blob and journal large-state knobs) on:
+// epoch/page checkpointing (plus the DS blob table) on:
 // every injection's trace at --jobs=4 is the exact bytes of the serial run.
 TEST(TracePages, CampaignTracesByteIdenticalAcrossJobsWithPageTier) {
   FiGuard guard;
@@ -180,7 +179,6 @@ TEST(TracePages, CampaignTracesByteIdenticalAcrossJobsWithPageTier) {
   serial.traces = &ref_traces;
   serial.ckpt_pages.enabled = true;
   serial.ds_blob_slots = 4;
-  serial.vfs_journal_slots = 16;
 
   std::vector<std::string> par_traces;
   workload::CampaignOptions parallel = serial;

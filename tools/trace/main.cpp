@@ -32,7 +32,7 @@ using osiris::os::OsInstance;
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--scenario transient|ladder|hang|storm] [--text FILE] [--chrome FILE]\n"
-               "       [--ring EVENTS] [--fastpath]\n"
+               "       [--ring EVENTS]\n"
             << "  --scenario S  fault scenario to trace (default: transient)\n"
             << "                  transient: one in-window PM crash, rolled back and\n"
             << "                             error-virtualized\n"
@@ -45,10 +45,7 @@ int usage(const char* argv0) {
             << "                default when no --chrome is given)\n"
             << "  --chrome FILE write a Chrome trace_event JSON timeline to FILE\n"
             << "  --ring N      per-component ring capacity in events (default "
-            << osiris::trace::kDefaultRingCapacity << ")\n"
-            << "  --fastpath    run with the IPC fast path on (arena + batching);\n"
-            << "                the exported timeline must be identical to the\n"
-            << "                default run's — diff them to check\n";
+            << osiris::trace::kDefaultRingCapacity << ")\n";
   return 2;
 }
 
@@ -76,11 +73,10 @@ struct ScenarioResult {
   osiris::kernel::KernelStats kernel_stats;
 };
 
-ScenarioResult run_scenario(const std::string& name, std::size_t ring_capacity, bool fastpath) {
+ScenarioResult run_scenario(const std::string& name, std::size_t ring_capacity) {
   OsConfig cfg;
   cfg.trace_enabled = true;
   cfg.trace_ring_capacity = ring_capacity;
-  if (fastpath) cfg.fastpath = osiris::kernel::FastPath::all_on();
 
   osiris::fi::Site* site = nullptr;
   ISys::ProcBody body;
@@ -168,7 +164,6 @@ int main(int argc, char** argv) {
   std::string scenario = "transient";
   std::string text_path;
   std::string chrome_path;
-  bool fastpath = false;
   // Offline exploration wants full retention, not the cache-sized in-sim
   // default: lose nothing unless the user shrinks the rings explicitly.
   std::size_t ring_capacity = 1u << 16;
@@ -183,8 +178,6 @@ int main(int argc, char** argv) {
       chrome_path = argv[++i];
     } else if (arg == "--ring" && i + 1 < argc) {
       ring_capacity = static_cast<std::size_t>(std::stoull(argv[++i]));
-    } else if (arg == "--fastpath") {
-      fastpath = true;
     } else {
       return usage(argv[0]);
     }
@@ -193,7 +186,7 @@ int main(int argc, char** argv) {
 
   ScenarioResult result;
   try {
-    result = run_scenario(scenario, ring_capacity, fastpath);
+    result = run_scenario(scenario, ring_capacity);
   } catch (const std::exception& e) {
     std::cerr << "osiris-trace: " << e.what() << '\n';
     return 2;
@@ -211,9 +204,7 @@ int main(int argc, char** argv) {
   const osiris::kernel::KernelStats& ks = result.kernel_stats;
   std::cerr << "osiris-trace: scenario=" << scenario
             << " outcome=" << OsInstance::outcome_name(result.outcome)
-            << " fastpath=" << (fastpath ? "on" : "off") << " queue-hw=" << ks.queue_high_water
-            << " spills=" << ks.arena_spills << " batches=" << ks.batches << "/"
-            << ks.batched_messages << " zero-copy-bytes=" << ks.grant_bypass_bytes
+            << " queue-hw=" << ks.queue_high_water << " zero-copy-bytes=" << ks.grant_bypass_bytes
             << " fevers=" << ks.fever_onsets << " throttled-drops=" << ks.throttled_drops
             << '\n';
   return result.outcome == OsInstance::Outcome::kCompleted ? 0 : 3;
