@@ -10,7 +10,6 @@
 
 #include "ckpt/cell.hpp"
 #include "ckpt/context.hpp"
-#include "ckpt/page_store.hpp"
 #include "ckpt/undo_log.hpp"
 
 using namespace osiris;
@@ -129,23 +128,16 @@ void BM_TableAllocNearFull(benchmark::State& state) {
 }
 BENCHMARK(BM_TableAllocNearFull);
 
-// --- DESIGN.md §17: state-size sweep, 1 KB -> 256 MB ------------------------
+// --- state-size sweep, 1 KB -> 256 MB ---------------------------------------
 //
-// One fixed per-window workload — up to 32 scattered 64 B stores, page-strided
-// so every store lands on a distinct page where the state is big enough — run
-// against state buffers from the paper's KB scale up to the ROADMAP's 256 MB,
-// through both checkpoint tiers:
+// One fixed per-window workload — up to 32 scattered 64 B stores — run against
+// state buffers from the paper's KB scale up to 256 MB:
 //
-//   SweepWindow*    steady-state logging + checkpoint cost per window. Both
-//                   tiers are flat in S; the page tier pays its 4 KB-per-
-//                   touched-page capture floor, the arena pays per-record
-//                   headers on 64 B captures.
-//   SweepRecovery*  crash cost per recovery: rollback plus the restart-phase
-//                   state transfer. Full copy (the only option without the
-//                   tier) is linear in S; delta restart moves dirty pages
-//                   only, so its curve is flat up to the bitmap walk (one
-//                   word per 256 KB) — the sublinear claim BENCH_ckpt.json
-//                   pins for EXPERIMENTS.md's overhead-vs-size table.
+//   SweepWindowArena          steady-state logging + checkpoint cost per
+//                             window: flat in S, one arena record per store.
+//   SweepRecoveryFullCopy     crash cost per recovery: rollback plus the
+//                             restart phase's whole-image clone copy, linear
+//                             in S.
 
 constexpr std::size_t kSweepStoreBytes = 64;
 
@@ -153,9 +145,9 @@ std::size_t sweep_stores(std::size_t len) {
   return std::min<std::size_t>(32, len / kSweepStoreBytes);
 }
 
-// The store loop both tiers run: scattered small dirties, then checkpoint.
-template <typename Ctx>
-void sweep_window(Ctx& ctx, std::byte* buf, std::size_t len) {
+// Scattered small dirties through the active context, as instrumented
+// wrappers store.
+void sweep_window(std::byte* buf, std::size_t len) {
   const std::size_t n = sweep_stores(len);
   const std::size_t stride = len / n;
   for (std::size_t i = 0; i < n; ++i) {
@@ -163,7 +155,6 @@ void sweep_window(Ctx& ctx, std::byte* buf, std::size_t len) {
     ckpt::Context::log_write(p, kSweepStoreBytes);
     p[0] = static_cast<std::byte>(i);
   }
-  (void)ctx;
 }
 
 void BM_SweepWindowArena(benchmark::State& state) {
@@ -173,7 +164,7 @@ void BM_SweepWindowArena(benchmark::State& state) {
   ctx.set_window_open(true);
   ckpt::Context::Scope scope(&ctx);
   for (auto _ : state) {
-    sweep_window(ctx, buf.data(), len);
+    sweep_window(buf.data(), len);
     ctx.log().checkpoint();
   }
   state.counters["logged_bytes"] = static_cast<double>(ctx.log().stats().bytes_logged) /
@@ -185,32 +176,7 @@ BENCHMARK(BM_SweepWindowArena)
     ->ArgName("kb")
     ->Arg(1)->Arg(16)->Arg(256)->Arg(1 << 10)->Arg(16 << 10)->Arg(64 << 10)->Arg(256 << 10);
 
-void BM_SweepWindowPages(benchmark::State& state) {
-  const std::size_t want = static_cast<std::size_t>(state.range(0)) << 10;
-  ckpt::PagesConfig pcfg;
-  pcfg.enabled = true;
-  const std::size_t len = std::max(want, pcfg.page_bytes);  // PagedTable rounds up
-  std::vector<std::byte> buf(len);
-  ckpt::PageStore pages(pcfg);
-  pages.register_region(buf.data(), len);
-  ckpt::Context ctx(ckpt::Mode::kWindowOnly);
-  ctx.set_window_open(true);
-  ctx.set_page_store(&pages);
-  ckpt::Context::Scope scope(&ctx);
-  for (auto _ : state) {
-    sweep_window(ctx, buf.data(), len);
-    ctx.log().checkpoint();
-  }
-  state.counters["logged_bytes"] = static_cast<double>(pages.stats().page_bytes_logged) /
-                                   static_cast<double>(state.iterations());
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(sweep_stores(len)));
-}
-BENCHMARK(BM_SweepWindowPages)
-    ->ArgName("kb")
-    ->Arg(1)->Arg(16)->Arg(256)->Arg(1 << 10)->Arg(16 << 10)->Arg(64 << 10)->Arg(256 << 10);
-
-// Without the page tier a crash pays rollback plus a whole-image clone copy.
+// A crash pays rollback plus a whole-image clone copy.
 void BM_SweepRecoveryFullCopy(benchmark::State& state) {
   const std::size_t len = static_cast<std::size_t>(state.range(0)) << 10;
   std::vector<std::byte> buf(len), clone(len);
@@ -218,7 +184,7 @@ void BM_SweepRecoveryFullCopy(benchmark::State& state) {
   ctx.set_window_open(true);
   ckpt::Context::Scope scope(&ctx);
   for (auto _ : state) {
-    sweep_window(ctx, buf.data(), len);
+    sweep_window(buf.data(), len);
     std::memcpy(clone.data(), buf.data(), len);  // restart phase: full image
     ctx.log().rollback();
     benchmark::DoNotOptimize(clone.data());
@@ -227,40 +193,6 @@ void BM_SweepRecoveryFullCopy(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(len));
 }
 BENCHMARK(BM_SweepRecoveryFullCopy)
-    ->ArgName("kb")
-    ->Arg(1)->Arg(16)->Arg(256)->Arg(1 << 10)->Arg(16 << 10)->Arg(64 << 10)->Arg(256 << 10);
-
-// With the tier the restart phase moves transfer-dirty pages only; rollback
-// re-marks restored pages so the clone never misses a byte (engine order:
-// restart, then rollback).
-void BM_SweepRecoveryDelta(benchmark::State& state) {
-  const std::size_t want = static_cast<std::size_t>(state.range(0)) << 10;
-  ckpt::PagesConfig pcfg;
-  pcfg.enabled = true;
-  const std::size_t len = std::max(want, pcfg.page_bytes);
-  std::vector<std::byte> buf(len), clone(len);
-  ckpt::PageStore pages(pcfg);
-  pages.register_region(buf.data(), len);
-  ckpt::Context ctx(ckpt::Mode::kWindowOnly);
-  ctx.set_window_open(true);
-  ctx.set_page_store(&pages);
-  ckpt::Context::Scope scope(&ctx);
-  std::byte* clone_base = clone.data();
-  std::size_t moved = 0;
-  for (auto _ : state) {
-    sweep_window(ctx, buf.data(), len);
-    moved += pages.sync_transfer_dirty(
-        [clone_base](std::size_t off, const std::byte* src, std::size_t n) {
-          std::memcpy(clone_base + off, src, n);
-        });
-    ctx.log().rollback();
-    benchmark::DoNotOptimize(clone_base);
-  }
-  state.counters["restart_bytes"] =
-      static_cast<double>(moved) / static_cast<double>(state.iterations());
-  state.SetBytesProcessed(static_cast<std::int64_t>(moved));
-}
-BENCHMARK(BM_SweepRecoveryDelta)
     ->ArgName("kb")
     ->Arg(1)->Arg(16)->Arg(256)->Arg(1 << 10)->Arg(16 << 10)->Arg(64 << 10)->Arg(256 << 10);
 

@@ -233,26 +233,15 @@ int main(int argc, char** argv) {
   os::OsConfig traced = enh;
   traced.trace_enabled = true;
 
-  // Enhanced plus the page tier and the MB-scale aux state it serves
-  // (DESIGN.md §17): DS's blob table. Not an isolated tier cost — the slots
-  // knob adds the blob work itself, which the other columns never execute.
-  // BENCH_ckpt.json's sweep separates the tier's capture cost from the
-  // feature work.
-  os::OsConfig paged = enh;
-  paged.ckpt_pages.enabled = true;
-  paged.ds_blob_slots = 256;
-
   const std::vector<Config> configs = {{"Without opt.", noopt},
                                        {"Pessimistic", pess},
                                        {"Enhanced", enh},
-                                       {"Enhanced+trace", traced},
-                                       {"Enhanced+pages", paged}};
+                                       {"Enhanced+trace", traced}};
 
   std::printf("Table V — instrumentation slowdown vs uninstrumented baseline "
               "(median of %d runs)\n\n", runs);
 
-  TablePrinter table({"Benchmark", "Without opt.", "Pessimistic", "Enhanced", "Enhanced+trace",
-                      "Enhanced+pages"});
+  TablePrinter table({"Benchmark", "Without opt.", "Pessimistic", "Enhanced", "Enhanced+trace"});
   std::vector<std::vector<double>> ratios(configs.size());
   for (const UbWorkload& w : ub_workloads()) {
     const auto iters = static_cast<std::uint64_t>(static_cast<double>(w.default_iters) * scale);
@@ -286,16 +275,11 @@ int main(int argc, char** argv) {
   table.print();
   const double trace_overhead =
       stats::geomean(ratios[3]) / stats::geomean(ratios[2]) - 1.0;
-  const double pages_overhead =
-      stats::geomean(ratios[4]) / stats::geomean(ratios[2]) - 1.0;
   std::printf(
       "\npaper geomeans: 1.235 / 1.046 / 1.054 — disabling undo-log updates\n"
       "outside the recovery window collapses the overhead from ~23%% to ~5%%;\n"
       "compute-bound rows stay at ~1.00 in every configuration.\n"
-      "tracing overhead on top of Enhanced: %+.1f%% (budget: <5%%)\n"
-      "Enhanced+pages vs Enhanced: %+.1f%% — includes the DS blob work itself\n"
-      "(the blob table doesn't exist in the other columns), not just the\n"
-      "tier's capture cost; BENCH_ckpt.json isolates the latter.\n\n",
-      trace_overhead * 100.0, pages_overhead * 100.0);
+      "tracing overhead on top of Enhanced: %+.1f%% (budget: <5%%)\n\n",
+      trace_overhead * 100.0);
   return check_dispatch_overhead(runs) ? 0 : 1;
 }

@@ -37,21 +37,10 @@ class Context {
   [[nodiscard]] UndoLog& log() noexcept { return log_; }
   [[nodiscard]] const UndoLog& log() const noexcept { return log_; }
 
-  /// Attach the page tier (DESIGN.md §17): stores landing in one of its
-  /// registered regions route here instead of the arena log, and the log's
-  /// checkpoint/rollback/mark operations cascade into it.
-  void set_page_store(PageStore* pages) noexcept {
-    pages_ = pages;
-    log_.attach_pages(pages);
-    if (pages != nullptr) pages->set_trace_id(trace_id_);
-  }
-  [[nodiscard]] PageStore* page_store() const noexcept { return pages_; }
-
   /// Trace attribution for the owning component (see UndoLog::set_trace_id).
   void set_trace_id(std::int32_t comp) noexcept {
     trace_id_ = comp;
     log_.set_trace_id(comp);
-    if (pages_ != nullptr) pages_->set_trace_id(comp);
   }
   [[nodiscard]] std::int32_t trace_id() const noexcept { return trace_id_; }
 
@@ -70,20 +59,9 @@ class Context {
   static Context* active() noexcept { return active_; }
 
   /// Instrumentation hook: called by Cell/Array/Table before a store.
-  /// Two-tier routing: a store into a PageStore-registered region goes to
-  /// the page tier — *unconditionally*, because transfer-dirty tracking must
-  /// see stores made while the window is closed (the delta restart would
-  /// otherwise ship a stale clone) — with the pre-image snapshot gated on
-  /// should_log() exactly like an arena record. Everything else takes the
-  /// arena path unchanged.
   static void log_write(void* addr, std::size_t len) {
     Context* c = active_;
-    if (c == nullptr) return;
-    if (c->pages_ != nullptr && c->pages_->covers(addr)) {
-      c->pages_->on_store(addr, len, c->should_log());
-      return;
-    }
-    if (c->should_log()) c->log_.record(addr, len);
+    if (c != nullptr && c->should_log()) c->log_.record(addr, len);
   }
 
   class Scope {
@@ -101,7 +79,6 @@ class Context {
   Mode mode_;
   bool window_open_ = false;
   std::int32_t trace_id_ = -1;
-  PageStore* pages_ = nullptr;  // not owned; see set_page_store()
   UndoLog log_;
 
   inline static thread_local Context* active_ = nullptr;

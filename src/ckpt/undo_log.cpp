@@ -90,10 +90,6 @@ void UndoLog::rollback() {
   live_bytes_ = 0;
   bump_epoch();
   ++stats_.rollbacks;
-  // The tiers cover disjoint addresses (routing diverts registered regions
-  // before the arena path), so replay order between them is immaterial; each
-  // tier restores its own checkpoint-time bytes.
-  if (pages_ != nullptr) pages_->rollback();
 }
 
 void UndoLog::rollback_to(const Mark& m) {
@@ -111,12 +107,6 @@ void UndoLog::rollback_to(const Mark& m) {
   // entirely; duplicate re-captures of surviving ranges are first-write-wins.
   bump_epoch();
   ++stats_.partial_rollbacks;
-  // Page tier: truncate to the mark's record count. Unlike the arena filter,
-  // the page dirty-set *can* forget exactly the truncated suffix (a page
-  // appears at most once per epoch), and it must — a surviving dirty bit on
-  // a truncated page would make a retry skip its re-capture and a later full
-  // rollback silently miss the page.
-  if (pages_ != nullptr) pages_->rollback_to(m.page_records);
 }
 
 void UndoLog::checkpoint() {
@@ -130,7 +120,6 @@ void UndoLog::checkpoint() {
   live_bytes_ = 0;
   bump_epoch();
   ++stats_.checkpoints;
-  if (pages_ != nullptr) pages_->checkpoint();
 }
 
 bool UndoLog::integrity_ok() const noexcept {

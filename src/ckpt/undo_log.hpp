@@ -27,8 +27,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "ckpt/page_store.hpp"
-
 namespace osiris::ckpt {
 
 struct UndoLogStats {
@@ -39,13 +37,6 @@ struct UndoLogStats {
   std::uint64_t rollbacks = 0;
   std::uint64_t partial_rollbacks = 0;  // rollback_to() calls (FOM park-time sub-rollback)
   std::uint64_t checkpoints = 0;    // reset() calls
-  // --- page tier (DESIGN.md §17); all zero unless a PageStore is attached --
-  std::uint64_t page_records = 0;       // CoW page snapshots captured
-  std::uint64_t page_bytes_logged = 0;  // bytes of captured page pre-images
-  std::uint64_t page_compactions = 0;   // incremental snapshot-retire steps
-  std::uint64_t compacted_bytes = 0;    // snapshot bytes recycled by compaction
-  std::uint64_t delta_restart_bytes = 0;  // restart bytes moved as dirty pages
-  std::uint64_t full_copy_bytes = 0;      // what whole-image restarts would move
 };
 
 class UndoLog {
@@ -66,18 +57,13 @@ class UndoLog {
 
   /// A position in the log. Taking a mark before a speculative attempt and
   /// rolling back to it on abort undoes exactly that attempt's stores — the
-  /// FOM executor uses this so a parked request owns zero live entries. With
-  /// a page tier attached the position spans both tiers: the mark also pins
-  /// the page-record count, and rollback_to() truncates both.
+  /// FOM executor uses this so a parked request owns zero live entries.
   struct Mark {
     std::size_t n_entries = 0;
     std::size_t data_bytes = 0;
-    std::size_t page_records = 0;
   };
 
-  [[nodiscard]] Mark mark() const noexcept {
-    return Mark{n_entries_, data_bytes_, pages_ != nullptr ? pages_->record_count() : 0};
-  }
+  [[nodiscard]] Mark mark() const noexcept { return Mark{n_entries_, data_bytes_}; }
 
   /// Roll back every write recorded after `m` (newest first), truncating the
   /// log back to the mark. The first-write filter epoch is bumped: stores the
@@ -88,36 +74,14 @@ class UndoLog {
   /// Discard the log: this *is* checkpoint creation at the top of the loop.
   void checkpoint();
 
-  /// Attach the page tier: checkpoint/rollback/rollback_to/mark cascade into
-  /// it, so every existing call site (seep::Window, the recovery engine, the
-  /// FOM executor) composes across both tiers without change. The store does
-  /// NOT own the PageStore — the component does, next to its regions.
-  void attach_pages(PageStore* pages) noexcept { pages_ = pages; }
-  [[nodiscard]] PageStore* pages() const noexcept { return pages_; }
-
-  [[nodiscard]] bool empty() const noexcept {
-    return n_entries_ == 0 && (pages_ == nullptr || pages_->clean());
-  }
+  [[nodiscard]] bool empty() const noexcept { return n_entries_ == 0; }
   [[nodiscard]] std::size_t entry_count() const noexcept { return n_entries_; }
 
   /// Live size of the log in bytes (entries + saved data), tracked
   /// incrementally — record() never recomputes it.
   [[nodiscard]] std::size_t live_bytes() const noexcept { return live_bytes_; }
 
-  [[nodiscard]] const UndoLogStats& stats() const noexcept {
-    if (pages_ != nullptr) {
-      // Page-tier counters surface through UndoLogStats so every consumer
-      // (collect_metrics, the campaign report, benches) sees one story.
-      const PageStoreStats& ps = pages_->stats();
-      stats_.page_records = ps.page_records;
-      stats_.page_bytes_logged = ps.page_bytes_logged;
-      stats_.page_compactions = ps.compactions;
-      stats_.compacted_bytes = ps.compacted_bytes;
-      stats_.delta_restart_bytes = ps.delta_restart_bytes;
-      stats_.full_copy_bytes = ps.full_copy_bytes;
-    }
-    return stats_;
-  }
+  [[nodiscard]] const UndoLogStats& stats() const noexcept { return stats_; }
 
   /// SFI-style integrity check of the log's guard canaries.
   [[nodiscard]] bool integrity_ok() const noexcept;
@@ -196,11 +160,10 @@ class UndoLog {
   std::size_t live_bytes_ = 0;  // == n_entries_ * sizeof(Entry) + data_bytes_
   std::uint32_t filter_epoch_ = 1;
   std::int32_t trace_id_ = -1;
-  PageStore* pages_ = nullptr;  // the second tier; nullptr = arena-only world
   std::unique_ptr<FilterSlot[]> filter_;
   std::size_t filter_cap_ = kFilterSlots;
   std::size_t filter_live_ = 0;  // inserts since the last epoch bump
-  mutable UndoLogStats stats_;  // page-tier fields refreshed in stats()
+  UndoLogStats stats_;
   std::uint64_t canary_tail_;
 };
 

@@ -22,13 +22,6 @@ SystemMetrics collect_metrics(os::OsInstance& inst) {
     const ckpt::UndoLogStats& ls = comp->ckpt_context().log().stats();
     cm.max_undo_log_bytes = ls.max_log_bytes;
     cm.undo_records = ls.records;
-    cm.aux_bytes = comp->aux_section_size();
-    cm.page_records = ls.page_records;
-    cm.page_bytes_logged = ls.page_bytes_logged;
-    cm.page_compactions = ls.page_compactions;
-    cm.compacted_bytes = ls.compacted_bytes;
-    cm.delta_restart_bytes = ls.delta_restart_bytes;
-    cm.full_copy_bytes = ls.full_copy_bytes;
     cm.recoveries = inst.engine().recoveries_of(comp->endpoint());
     if (const servers::FomStats* fs = comp->fom_stats()) {
       cm.fom_admitted = fs->admitted;
@@ -139,18 +132,6 @@ std::string SystemMetrics::report() const {
            std::to_string(c.fom_wait_ticks) + " wait ticks";
     if (fom_reconciles > 0) out += ", " + std::to_string(fom_reconciles) + " reconciles";
     out += "\n";
-  }
-  for (const ComponentMetrics& c : components) {
-    // Printed only for page-tier components so the default (flag-off) report
-    // stays byte-identical, like the fom[] and health lines above.
-    if (c.aux_bytes == 0 && c.page_records == 0) continue;
-    out += "pages[" + c.name + "]: " + std::to_string(c.aux_bytes) + " B aux, " +
-           std::to_string(c.page_records) + " page records (" +
-           std::to_string(c.page_bytes_logged) + " B), " +
-           std::to_string(c.page_compactions) + " compactions (" +
-           std::to_string(c.compacted_bytes) + " B), restart delta " +
-           std::to_string(c.delta_restart_bytes) + " B vs full " +
-           std::to_string(c.full_copy_bytes) + " B\n";
   }
   if (fever_onsets > 0 || health_charges > 0 || storm_throttles > 0 || dispatch_aborts > 0) {
     out += "health: " + std::to_string(health_charges) + " charges, " +

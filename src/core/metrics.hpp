@@ -21,16 +21,6 @@ struct ComponentMetrics {
   std::uint64_t undo_records = 0;
   std::uint32_t recoveries = 0;
 
-  // Page tier (DESIGN.md §17): all zero unless the component has a PageStore
-  // attached (cfg.ckpt_pages.enabled plus an aux region).
-  std::size_t aux_bytes = 0;              // heap-backed recoverable region size
-  std::uint64_t page_records = 0;         // CoW page snapshots captured
-  std::uint64_t page_bytes_logged = 0;    // pre-image bytes captured
-  std::uint64_t page_compactions = 0;     // incremental snapshot-retire steps
-  std::uint64_t compacted_bytes = 0;      // snapshot bytes recycled by compaction
-  std::uint64_t delta_restart_bytes = 0;  // restart bytes moved as dirty pages
-  std::uint64_t full_copy_bytes = 0;      // what whole-image restarts would move
-
   // FOM executor (DESIGN.md §16): all zero unless the component runs the
   // executor (cfg.vfs_fom) and requests actually parked mid-flight.
   std::uint64_t fom_admitted = 0;

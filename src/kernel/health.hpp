@@ -27,9 +27,11 @@
 //    what distinguishes it from a storm.
 //  - All state lives in a std::map keyed by endpoint: deterministic
 //    iteration order is what keeps storm campaigns byte-identical across
-//    --jobs=1 and --jobs=4.
+//    --jobs=1 and --jobs=4. An exiting client's entry is erased
+//    (Kernel::unregister_client), so the map holds live endpoints only.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -84,6 +86,12 @@ class HealthMonitor {
 
   /// Charge a non-useful delivery to its sender.
   void charge(std::int32_t sender) { ++state_[sender].charged; }
+
+  /// Drop a dead endpoint's record, so the map — and every close_quantum
+  /// sweep — covers live endpoints only.
+  void forget(std::int32_t ep) { state_.erase(ep); }
+  /// Endpoints currently tracked.
+  [[nodiscard]] std::size_t tracked() const noexcept { return state_.size(); }
 
   // --- throttle bookkeeping (the rung's mechanism lives here; the kernel
   // only consults it at the delivery gate) ------------------------------

@@ -40,7 +40,10 @@ Endpoint Kernel::register_client(IClient* cli) {
   return ep;
 }
 
-void Kernel::unregister_client(Endpoint ep) { clients_.erase(ep.value); }
+void Kernel::unregister_client(Endpoint ep) {
+  clients_.erase(ep.value);
+  health_.forget(ep.value);
+}
 
 bool Kernel::is_server(Endpoint ep) const { return servers_.count(ep.value) != 0; }
 bool Kernel::is_client(Endpoint ep) const { return clients_.count(ep.value) != 0; }

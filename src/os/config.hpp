@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "ckpt/context.hpp"
-#include "ckpt/page_store.hpp"
 #include "kernel/health.hpp"
 #include "recovery/ladder.hpp"
 #include "seep/policy.hpp"
@@ -57,20 +56,6 @@ struct OsConfig {
   /// Off by default so every pre-existing scenario — and every golden
   /// trace — is bit-identical.
   bool vfs_fom = false;
-
-  /// Two-tier checkpointing (DESIGN.md §17): stores into registered MB+
-  /// regions take page-granular CoW snapshots in a ckpt::PageStore instead
-  /// of element-granular arena records, and the Recovery Server's restart
-  /// phase moves only transfer-dirty pages (delta restart). Off by default
-  /// so every pre-existing scenario — and every golden trace — is
-  /// bit-identical; only meaningful for components with an aux region
-  /// (ds_blob_slots below).
-  ckpt::PagesConfig ckpt_pages;
-
-  /// Capacity of DS's heap-backed blob table (4 KiB payload slots behind
-  /// DS_PUBLISH/RETRIEVE/DELETE). 0 = no blob tier; sized MB+ (e.g. 512
-  /// slots = 2 MiB) for the large-state experiments.
-  std::size_t ds_blob_slots = 0;
 
   /// Physiological health monitor (DESIGN.md §15): per-endpoint fever
   /// detection feeding the ladder's storm rung. Off by default so every

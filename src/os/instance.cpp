@@ -146,8 +146,7 @@ void OsInstance::boot() {
   vfs_ = std::make_unique<servers::Vfs>(*kernel_, classification_, cfg_.policy, mode, *disk_,
                                         cfg_.cache_blocks);
   vfs_->set_fom_enabled(cfg_.vfs_fom);
-  ds_ = std::make_unique<servers::Ds>(*kernel_, classification_, cfg_.policy, mode,
-                                      cfg_.ds_blob_slots, cfg_.ckpt_pages);
+  ds_ = std::make_unique<servers::Ds>(*kernel_, classification_, cfg_.policy, mode);
   rs_ = std::make_unique<servers::Rs>(*kernel_, classification_, cfg_.policy, mode);
 
   kernel_->register_server(servers::kSysEp, sys_.get());

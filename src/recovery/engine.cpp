@@ -32,24 +32,12 @@ void Engine::register_component(Recoverable* comp) {
   Slot slot;
   slot.comp = comp;
   const std::size_t ds = comp->data_section_size();
-  const std::size_t aux = comp->aux_section_size();
   // Pre-allocate the spare clone now: when PM or VM is down, memory cannot be
   // obtained dynamically (paper SIV-C restart phase, Table VI "+clone"). The
-  // image layout is [data section | aux section | recovery arena].
-  slot.clone_image.resize(ds + aux + comp->recovery_arena_bytes());
+  // image layout is [data section | recovery arena].
+  slot.clone_image.resize(ds + comp->recovery_arena_bytes());
   // Capture the pristine boot state for the stateless-restart baseline.
   slot.boot_image.assign(comp->data_section(), comp->data_section() + ds);
-  if (aux > 0) {
-    slot.boot_image.insert(slot.boot_image.end(), comp->aux_section(),
-                           comp->aux_section() + aux);
-    // Seed the clone's aux image with the current bytes so the first delta
-    // restart starts from a synced baseline — the transfer-dirty bitmap only
-    // tracks stores made from here on.
-    std::memcpy(slot.clone_image.data() + ds, comp->aux_section(), aux);
-    if (ckpt::PageStore* ps = comp->page_store(); ps != nullptr) {
-      ps->sync_transfer_dirty([](std::size_t, const std::byte*, std::size_t) {});
-    }
-  }
   slots_[comp->endpoint().value] = std::move(slot);
 }
 
@@ -287,26 +275,7 @@ void Engine::restart_phase(Slot& slot) {
   // the live ones — the copy models the transfer cost and the clone's memory
   // footprint.)
   Recoverable& comp = *slot.comp;
-  const std::size_t ds = comp.data_section_size();
-  std::memcpy(slot.clone_image.data(), comp.data_section(), ds);
-  if (const std::size_t aux = comp.aux_section_size(); aux > 0) {
-    std::byte* aux_clone = slot.clone_image.data() + ds;
-    if (ckpt::PageStore* ps = comp.page_store(); ps != nullptr) {
-      // Delta restart: the clone's aux image is already synced up to the last
-      // transfer; move only the pages dirtied since. The inline data section
-      // stays a full copy — it is small by construction (the MB+ state lives
-      // in the aux region precisely so restarts never memcpy it whole).
-      const std::size_t delta = ps->sync_transfer_dirty(
-          [aux_clone](std::size_t off, const std::byte* src, std::size_t len) {
-            std::memcpy(aux_clone + off, src, len);
-          });
-      ps->note_restart(ds + delta, ds + aux);
-      OSIRIS_TRACE_EVENT(kRestartDelta, comp.endpoint().value, delta,
-                         ps->page_bytes() != 0 ? delta / ps->page_bytes() : 0);
-    } else {
-      std::memcpy(aux_clone, comp.aux_section(), aux);
-    }
-  }
+  std::memcpy(slot.clone_image.data(), comp.data_section(), comp.data_section_size());
   ++stats_.restarts;
   OSIRIS_TRACE_EVENT(kRecoveryRestart, comp.endpoint().value, slot.clone_image.size());
 }
@@ -315,16 +284,7 @@ void Engine::reset_to_boot_image(Slot& slot) {
   Recoverable& comp = *slot.comp;
   restart_phase(slot);
   // Microreboot: fresh initial state; everything the component knew is lost.
-  const std::size_t ds = comp.data_section_size();
-  std::memcpy(comp.data_section(), slot.boot_image.data(), ds);
-  if (const std::size_t aux = comp.aux_section_size(); aux > 0) {
-    std::memcpy(comp.aux_section(), slot.boot_image.data() + ds, aux);
-    if (ckpt::PageStore* ps = comp.page_store(); ps != nullptr) {
-      // The memcpy above bypassed log_write, so the transfer bitmap missed
-      // it: every page may now differ from the clone's last sync.
-      ps->mark_all_transfer_dirty();
-    }
-  }
+  std::memcpy(comp.data_section(), slot.boot_image.data(), comp.data_section_size());
   comp.ckpt_context().log().checkpoint();
   comp.window().end_of_request();
   comp.reinitialize();

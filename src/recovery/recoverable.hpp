@@ -31,18 +31,6 @@ class Recoverable {
   virtual std::byte* data_section() = 0;
   [[nodiscard]] virtual std::size_t data_section_size() const = 0;
 
-  /// Optional MB+ heap-backed recoverable region (DESIGN.md §17): a
-  /// PagedTable's buffer, appended to the clone/boot images after the data
-  /// section. Zero-sized for components without large state.
-  virtual std::byte* aux_section() { return nullptr; }
-  [[nodiscard]] virtual std::size_t aux_section_size() const { return 0; }
-
-  /// The page tier covering the aux section, or nullptr when the component
-  /// runs arena-only. With a store attached the engine's restart phase moves
-  /// only transfer-dirty pages of the aux section (delta restart) instead of
-  /// the whole image.
-  [[nodiscard]] virtual ckpt::PageStore* page_store() { return nullptr; }
-
   virtual ckpt::Context& ckpt_context() = 0;
   virtual seep::Window& window() = 0;
 

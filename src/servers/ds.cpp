@@ -14,17 +14,6 @@ using kernel::OK;
 
 namespace {
 constexpr auto kNpos = decltype(DsState{}.entries)::npos;
-
-/// FNV-1a, the blob tier's key identity: blobs carry a hash instead of the
-/// key bytes so lookup is a word compare per slot.
-std::uint64_t key_hash_of(std::string_view key) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : key) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h | 1u;  // 0 marks "never written" in DsBlob
-}
 }  // namespace
 
 void Ds::boot_subscribe(kernel::Endpoint ep, std::string_view prefix) {
@@ -58,39 +47,6 @@ void Ds::notify_subscribers(std::string_view key) {
   seep_notify_batch(std::span<const kernel::Endpoint>(targets.data(), n), DS_NOTIFY_SUB);
 }
 
-std::size_t Ds::blob_of(std::uint64_t hash) const {
-  return blobs_->find([hash](const DsBlob& b) { return b.key_hash == hash; });
-}
-
-/// Rewrite the key's blob payload in full — the MB+ store the page tier is
-/// for: with `ckpt_pages` off this logs a 4 KiB arena record per publish,
-/// with it on the same publish dirties one page.
-void Ds::blob_publish(std::string_view key, std::uint64_t value) {
-  if (blobs_ == nullptr) return;
-  const std::uint64_t hash = key_hash_of(key);
-  std::size_t i = blob_of(hash);
-  if (i == decltype(blobs_)::element_type::npos) {
-    i = blobs_->alloc();
-    // A full blob table degrades to inline-only entries; the publish itself
-    // still succeeds, matching the paper-scale reply semantics.
-    if (i == decltype(blobs_)::element_type::npos) return;
-  }
-  DsBlob& b = blobs_->mutate(i);
-  b.key_hash = hash;
-  b.len = static_cast<std::uint32_t>(sizeof(b.payload));
-  ++b.writes;
-  for (std::size_t off = 0; off < sizeof(b.payload); ++off) {
-    b.payload[off] = static_cast<std::byte>(
-        static_cast<std::uint8_t>(value + off * 131 + key.size()));
-  }
-}
-
-void Ds::blob_delete(std::string_view key) {
-  if (blobs_ == nullptr) return;
-  const std::size_t i = blob_of(key_hash_of(key));
-  if (i != decltype(blobs_)::element_type::npos) blobs_->free(i);
-}
-
 void Ds::register_handlers() {
   on(DS_PUBLISH, &Ds::do_publish);
   on(DS_RETRIEVE, &Ds::do_retrieve);
@@ -118,7 +74,6 @@ std::optional<Message> Ds::do_publish(const Message& m) {
     FI_BLOCK("ds");  // mid-mutation: key written, value not yet
   }
   st().entries.mutate(i).value = FI_VALUE("ds", v.u(0));
-  blob_publish(v.text(), v.u(0));
   st().publishes += 1;
   st().last_changed_key = v.text();
   FI_BLOCK("ds");
@@ -149,12 +104,6 @@ std::optional<Message> Ds::do_retrieve(const Message& m) {
   if (i == kNpos) return make_reply(m.type, E_NOENT);
   Message r = make_reply(m.type, OK);
   r.arg[1] = st().entries.at(i).value;
-  if (blobs_ != nullptr) {
-    // Large-state read path: surface the blob's write generation so clients
-    // (and the rollback-equivalence tests) can observe blob recovery.
-    const std::size_t b = blob_of(key_hash_of(MsgView(m).text()));
-    if (b != decltype(blobs_)::element_type::npos) r.arg[2] = blobs_->at(b).writes;
-  }
   return r;
 }
 
@@ -165,7 +114,6 @@ std::optional<Message> Ds::do_delete(const Message& m) {
   if (i == kNpos) return make_reply(m.type, E_NOENT);
   notify_subscribers(v.text());
   st().entries.free(i);
-  blob_delete(v.text());
   st().last_changed_key = v.text();
   FI_BLOCK("ds");
   // Post-delete maintenance (outside the window under pessimistic).

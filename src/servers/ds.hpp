@@ -10,7 +10,6 @@
 #pragma once
 
 #include "ckpt/cell.hpp"
-#include "ckpt/paged_table.hpp"
 #include "servers/server_base.hpp"
 
 namespace osiris::servers {
@@ -36,31 +35,11 @@ struct DsState {
   ckpt::Str<kDsKeyCap> last_changed_key;
 };
 
-/// One slot of DS's MB+ blob tier (DESIGN.md §17): a page-sized payload
-/// carried alongside the inline DsEntry. The blob table lives OUTSIDE
-/// DsState — inline growth would change the data-section size the golden
-/// traces embed, and would make every spare clone pay for it.
-struct DsBlob {
-  std::uint64_t key_hash = 0;
-  std::uint32_t len = 0;
-  std::uint32_t writes = 0;
-  std::byte payload[4080]{};
-};
-static_assert(sizeof(DsBlob) == 4096);
-
 class Ds final : public ServerBase<DsState> {
  public:
-  /// `blob_slots` > 0 grows DS a heap-backed blob table (one 4 KiB payload
-  /// per published key) wired into the recovery images; `pages.enabled`
-  /// checkpoints it through the page tier instead of the arena log. Defaults
-  /// reproduce the paper-scale server bit-for-bit.
   Ds(kernel::Kernel& kernel, const seep::Classification& classification, seep::Policy policy,
-     ckpt::Mode mode, std::size_t blob_slots = 0, const ckpt::PagesConfig& pages = {})
+     ckpt::Mode mode)
       : ServerBase(kernel, kernel::kDsEp, "ds", classification, policy, mode) {
-    if (blob_slots > 0) {
-      blobs_ = std::make_unique<ckpt::PagedTable<DsBlob>>(blob_slots, pages.page_bytes);
-      set_aux_region(blobs_->region_data(), blobs_->region_bytes(), pages);
-    }
     init_state();
     register_handlers();
   }
@@ -78,18 +57,12 @@ class Ds final : public ServerBase<DsState> {
   std::size_t entry_of(std::string_view key) const;
   void notify_subscribers(std::string_view key);
 
-  std::size_t blob_of(std::uint64_t hash) const;
-  void blob_publish(std::string_view key, std::uint64_t value);
-  void blob_delete(std::string_view key);
-
   std::optional<kernel::Message> do_publish(const kernel::Message& m);
   std::optional<kernel::Message> do_retrieve(const kernel::Message& m);
   std::optional<kernel::Message> do_delete(const kernel::Message& m);
   std::optional<kernel::Message> do_subscribe(const kernel::Message& m);
   std::optional<kernel::Message> do_check(const kernel::Message& m);
   std::optional<kernel::Message> do_snapshot(const kernel::Message& m);
-
-  std::unique_ptr<ckpt::PagedTable<DsBlob>> blobs_;  // nullptr = paper scale
 };
 
 }  // namespace osiris::servers

@@ -172,10 +172,13 @@ class ServerCommon : public kernel::IServer, public recovery::Recoverable {
   }
 
   /// Useful-work counter for the kernel's health monitor: recovery windows
-  /// opened plus deferred replies sent. Storm traffic (FI_SPIN/FI_FLOOD
-  /// notes) moves neither, which is what makes it read as fever.
+  /// opened or reopened by a FOM executor resume, plus deferred replies
+  /// sent. A resume re-runs a parked request from the server's own
+  /// completion notification, so it is work, not storm traffic. Storm
+  /// traffic (FI_SPIN/FI_FLOOD notes) moves none of the three, which is what
+  /// makes it read as fever.
   [[nodiscard]] std::uint64_t useful_work() const final {
-    return window_.stats().opened + deferred_replies_;
+    return window_.stats().opened + window_.stats().fom_resumes + deferred_replies_;
   }
 
   /// True when this server registered a handler for the given type's natural
@@ -200,9 +203,6 @@ class ServerCommon : public kernel::IServer, public recovery::Recoverable {
   seep::Window& window() final { return window_; }
   void reinitialize() override { init_state(); }
   void on_restored(bool /*rolled_back*/) override {}
-  std::byte* aux_section() final { return aux_base_; }
-  [[nodiscard]] std::size_t aux_section_size() const final { return aux_len_; }
-  [[nodiscard]] ckpt::PageStore* page_store() final { return pages_.get(); }
 
  protected:
   /// Handler signature: process one message, return the reply (or nullopt if
@@ -247,23 +247,6 @@ class ServerCommon : public kernel::IServer, public recovery::Recoverable {
 
   /// Boot-time (and stateless-restart) initialization of State.
   virtual void init_state() = 0;
-
-  /// Wire an MB+ heap region (a PagedTable's buffer) into the recovery
-  /// story (DESIGN.md §17). The region becomes the component's aux section
-  /// — appended to the clone/boot images by the engine — and, when the page
-  /// tier is enabled, gets a PageStore so stores to it take page-granular
-  /// CoW snapshots instead of arena records. Call once, from the derived
-  /// constructor, before the engine registers the component.
-  void set_aux_region(std::byte* base, std::size_t len, const ckpt::PagesConfig& pages) {
-    OSIRIS_ASSERT(aux_base_ == nullptr);
-    aux_base_ = base;
-    aux_len_ = len;
-    if (pages.enabled) {
-      pages_ = std::make_unique<ckpt::PageStore>(pages);
-      pages_->register_region(base, len);
-      ctx_.set_page_store(pages_.get());
-    }
-  }
 
   // --- SEEP-wrapped outbound communication ---------------------------------
 
@@ -367,9 +350,6 @@ class ServerCommon : public kernel::IServer, public recovery::Recoverable {
   std::string name_;
   const seep::Classification& classification_;
   ckpt::Context ctx_;
-  std::byte* aux_base_ = nullptr;  // see set_aux_region()
-  std::size_t aux_len_ = 0;
-  std::unique_ptr<ckpt::PageStore> pages_;
   seep::Window window_;
   std::uint64_t deferred_replies_ = 0;
   bool flood_pump_active_ = false;

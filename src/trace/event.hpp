@@ -57,12 +57,6 @@ enum class EventKind : std::uint8_t {
   kFomPark,    // a0=fom id, a1=missing block number, a2=retry count
   kFomResume,  // a0=fom id, a1=message type being re-run
   kFomAbort,   // a0=fom id, a1=1 if E_CRASH reconciliation was sent
-
-  // --- page-tier checkpointing (appended; component = owning server) -----
-  kPageCapture,   // a0=global page index, a1=page records after the capture
-  kPageTruncate,  // a0=page records discarded (checkpoint)
-  kPageRollback,  // a0=pages restored
-  kRestartDelta,  // a0=bytes moved as dirty pages, a1=pages moved
 };
 
 /// Why a recovery window closed (kWindowClose a0).
@@ -99,10 +93,6 @@ enum class CloseCause : std::uint8_t {
     case EventKind::kFomPark: return "FomPark";
     case EventKind::kFomResume: return "FomResume";
     case EventKind::kFomAbort: return "FomAbort";
-    case EventKind::kPageCapture: return "PageCapture";
-    case EventKind::kPageTruncate: return "PageTruncate";
-    case EventKind::kPageRollback: return "PageRollback";
-    case EventKind::kRestartDelta: return "RestartDelta";
   }
   return "?";
 }

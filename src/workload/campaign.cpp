@@ -98,8 +98,6 @@ RunClass run_one_injection(seep::Policy policy, const Injection& inj, std::strin
   cfg.policy = policy;
   cfg.vfs_fom = opts.vfs_fom;
   if (opts.cache_blocks != 0) cfg.cache_blocks = opts.cache_blocks;
-  cfg.ckpt_pages = opts.ckpt_pages;
-  cfg.ds_blob_slots = opts.ds_blob_slots;
 #if OSIRIS_TRACE_ENABLED
   cfg.trace_enabled = trace_out != nullptr;
 #endif

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/page_store.hpp"
 #include "fi/fault.hpp"
 #include "fi/registry.hpp"
 #include "seep/policy.hpp"
@@ -95,12 +94,6 @@ struct CampaignOptions {
   /// Campaigns exercising the FOM park/resume path shrink it so the suite's
   /// file traffic actually misses.
   std::size_t cache_blocks = 0;
-  /// Page-tier checkpointing for every run (DESIGN.md §17). Classifications
-  /// and traces must be invariant under `enabled` plus the blob-table knob
-  /// below — campaigns with the tier on are how that is tested at scale.
-  ckpt::PagesConfig ckpt_pages{};
-  /// DS blob-table slots per run; 0 keeps blobs off (the paper-scale store).
-  std::size_t ds_blob_slots = 0;
 };
 
 /// Run one injection under a policy; returns its classification. Touches
@@ -108,7 +101,7 @@ struct CampaignOptions {
 /// distinct threads. When `trace_out` is non-null (and the build has
 /// OSIRIS_TRACE=ON), the run executes with event tracing enabled and the
 /// merged, sequence-ordered text trace is stored there. `opts` carries the
-/// per-run OsConfig knobs (FOM executor, cache size, page tier); its
+/// per-run OsConfig knobs (FOM executor, cache size); its
 /// jobs/progress/traces fields are ignored here.
 RunClass run_one_injection(seep::Policy policy, const Injection& inj,
                            std::string* trace_out = nullptr, const CampaignOptions& opts = {});

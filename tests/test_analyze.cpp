@@ -134,20 +134,6 @@ TEST(Analyze, FixtureSeedsEveryDetector) {
   EXPECT_EQ(r.findings.size(), total);
 }
 
-TEST(Analyze, PagedTableFieldIsValidRecoverableState) {
-  // DESIGN.md §17: a ckpt::PagedTable member in a State struct is recoverable
-  // state (its stores route through Context::log_write to the page tier), so
-  // the discipline lint must not flag it as a state-raw-field. The fixture's
-  // PmState carries one such field; only bad_counter may fire the detector.
-  const analyze::Report r =
-      analyze::analyze_tree(std::string(OSIRIS_SOURCE_ROOT) + "/tools/analyze/fixture");
-  for (const auto& f : r.findings) {
-    if (f.detector != analyze::kDetStateRawField) continue;
-    EXPECT_EQ(f.message.find("good_paged"), std::string::npos) << f.message;
-    EXPECT_NE(f.message.find("bad_counter"), std::string::npos) << f.message;
-  }
-}
-
 TEST(Analyze, ParsedClassificationAgreesWithRuntimeTable) {
   const analyze::Report& r = clean_report();
   const osiris::seep::Classification runtime = osiris::servers::build_classification();

@@ -1,7 +1,8 @@
 // FOM executor tests (DESIGN.md §16): the state-machine lifecycle, the
 // per-request undo sub-log (mark/rollback_to), mid-flight checkpoint/rollback
-// equivalence against the serial fiber path, and the recovery arcs with live
-// FOMs (rollback, boot-image restart, quarantine).
+// equivalence against the serial fiber path, the recovery arcs with live
+// FOMs (rollback, boot-image restart, quarantine), and the composition
+// matrix with the health monitor (DESIGN.md §15).
 //
 // The interleaving harness at the bottom is the pin for the tentpole claim:
 // any schedule of concurrent VFS requests — parks and resumes interleaving
@@ -13,15 +14,21 @@
 #include <cstring>
 #include <random>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "ckpt/context.hpp"
 #include "ckpt/undo_log.hpp"
 #include "core/metrics.hpp"
 #include "fi/registry.hpp"
 #include "os/instance.hpp"
+#include "seep/window.hpp"
 #include "servers/fom.hpp"
 #include "workload/suite.hpp"
+#if OSIRIS_TRACE_ENABLED
+#include "trace/export.hpp"
+#endif
 
 using namespace osiris;
 using os::ISys;
@@ -189,6 +196,33 @@ std::vector<std::byte> read_back(ISys& sys, const std::string& path, std::size_t
   return v;
 }
 
+/// Three 6 KiB files made cold, then three forked clients reading them back
+/// concurrently: with 4 cache blocks the executor holds several parked
+/// requests at once, and each re-run re-misses (DESIGN.md §16).
+void concurrent_cold_reads(ISys& sys) {
+  constexpr int kClients = 3;
+  constexpr std::size_t kBytes = 6 * 1024;
+  for (int c = 0; c < kClients; ++c) {
+    write_and_evict(sys, "/tmp/fom-c" + std::to_string(c),
+                    pattern(kBytes, static_cast<std::uint8_t>(c)), "/tmp/fom-scratch");
+  }
+  std::vector<std::int64_t> pids;
+  for (int c = 0; c < kClients; ++c) {
+    const std::int64_t pid = sys.fork([c](ISys& child) {
+      const std::vector<std::byte> got =
+          read_back(child, "/tmp/fom-c" + std::to_string(c), kBytes);
+      child.exit(got == pattern(kBytes, static_cast<std::uint8_t>(c)) ? 0 : 1);
+    });
+    ASSERT_GT(pid, 0);
+    pids.push_back(pid);
+  }
+  for (const std::int64_t pid : pids) {
+    std::int64_t status = -1;
+    ASSERT_EQ(sys.wait_pid(pid, &status), pid);
+    EXPECT_EQ(status, 0) << "child data mismatch";
+  }
+}
+
 }  // namespace
 
 // --- FomCore: the state machine in isolation --------------------------------
@@ -328,6 +362,40 @@ TEST(UndoLog, RollbackToCurrentMarkIsNoop) {
   EXPECT_EQ(log.entry_count(), 1u);
 }
 
+TEST(UndoLog, FomParkResumeMidEpoch) {
+  // The executor's window choreography (fom.hpp) splits one request across
+  // two epochs with a mid-epoch partial rollback: attempt, park (rolling the
+  // attempt back to its mark), resume with a fresh window, retry — then
+  // crash. Pre-park durable work survives (the resume's checkpoint commits
+  // it); the crashed retry does not.
+  std::vector<std::byte> buf(128);
+  for (std::size_t i = 0; i < buf.size(); ++i) buf[i] = static_cast<std::byte>(i * 7 + 3);
+  const std::byte attempt_before = buf[64];
+  ckpt::Context ctx(ckpt::Mode::kWindowOnly);
+  ckpt::Context::Scope scope(&ctx);
+  seep::Window win(seep::Policy::kEnhanced, ctx);
+
+  win.open(1);
+  ckpt::Context::log_write(buf.data(), 8);
+  std::memset(buf.data(), 0xA1, 8);  // durable pre-attempt mutation
+  const ckpt::UndoLog::Mark m = ctx.log().mark();
+  ckpt::Context::log_write(buf.data() + 64, 8);  // the attempt's partial work
+  std::memset(buf.data() + 64, 0xA2, 8);
+  ctx.log().rollback_to(m);  // park: attempt undone exactly
+  EXPECT_EQ(buf[64], attempt_before);
+  win.fom_park();
+
+  win.fom_resume(1);  // fresh window, fresh epoch
+  ckpt::Context::log_write(buf.data() + 64, 8);
+  std::memset(buf.data() + 64, 0xA3, 8);  // the retry
+  ctx.log().rollback();                   // crash mid-retry
+  win.end_of_request();
+
+  EXPECT_TRUE(ctx.log().integrity_ok());
+  EXPECT_EQ(buf[0], std::byte{0xA1});      // committed by the resume checkpoint
+  EXPECT_EQ(buf[64], attempt_before);      // the retry rolled back to the resume
+}
+
 // --- executor end-to-end ----------------------------------------------------
 
 TEST(FomExecutor, ColdCacheReadParksAndResumes) {
@@ -394,35 +462,37 @@ TEST(FomExecutor, ConcurrentColdReadsOverlapInFlight) {
   os::OsInstance inst(cfg);
   workload::register_suite_programs(inst.programs());
   inst.boot();
-  constexpr int kClients = 3;
-  const std::size_t kBytes = 6 * 1024;
-  const auto outcome = inst.run([&](ISys& sys) {
-    for (int c = 0; c < kClients; ++c) {
-      write_and_evict(sys, "/tmp/fom-c" + std::to_string(c),
-                      pattern(kBytes, static_cast<std::uint8_t>(c)), "/tmp/fom-scratch");
-    }
-    std::vector<std::int64_t> pids;
-    for (int c = 0; c < kClients; ++c) {
-      const std::int64_t pid = sys.fork([c, kBytes](ISys& child) {
-        const std::vector<std::byte> got =
-            read_back(child, "/tmp/fom-c" + std::to_string(c), kBytes);
-        child.exit(got == pattern(kBytes, static_cast<std::uint8_t>(c)) ? 0 : 1);
-      });
-      ASSERT_GT(pid, 0);
-      pids.push_back(pid);
-    }
-    for (const std::int64_t pid : pids) {
-      std::int64_t status = -1;
-      ASSERT_EQ(sys.wait_pid(pid, &status), pid);
-      EXPECT_EQ(status, 0) << "child data mismatch";
-    }
-  });
+  const auto outcome = inst.run(concurrent_cold_reads);
   EXPECT_EQ(outcome, OsInstance::Outcome::kCompleted);
   const servers::FomStats& fs = *inst.vfs().fom_stats();
   EXPECT_GT(fs.parks, 0u);
   EXPECT_GE(fs.in_flight_high_water, 2u);  // requests genuinely overlapped
   EXPECT_EQ(fs.completed, fs.admitted);
   EXPECT_EQ(fs.aborts, 0u);
+}
+
+TEST(FomExecutor, HealthMonitorCountsResumesAsUsefulWork) {
+  // VFS resumes a parked FOM from its own VFS_DEV_DONE self-notification. A
+  // resume re-runs a real request, so the health monitor must neither charge
+  // it as storm traffic nor drop it at the throttle gate: a dropped resume
+  // strands its reader forever (the run would end kHung).
+  FiGuard guard;
+  os::OsConfig cfg;
+  cfg.vfs_fom = true;
+  cfg.cache_blocks = 4;
+  cfg.health.enabled = true;
+  os::OsInstance inst(cfg);
+  workload::register_suite_programs(inst.programs());
+  inst.boot();
+  const auto outcome = inst.run(concurrent_cold_reads);
+  EXPECT_EQ(outcome, OsInstance::Outcome::kCompleted);
+  const servers::FomStats& fs = *inst.vfs().fom_stats();
+  EXPECT_GT(fs.parks, 0u);
+  EXPECT_EQ(fs.resumes, fs.parks);
+  EXPECT_EQ(fs.completed, fs.admitted);
+  const kernel::KernelStats& ks = inst.kern().stats();
+  EXPECT_EQ(ks.throttled_drops, 0u);
+  EXPECT_EQ(ks.fever_onsets, 0u);
 }
 
 TEST(FomExecutor, MetricsSurfaceExecutorCounters) {
@@ -791,3 +861,96 @@ TEST(FomRecovery, QuarantineWithLiveFomsAbortsThemAndSystemSurvives) {
   EXPECT_EQ(fs.completed + fs.aborts, fs.admitted);
   EXPECT_EQ(inst.vfs().fom_core().in_flight(), 0u);
 }
+
+// --- composition matrix: health monitor x FOM executor -----------------------
+//
+// Every combination of the two default-off runtime extensions runs the full
+// suite and the three-reader cold-read scenario, each on a fresh machine
+// with a cache small enough that the FOM cells really park. No storm is
+// armed, so any fever in a health-on cell is a false positive.
+
+namespace {
+
+struct CellRun {
+  workload::SuiteResult suite;
+  OsInstance::Outcome cold = OsInstance::Outcome::kCompleted;
+  servers::FomStats fom;          // summed over both machines
+  std::uint64_t fever_onsets = 0;
+  std::uint64_t throttled_drops = 0;
+  std::string trace;  // both machines' merged text traces; empty unless traced
+};
+
+/// Boot one machine of the cell, run `drive` on it, and fold its counters
+/// into `r`.
+template <typename Drive>
+void run_machine(bool health, bool fom, bool traced, CellRun& r, Drive drive) {
+  fi::Registry::instance().reset_counts();
+  os::OsConfig cfg;
+  cfg.health.enabled = health;
+  cfg.vfs_fom = fom;
+  cfg.cache_blocks = 4;
+  cfg.trace_enabled = traced;
+  os::OsInstance inst(cfg);
+  workload::register_suite_programs(inst.programs());
+  inst.boot();
+  drive(inst);
+  const servers::FomStats& fs = *inst.vfs().fom_stats();
+  r.fom.admitted += fs.admitted;
+  r.fom.completed += fs.completed;
+  r.fom.parks += fs.parks;
+  r.fom.resumes += fs.resumes;
+  r.fever_onsets += inst.kern().stats().fever_onsets;
+  r.throttled_drops += inst.kern().stats().throttled_drops;
+#if OSIRIS_TRACE_ENABLED
+  if (const trace::Tracer* t = inst.tracer()) r.trace += trace::format_text(t->merged(), *t);
+#endif
+}
+
+CellRun run_cell(bool health, bool fom, bool traced) {
+  CellRun r;
+  run_machine(health, fom, traced, r,
+              [&r](OsInstance& inst) { r.suite = workload::run_suite(inst); });
+  run_machine(health, fom, traced, r,
+              [&r](OsInstance& inst) { r.cold = inst.run(concurrent_cold_reads); });
+  return r;
+}
+
+}  // namespace
+
+class HealthFomMatrixP : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
+
+TEST_P(HealthFomMatrixP, SuiteAndColdReadsComplete) {
+  FiGuard guard;
+  const auto [health, fom] = GetParam();
+  const CellRun r = run_cell(health, fom, /*traced=*/false);
+  EXPECT_EQ(r.suite.outcome, OsInstance::Outcome::kCompleted);
+  EXPECT_TRUE(r.suite.driver_completed);
+  EXPECT_EQ(r.suite.failed, 0) << (r.suite.failures.empty() ? "" : r.suite.failures.front());
+  EXPECT_EQ(r.cold, OsInstance::Outcome::kCompleted);
+  if (fom) {
+    EXPECT_GT(r.fom.parks, 0u);
+    EXPECT_EQ(r.fom.resumes, r.fom.parks);
+    EXPECT_EQ(r.fom.completed, r.fom.admitted);
+  }
+  EXPECT_EQ(r.fever_onsets, 0u);
+  EXPECT_EQ(r.throttled_drops, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Compose, HealthFomMatrixP, ::testing::Combine(::testing::Bool(), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<bool, bool>>& info) {
+      return std::string(std::get<0>(info.param) ? "health_on" : "health_off") +
+             (std::get<1>(info.param) ? "_fom_on" : "_fom_off");
+    });
+
+#if OSIRIS_TRACE_ENABLED
+TEST(HealthFomMatrix, TracedCellIsByteIdentical) {
+  // The corner cell, traced twice: both extensions on must keep the
+  // determinism contract the goldens rely on.
+  FiGuard guard;
+  const CellRun a = run_cell(/*health=*/true, /*fom=*/true, /*traced=*/true);
+  const CellRun b = run_cell(/*health=*/true, /*fom=*/true, /*traced=*/true);
+  ASSERT_NE(a.trace.find("FomPark"), std::string::npos);
+  EXPECT_EQ(a.trace, b.trace);
+}
+#endif  // OSIRIS_TRACE_ENABLED

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <string_view>
+#include <vector>
 
 #include "kernel/health.hpp"
 #include "os/instance.hpp"
@@ -263,6 +264,44 @@ TEST(Storm, HealthMonitoringOffIsFreeAndSilent) {
   EXPECT_EQ(inst.kern().stats().throttled_drops, 0u);
   EXPECT_EQ(suite.outcome, os::OsInstance::Outcome::kCompleted);
   EXPECT_EQ(suite.failed, 0);
+}
+
+TEST(Storm, MonitorTracksLiveEndpointsOnly) {
+  // Every sender gets a health record; an exiting client's must go with it,
+  // or the map (and each close_quantum sweep over it) grows by one entry per
+  // process ever run. Sampled after each reap, when the only live client is
+  // init itself, the tracked count may cover at most the servers plus init,
+  // and must not drift across a thousand fork+exit rounds.
+  fi::Registry& reg = fi::Registry::instance();
+  reg.disarm();
+  reg.reset_counts();
+  os::OsConfig cfg;
+  cfg.health.enabled = true;
+  os::OsInstance inst(cfg);
+  workload::register_suite_programs(inst.programs());
+  inst.boot();
+  std::size_t live = 1;  // init
+  for (std::int32_t ep = 0; ep < kernel::kFirstUserEndpoint; ++ep) {
+    if (inst.kern().is_server(kernel::Endpoint{ep})) ++live;
+  }
+  std::vector<std::size_t> tracked;
+  const auto outcome = inst.run([&](os::ISys& sys) {
+    for (int round = 1; round <= 1000; ++round) {
+      const std::int64_t pid =
+          sys.fork([](os::ISys& child) { child.exit(child.getpid() > 0 ? 0 : 1); });
+      std::int64_t status = -1;
+      if (sys.wait_pid(pid, &status) != pid || status != 0) sys.exit(1);
+      if (round % 250 == 0) tracked.push_back(inst.kern().health().tracked());
+    }
+  });
+  EXPECT_EQ(outcome, os::OsInstance::Outcome::kCompleted);
+  ASSERT_EQ(tracked.size(), 4u);
+  for (const std::size_t n : tracked) {
+    EXPECT_GT(n, 0u);
+    EXPECT_LE(n, live);
+    EXPECT_EQ(n, tracked.front());
+  }
+  EXPECT_EQ(inst.kern().stats().fever_onsets, 0u);
 }
 
 TEST(Storm, StormFaultsRideTheRegularArmingApi) {

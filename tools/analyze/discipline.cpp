@@ -64,10 +64,7 @@ bool check_state_field(const LexedFile& f, const Tokens& t, std::size_t from, st
     if (angle == 0 && t[i].is("=")) break;  // initializer: type tokens end here
   }
   // Accept `ckpt::X<...>` and `osiris::ckpt::X<...>` field types — the
-  // wrapper family (Cell/Array/Table/...) and the PageStore-backed
-  // ckpt::PagedTable (DESIGN.md §17): its stores route through
-  // Context::log_write to the page tier, so it is recoverable state, not a
-  // bypass.
+  // wrapper family (Cell/Array/Table/...).
   std::size_t p = from;
   if (t[p].is_ident("osiris") && p + 1 < semi && t[p + 1].is("::")) p += 2;
   const bool is_wrapper = t[p].is_ident("ckpt") && p + 1 < semi && t[p + 1].is("::");

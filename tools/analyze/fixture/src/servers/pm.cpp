@@ -10,7 +10,6 @@ struct PmState {
   ckpt::Array<int, 8> good_array;     // fine: wrapper type
   int bad_counter = 0;                // state-raw-field
   osiris::ckpt::Cell<int> also_good;  // fine: qualified wrapper
-  ckpt::PagedTable<int> good_paged;   // fine: PageStore-backed table (§17)
 };
 
 class Pm {
