@@ -3,13 +3,11 @@
 # repository root — the files CI uploads as artifacts so future PRs can diff
 # hot-path numbers:
 #
-#   BENCH_ckpt.json     checkpointing microbenchmarks (google-benchmark)
-#   BENCH_serving.json  open-loop serving load (steady, faulted, and the
-#                       miss-regime fiber vs FOM depth sweep)
-#   BENCH_storm.json    storm-detection campaign (liveness faults vs the
-#                       health monitor), incl. detection-latency columns
+#   BENCH_ckpt.json   checkpointing microbenchmarks (google-benchmark)
+#   BENCH_storm.json  storm-detection campaign (liveness faults vs the
+#                     health monitor), incl. detection-latency columns
 #
-# Usage: bench/run_benchmarks.sh [--ckpt-only|--serving-only|--storm-only] [build-dir]
+# Usage: bench/run_benchmarks.sh [--ckpt-only|--storm-only] [build-dir]
 #   build-dir  cmake build tree containing the bench binaries (default: build)
 #
 # Fails loudly (non-zero) if a selected bench binary is missing: a silently
@@ -20,12 +18,10 @@ script_dir=$(CDPATH= cd -- "$(dirname -- "$0")" && pwd)
 repo_root=$(dirname -- "$script_dir")
 
 run_ckpt=1
-run_serving=1
 run_storm=1
 case "${1:-}" in
-  --ckpt-only) run_serving=0; run_storm=0; shift ;;
-  --serving-only) run_ckpt=0; run_storm=0; shift ;;
-  --storm-only) run_ckpt=0; run_serving=0; shift ;;
+  --ckpt-only) run_storm=0; shift ;;
+  --storm-only) run_ckpt=0; shift ;;
 esac
 
 build_dir=${1:-"$repo_root/build"}
@@ -50,19 +46,6 @@ if [ "$run_ckpt" = 1 ]; then
       --benchmark_report_aggregates_only=true \
       > "$repo_root/BENCH_ckpt.json"
     echo "wrote $repo_root/BENCH_ckpt.json"
-  else
-    status=1
-  fi
-fi
-
-if [ "$run_serving" = 1 ]; then
-  serving_bin="$build_dir/bench/serving_load"
-  if require_bin "$serving_bin" serving_load; then
-    "$serving_bin" \
-      --clients "${OSIRIS_SERVING_CLIENTS:-32}" \
-      --seconds "${OSIRIS_SERVING_SECONDS:-2}" \
-      --out "$repo_root/BENCH_serving.json"
-    echo "wrote $repo_root/BENCH_serving.json"
   else
     status=1
   fi

@@ -35,11 +35,9 @@ struct OsConfig {
   /// and quarantine cooldown (see recovery::LadderConfig).
   recovery::LadderConfig ladder;
 
-  // Disk geometry and latency.
+  // Disk geometry (latencies: BlockDevice's 40/60-tick defaults).
   std::size_t disk_blocks = 4096;
   std::size_t cache_blocks = 64;
-  Tick disk_read_latency = 40;
-  Tick disk_write_latency = 60;
 
   /// Structured event tracing (requires an OSIRIS_TRACE=ON build; ignored —
   /// at zero cost — otherwise). Off by default: tracing is opt-in per run.
@@ -61,19 +59,6 @@ struct OsConfig {
   /// detection feeding the ladder's storm rung. Off by default so every
   /// pre-existing scenario — and every golden trace — is bit-identical.
   kernel::HealthConfig health;
-
-  /// Deliveries one kernel drain loop may make before the livelock valve
-  /// trips (an undetected self-sustaining storm would otherwise spin the
-  /// host forever: the virtual clock stands still while work is pending).
-  /// Far above anything a legitimate workload produces. 0 disables.
-  std::uint64_t max_dispatch_burst = 200'000;
-
-  /// Scheduler-step budget: exceeded = the run is classified as hung.
-  std::uint64_t max_steps = 20'000'000;
-  /// Iterations without any user-process progress before declaring a hang.
-  /// Disk completions and hang-recovery all resolve within tens of
-  /// iterations; 2000 leaves two orders of magnitude of margin.
-  std::uint64_t max_idle_iters = 2'000;
 };
 
 }  // namespace osiris::os

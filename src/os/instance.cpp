@@ -10,6 +10,20 @@ namespace osiris::os {
 
 using kernel::Message;
 
+namespace {
+/// Deliveries one kernel drain loop may make before the livelock valve
+/// trips (an undetected self-sustaining storm would otherwise spin the host
+/// forever: the virtual clock stands still while work is pending). Far
+/// above anything a legitimate workload produces.
+constexpr std::uint64_t kMaxDispatchBurst = 200'000;
+/// Scheduler-step budget: exceeded = the run is classified as hung.
+constexpr std::uint64_t kMaxSteps = 20'000'000;
+/// Iterations without any user-process progress before declaring a hang.
+/// Disk completions and hang-recovery all resolve within tens of
+/// iterations; 2000 leaves two orders of magnitude of margin.
+constexpr std::uint64_t kMaxIdleIters = 2'000;
+}  // namespace
+
 // --- UserProc -----------------------------------------------------------
 
 UserProc::UserProc(OsInstance& os, std::string name, ISys::ProcBody body)
@@ -107,8 +121,7 @@ void OsInstance::boot() {
   OSIRIS_ASSERT(!booted_);
   booted_ = true;
 
-  disk_ = std::make_unique<fs::BlockDevice>(clock_, cfg_.disk_blocks, cfg_.disk_read_latency,
-                                            cfg_.disk_write_latency);
+  disk_ = std::make_unique<fs::BlockDevice>(clock_, cfg_.disk_blocks);
   fs::MiniFs::mkfs(*disk_);
 
   // Populate the filesystem before the servers come up: /bin with a marker
@@ -135,7 +148,7 @@ void OsInstance::boot() {
   kernel_ = std::make_unique<kernel::Kernel>(clock_);
   kernel_->set_health(cfg_.health);
   kernel_->set_throttle_exempt(&servers::is_throttle_exempt);
-  kernel_->set_dispatch_burst_cap(cfg_.max_dispatch_burst);
+  kernel_->set_dispatch_burst_cap(kMaxDispatchBurst);
 
   const ckpt::Mode mode =
       seep::policy_uses_windows(cfg_.policy) ? cfg_.ckpt_mode : ckpt::Mode::kOff;
@@ -266,7 +279,7 @@ OsInstance::Outcome OsInstance::run(ISys::ProcBody init_body) {
         hung = true;  // deadlock: nothing runnable, nothing pending
         break;
       }
-      if (++steps_ > cfg_.max_steps || idle_iters > cfg_.max_idle_iters) {
+      if (++steps_ > kMaxSteps || idle_iters > kMaxIdleIters) {
         hung = true;
         break;
       }

@@ -169,7 +169,8 @@ void Vfs::CachedStore::read_block(std::uint32_t bno,
     vfs_.fom_.note_sync_fallback();
     // analyze-suppress(blocking-in-handler): FOM sync fallback — reached only
     // when the window already closed (nothing left to preserve by parking) or
-    // the retry cap fired; the executor degrades to the pre-FOM blocking wait.
+    // the retry cap fired. read_now is the device backdoor: the read costs no
+    // virtual time and is not counted in BlockDevStats::reads.
     vfs_.dev_.read_now(bno, out);
     std::optional<fs::DirtyBlock> evicted_sync;
     vfs_.cache_.insert(bno, std::span<const std::byte, fs::kBlockSize>(out), &evicted_sync);

@@ -43,8 +43,9 @@ inline constexpr std::size_t kMaxPipes = 16;
 inline constexpr std::size_t kPipeBuf = 4096;
 inline constexpr std::size_t kVfsWorkers = 4;
 /// FOM livelock guard: after this many parks a single request's remaining
-/// misses are served synchronously (cache churn can otherwise evict a warmed
-/// block before the retry reaches it).
+/// misses are served synchronously through the device backdoor, with no
+/// latency (cache churn can otherwise evict a warmed block before the retry
+/// reaches it).
 inline constexpr std::uint32_t kVfsFomMaxRetries = 64;
 
 enum class FileKind : std::uint8_t { kRegular = 1, kPipeRead = 2, kPipeWrite = 3 };

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <random>
 #include <string>
 #include <tuple>
@@ -25,6 +26,8 @@
 #include "os/instance.hpp"
 #include "seep/window.hpp"
 #include "servers/fom.hpp"
+#include "servers/protocol.hpp"
+#include "support/rng.hpp"
 #include "workload/suite.hpp"
 #if OSIRIS_TRACE_ENABLED
 #include "trace/export.hpp"
@@ -521,6 +524,257 @@ TEST(FomExecutor, MetricsSurfaceExecutorCounters) {
   }
   EXPECT_TRUE(found);
   EXPECT_NE(m.report().find("fom[vfs]:"), std::string::npos);
+}
+
+// --- miss-regime depth sweep -------------------------------------------------
+//
+// The executor's measured win, as an exact fixed-work result. `depth` raw
+// kernel clients (no fibers) each own a 64 KiB file, written at setup, and
+// stream single-block reads and writes over it (70/30, seeded) in a closed
+// loop with zero think time. The block cache holds an eighth of the working
+// set, so nearly every read waits out the device's 40-tick latency: the
+// fiber path overlaps at most kVfsWorkers of those waits, the executor one
+// per parked request. Each client runs its own op count; with one shared
+// budget, the clients whose files setup left cache-resident would spend it
+// while the rest sat parked. Everything is virtual time, so every figure is
+// pinned exactly.
+
+namespace {
+
+constexpr std::size_t kSweepFileBytes = 64 * 1024;
+constexpr int kSweepOpsPerClient = 200;
+constexpr std::uint64_t kSweepSeed = 42;
+constexpr Tick kSweepReadTicks = 40;  // BlockDevice's default read latency
+
+class SweepClient final : public kernel::IClient {
+ public:
+  SweepClient(OsInstance& inst, std::int32_t pid, Rng rng)
+      : inst_(inst), pid_(pid), rng_(rng), io_(fs::kBlockSize), model_(kSweepFileBytes) {
+    ep_ = inst_.kern().register_client(this);
+  }
+
+  /// Register as a boot process, then create and fill the file (the cursor
+  /// ends back at 0).
+  void setup() {
+    inst_.pm().register_boot_proc(pid_, ep_, "sweep");
+    inst_.vm().register_boot_proc(pid_);
+    inst_.vfs().register_boot_proc(pid_, ep_);
+    inst_.sys_task().register_boot_proc(pid_);
+    const std::string path = "/tmp/sweep" + std::to_string(pid_);
+    fd_ = sync_request(servers::encode_text(servers::VFS_OPEN, path,
+                                            servers::O_CREAT | servers::O_RDWR));
+    ASSERT_GE(fd_, 0);
+    for (std::size_t i = 0; i < model_.size(); ++i) {
+      model_[i] = static_cast<std::byte>((i * 131u + static_cast<unsigned>(pid_) * 7u) & 0xff);
+    }
+    const kernel::GrantId g = inst_.kern().make_grant(ep_, kernel::kVfsEp, model_.data(),
+                                                      model_.size(), kernel::Access::kRead);
+    ASSERT_EQ(sync_request(servers::encode(servers::VFS_WRITE, static_cast<std::uint64_t>(fd_),
+                                           g, model_.size())),
+              static_cast<std::int64_t>(model_.size()));
+    inst_.kern().revoke_grant(g);
+    ASSERT_EQ(sync_request(servers::encode(servers::VFS_LSEEK, static_cast<std::uint64_t>(fd_),
+                                           0, 0)),
+              0);
+  }
+
+  /// Send the next op, or the rewind that precedes it at end of file.
+  void send_next() {
+    kernel::Kernel& kern = inst_.kern();
+    outstanding_ = true;
+    seek_ = pos_ == model_.size();
+    if (seek_) {
+      kern.send(ep_, kernel::kVfsEp,
+                servers::encode(servers::VFS_LSEEK, static_cast<std::uint64_t>(fd_), 0, 0));
+      return;
+    }
+    read_ = rng_.below(10) < 7;
+    if (!read_) {
+      std::memset(io_.data(), static_cast<int>((pid_ * 29 + ++writes_) & 0xff), io_.size());
+    }
+    grant_ = kern.make_grant(ep_, kernel::kVfsEp, io_.data(), io_.size(),
+                             read_ ? kernel::Access::kWrite : kernel::Access::kRead);
+    kern.send(ep_, kernel::kVfsEp,
+              servers::encode(read_ ? servers::VFS_READ : servers::VFS_WRITE,
+                              static_cast<std::uint64_t>(fd_), grant_, io_.size()));
+  }
+
+  void on_reply(const kernel::Message& r) override {
+    if (setup_waiting_) {
+      setup_waiting_ = false;
+      setup_status_ = r.sarg(0);
+      return;
+    }
+    outstanding_ = false;
+    last_reply_ = inst_.clock().now();
+    if (seek_) {
+      if (r.sarg(0) != 0) ++failures_;
+      pos_ = 0;
+      send_next();
+      return;
+    }
+    inst_.kern().revoke_grant(grant_);
+    const bool ok = r.sarg(0) == static_cast<std::int64_t>(io_.size()) &&
+                    (!read_ || std::memcmp(io_.data(), model_.data() + pos_, io_.size()) == 0);
+    if (!ok) {
+      ++failures_;
+    } else if (!read_) {
+      std::memcpy(model_.data() + pos_, io_.data(), io_.size());
+    }
+    pos_ += io_.size();
+    if (++done_ < kSweepOpsPerClient) send_next();
+  }
+
+  void on_notify(const kernel::Message&) override {}
+
+  [[nodiscard]] bool finished() const noexcept {
+    return done_ == kSweepOpsPerClient && !outstanding_;
+  }
+  [[nodiscard]] int failures() const noexcept { return failures_; }
+  [[nodiscard]] Tick last_reply() const noexcept { return last_reply_; }
+
+ private:
+  std::int64_t sync_request(const kernel::Message& m) {
+    setup_waiting_ = true;
+    inst_.kern().send(ep_, kernel::kVfsEp, m);
+    while (setup_waiting_) {
+      if (!inst_.kern().dispatch_pending() && !inst_.clock().advance_to_next()) {
+        ADD_FAILURE() << "setup request wedged";
+        return -1;
+      }
+    }
+    return setup_status_;
+  }
+
+  OsInstance& inst_;
+  std::int32_t pid_;
+  Rng rng_;
+  kernel::Endpoint ep_{};
+  std::int64_t fd_ = -1;
+  std::size_t pos_ = 0;
+  std::vector<std::byte> io_;
+  std::vector<std::byte> model_;  // the file's expected contents
+  std::uint64_t writes_ = 0;
+  kernel::GrantId grant_ = 0;
+  bool outstanding_ = false;
+  bool seek_ = false;
+  bool read_ = false;
+  bool setup_waiting_ = false;
+  std::int64_t setup_status_ = 0;
+  int done_ = 0;
+  int failures_ = 0;
+  Tick last_reply_ = 0;
+};
+
+struct SweepCell {
+  int depth = 0;
+  Tick ticks = 0;                    // first request to last reply
+  std::uint64_t high_water = 0;      // FOM in-flight high-water
+  std::uint64_t sync_fallbacks = 0;  // misses served without device latency
+  std::uint64_t device_reads = 0;    // reads the device timed
+  int failures = 0;                  // replies that did not match a client's model
+
+  [[nodiscard]] double ops_per_ktick() const {
+    return static_cast<double>(depth * kSweepOpsPerClient) * 1000.0 / static_cast<double>(ticks);
+  }
+  /// Mean device reads in flight over the run.
+  [[nodiscard]] double reads_in_flight() const {
+    return static_cast<double>(device_reads * kSweepReadTicks) / static_cast<double>(ticks);
+  }
+};
+
+/// One cell of the sweep. Sync fallbacks and device reads count the timed
+/// phase only; setup is sequential, so it adds nothing to the high-water.
+SweepCell run_sweep(int depth, bool fom) {
+  const std::size_t file_blocks =
+      static_cast<std::size_t>(depth) * kSweepFileBytes / fs::kBlockSize;
+  os::OsConfig cfg;
+  cfg.vfs_fom = fom;
+  cfg.disk_blocks = 2 * file_blocks + 2048;
+  cfg.cache_blocks = file_blocks / 8;
+  OsInstance inst(cfg);
+  inst.boot();
+  Rng root(kSweepSeed);
+  std::vector<std::unique_ptr<SweepClient>> clients;
+  for (int i = 0; i < depth; ++i) {
+    clients.push_back(std::make_unique<SweepClient>(inst, i + 1, root.fork()));
+    clients.back()->setup();
+  }
+
+  const Tick start = inst.clock().now();
+  const std::uint64_t fallbacks0 = inst.vfs().fom_stats()->sync_fallbacks;
+  const std::uint64_t reads0 = inst.disk().stats().reads;
+  for (auto& c : clients) c->send_next();
+  const auto all_finished = [&clients] {
+    return std::all_of(clients.begin(), clients.end(),
+                       [](const auto& c) { return c->finished(); });
+  };
+  // Heartbeats keep the clock moving, so a lost reply shows as a run that
+  // overshoots every cell's length by orders of magnitude.
+  while (!all_finished()) {
+    const bool moved = inst.kern().dispatch_pending() || inst.clock().advance_to_next();
+    if (!moved || inst.clock().now() - start > 1'000'000) {
+      ADD_FAILURE() << "sweep wedged at depth " << depth << (fom ? " (fom)" : " (fiber)");
+      break;
+    }
+  }
+
+  SweepCell cell;
+  cell.depth = depth;
+  for (const auto& c : clients) {
+    cell.ticks = std::max(cell.ticks, c->last_reply() - start);
+    cell.failures += c->failures();
+  }
+  cell.high_water = inst.vfs().fom_stats()->in_flight_high_water;
+  cell.sync_fallbacks = inst.vfs().fom_stats()->sync_fallbacks - fallbacks0;
+  cell.device_reads = inst.disk().stats().reads - reads0;
+  return cell;
+}
+
+}  // namespace
+
+TEST(FomExecutor, MissDepthSweepIsExact) {
+  FiGuard guard;
+  struct Pin {
+    int depth;
+    bool fom;
+    Tick ticks;
+    std::uint64_t high_water;
+    std::uint64_t sync_fallbacks;
+    std::uint64_t device_reads;
+  };
+  const Pin pins[] = {
+      {1, false, 5840, 0, 0, 146},    {1, true, 5840, 1, 0, 146},
+      {8, false, 11440, 0, 0, 1134},  {8, true, 6120, 8, 0, 1133},
+      {32, false, 45560, 0, 0, 4556}, {32, true, 6240, 30, 0, 4120},
+  };
+  std::vector<SweepCell> got;
+  for (const Pin& p : pins) {
+    const SweepCell c = run_sweep(p.depth, p.fom);
+    const std::string cell = "depth " + std::to_string(p.depth) + (p.fom ? " fom" : " fiber");
+    EXPECT_EQ(c.failures, 0) << cell;
+    EXPECT_EQ(c.ticks, p.ticks) << cell;
+    EXPECT_EQ(c.high_water, p.high_water) << cell;
+    EXPECT_EQ(c.sync_fallbacks, p.sync_fallbacks) << cell;
+    EXPECT_EQ(c.device_reads, p.device_reads) << cell;
+    got.push_back(c);
+  }
+
+  // The shape the pins encode. Depth 1 has nothing to overlap, so the two
+  // paths tie.
+  EXPECT_EQ(got[0].ticks, got[1].ticks);
+  // The fiber path keeps at most kVfsWorkers reads in flight, and from depth
+  // 8 on it is saturated there: throughput stays flat up to depth 32.
+  const double workers = static_cast<double>(servers::kVfsWorkers);
+  for (const SweepCell& fiber : {got[2], got[4]}) {
+    EXPECT_LE(fiber.reads_in_flight(), workers) << "depth " << fiber.depth;
+    EXPECT_GE(fiber.reads_in_flight(), 0.95 * workers) << "depth " << fiber.depth;
+  }
+  EXPECT_NEAR(got[4].ops_per_ktick(), got[2].ops_per_ktick(), 0.02 * got[2].ops_per_ktick());
+  // The executor parks a request per miss instead, so at depth 32 it
+  // outruns the worker ceiling at least fourfold.
+  EXPECT_GT(got[5].reads_in_flight(), workers);
+  EXPECT_GE(got[5].ops_per_ktick(), 4.0 * got[4].ops_per_ktick());
 }
 
 // --- interleaving property harness ------------------------------------------
