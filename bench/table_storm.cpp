@@ -6,8 +6,9 @@
 // structurally blind to both, so this table measures the *physiological*
 // detector instead: per storm type, how many runs the ladder's storm rung
 // caught (throttle, then quarantine + fault disarm), how many ran starved,
-// and how long detection took from storm onset to the throttle engaging.
-// Control runs (monitor on, nothing armed) pin the false-positive rate to
+// how long detection took from storm onset to the throttle engaging, and how
+// many runs the suite survived with zero failures (detection is not
+// survival). Control runs (nothing armed) pin the false-positive rate to
 // zero.
 //
 // Note on latency units: spin storms freeze the virtual clock (the host
@@ -42,6 +43,7 @@ struct TypeTotals {
   int clean = 0;
   int quarantined = 0;
   int disarmed = 0;
+  int suite_clean = 0;
   std::uint64_t latency_sum = 0;
   Tick latency_max = 0;
 
@@ -55,6 +57,7 @@ struct TypeTotals {
     }
     if (r.quarantined) ++quarantined;
     if (r.disarmed) ++disarmed;
+    if (r.suite_clean) ++suite_clean;
     if (r.cls == StormClass::kDetected) {
       latency_sum += r.detection_latency;
       if (r.detection_latency > latency_max) latency_max = r.detection_latency;
@@ -122,7 +125,7 @@ int main(int argc, char** argv) {
   }
 
   TablePrinter table({"Storm type", "Runs", "Detected", "Starved", "FalsePos",
-                      "Quarantined", "MeanLat", "MaxLat"});
+                      "Quarantined", "MeanLat", "MaxLat", "SuiteClean"});
   for (const auto* row : {&spin, &flood, &control}) {
     const fi::FaultType t = row == &spin    ? fi::FaultType::kHandlerSpin
                             : row == &flood ? fi::FaultType::kChannelFlood
@@ -130,7 +133,8 @@ int main(int argc, char** argv) {
     table.add_row({storm_type_name(t), std::to_string(row->runs),
                    std::to_string(row->detected), std::to_string(row->starved),
                    std::to_string(row->false_positive), std::to_string(row->quarantined),
-                   fmt1(row->latency_mean()), std::to_string(row->latency_max)});
+                   fmt1(row->latency_mean()), std::to_string(row->latency_max),
+                   std::to_string(row->suite_clean)});
   }
   table.print();
   std::printf(
@@ -138,7 +142,10 @@ int main(int argc, char** argv) {
       "starved run means the monitor slept through a storm), FalsePos must\n"
       "be zero everywhere, and quarantined runs disarm the fault so the\n"
       "component readmits clean; latency is in virtual ticks from storm\n"
-      "onset to the throttle engaging\n");
+      "onset to the throttle engaging. SuiteClean counts runs whose suite\n"
+      "completed with zero failures: a detected storm can still cost the\n"
+      "suite, since a throttle on a component that is never parked lasts\n"
+      "for the rest of the run\n");
 
   if (!out_path.empty()) {
     std::FILE* f = std::fopen(out_path.c_str(), "w");
@@ -158,10 +165,12 @@ int main(int argc, char** argv) {
                    "    {\"type\": \"%s\", \"runs\": %d, \"detected\": %d, \"starved\": %d,\n"
                    "     \"false_positive\": %d, \"quarantined\": %d, \"disarmed\": %d,\n"
                    "     \"detection_latency_mean_ticks\": %.1f, "
-                   "\"detection_latency_max_ticks\": %llu}%s\n",
+                   "\"detection_latency_max_ticks\": %llu,\n"
+                   "     \"suite_clean\": %d}%s\n",
                    names[i], r.runs, r.detected, r.starved, r.false_positive, r.quarantined,
                    r.disarmed, r.latency_mean(),
-                   static_cast<unsigned long long>(r.latency_max), i + 1 < 3 ? "," : "");
+                   static_cast<unsigned long long>(r.latency_max), r.suite_clean,
+                   i + 1 < 3 ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

@@ -133,7 +133,8 @@ std::string SystemMetrics::report() const {
     if (fom_reconciles > 0) out += ", " + std::to_string(fom_reconciles) + " reconciles";
     out += "\n";
   }
-  if (fever_onsets > 0 || health_charges > 0 || storm_throttles > 0 || dispatch_aborts > 0) {
+  // Charges alone are routine with recovery on: report fevers, throttles, valve trips.
+  if (fever_onsets > 0 || storm_throttles > 0 || dispatch_aborts > 0) {
     out += "health: " + std::to_string(health_charges) + " charges, " +
            std::to_string(fever_onsets) + " fever onsets, " + std::to_string(throttled_drops) +
            " throttled drops, " + std::to_string(starved_quanta) + " starved quanta, " +

@@ -61,9 +61,9 @@ struct SystemMetrics {
   std::uint64_t shutdowns = 0;
   std::uint64_t fom_reconciles = 0;  // windowed recoveries reconciled by the FOM executor
 
-  // Physiological health monitor + storm rung (DESIGN.md §15). All zero when
-  // cfg.health.enabled is off (the default), except health_charges which
-  // stays zero anyway because the monitor never samples.
+  // Physiological health monitor + storm rung (DESIGN.md §15). All zero on a
+  // machine without recovery; with recovery, charges accrue in every run and
+  // the rest stay zero until a fever.
   std::uint64_t health_charges = 0;    // deliveries charged as non-useful
   std::uint64_t fever_onsets = 0;      // quanta where an endpoint crossed the fever threshold
   std::uint64_t throttled_drops = 0;   // deliveries dropped past a throttled sender's allowance

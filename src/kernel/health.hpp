@@ -1,4 +1,4 @@
-// Physiological health monitor (ROADMAP item 3, DESIGN.md §15).
+// Physiological health monitor (DESIGN.md §15).
 //
 // Crash-shaped faults announce themselves: a trap, a corrupted reply, a
 // heartbeat timeout. A *storm* does not — the component stays live, answers
@@ -38,27 +38,24 @@
 
 namespace osiris::kernel {
 
-struct HealthConfig {
-  bool enabled = false;
-  /// Deliveries (dispatch attempts, including throttled drops) per quantum.
-  std::uint32_t quantum_dispatches = 64;
-  /// Integer EWMA step: ewma += (sample - ewma) >> ewma_shift.
-  std::uint32_t ewma_shift = 2;
-  /// Fever: EWMA of charged deliveries per quantum above this value.
-  std::int64_t fever_threshold = 24;
-  /// Consecutive hot quanta before the first onset fires (one dense quantum
-  /// is a burst; a sustained run of them is a fever).
-  std::uint32_t onset_quanta = 2;
-  /// Hot quanta under an active throttle before escalation re-fires the
-  /// storm handler (the quarantine half of throttle-then-quarantine).
-  std::uint32_t escalate_quanta = 4;
-  /// Deliveries a throttled sender still gets per quantum — a trickle, so a
-  /// persistent fault keeps surfacing and the ladder can escalate on it.
-  std::uint32_t throttle_allowance = 2;
-  /// Quanta spanning more virtual time than this are idle (heartbeat-paced)
-  /// and decay the EWMA instead of sampling the charge counter.
-  std::uint64_t idle_quantum_ticks = 1000;
-};
+/// Deliveries (dispatch attempts, including throttled drops) per quantum.
+inline constexpr std::uint32_t kQuantumDispatches = 64;
+/// Integer EWMA step: ewma += (sample - ewma) >> kEwmaShift.
+inline constexpr std::uint32_t kEwmaShift = 2;
+/// Fever: EWMA of charged deliveries per quantum above this value.
+inline constexpr std::int64_t kFeverThreshold = 24;
+/// Consecutive hot quanta before the first onset fires (one dense quantum is
+/// a burst; a sustained run of them is a fever).
+inline constexpr std::uint32_t kOnsetQuanta = 2;
+/// Hot quanta under an active throttle before escalation re-fires the storm
+/// handler (the quarantine half of throttle-then-quarantine).
+inline constexpr std::uint32_t kEscalateQuanta = 4;
+/// Deliveries a throttled sender still gets per quantum — a trickle, so a
+/// persistent fault keeps surfacing and the ladder can escalate on it.
+inline constexpr std::uint32_t kThrottleAllowance = 2;
+/// Quanta spanning more virtual time than this are idle (heartbeat-paced)
+/// and decay the EWMA instead of sampling the charge counter.
+inline constexpr std::uint64_t kIdleQuantumTicks = 1000;
 
 /// One fever decision the kernel surfaces to the recovery layer.
 struct FeverEvent {
@@ -74,22 +71,19 @@ struct QuantumResult {
 
 class HealthMonitor {
  public:
-  void configure(const HealthConfig& cfg) { cfg_ = cfg; }
-  [[nodiscard]] const HealthConfig& config() const noexcept { return cfg_; }
-  [[nodiscard]] bool enabled() const noexcept { return cfg_.enabled; }
-
   /// Count one delivery toward the current quantum.
   void note_delivery() noexcept { ++fill_; }
-  [[nodiscard]] bool quantum_due() const noexcept {
-    return cfg_.enabled && fill_ >= cfg_.quantum_dispatches;
-  }
+  [[nodiscard]] bool quantum_due() const noexcept { return fill_ >= kQuantumDispatches; }
 
   /// Charge a non-useful delivery to its sender.
   void charge(std::int32_t sender) { ++state_[sender].charged; }
 
   /// Drop a dead endpoint's record, so the map — and every close_quantum
   /// sweep — covers live endpoints only.
-  void forget(std::int32_t ep) { state_.erase(ep); }
+  void forget(std::int32_t ep) {
+    if (is_throttled(ep)) --throttled_;
+    state_.erase(ep);
+  }
   /// Endpoints currently tracked.
   [[nodiscard]] std::size_t tracked() const noexcept { return state_.size(); }
 
@@ -97,6 +91,7 @@ class HealthMonitor {
   // only consults it at the delivery gate) ------------------------------
   void set_throttled(std::int32_t ep, bool on) {
     EpHealth& h = state_[ep];
+    if (h.throttled != on) throttled_ = on ? throttled_ + 1 : throttled_ - 1;
     h.throttled = on;
     h.throttled_hot = 0;
     h.admitted = 0;
@@ -106,11 +101,13 @@ class HealthMonitor {
     return it != state_.end() && it->second.throttled;
   }
   /// A throttled sender's delivery passes only while its per-quantum
-  /// allowance lasts; callers drop (and keep charging) the rest.
+  /// allowance lasts; callers drop (and keep charging) the rest. Runs on
+  /// every delivery, so it returns at once while nothing is throttled.
   [[nodiscard]] bool admit(std::int32_t ep) {
-    EpHealth& h = state_[ep];
-    if (!h.throttled) return true;
-    return ++h.admitted <= cfg_.throttle_allowance;
+    if (throttled_ == 0) return true;
+    auto it = state_.find(ep);
+    if (it == state_.end() || !it->second.throttled) return true;
+    return ++it->second.admitted <= kThrottleAllowance;
   }
 
   /// Close the quantum: fold each endpoint's charge counter into its EWMA,
@@ -118,16 +115,16 @@ class HealthMonitor {
   QuantumResult close_quantum(std::uint64_t now_tick) {
     QuantumResult out;
     const bool idle = last_close_tick_ != 0 &&
-                      now_tick - last_close_tick_ > cfg_.idle_quantum_ticks;
+                      now_tick - last_close_tick_ > kIdleQuantumTicks;
     std::uint64_t charged_total = 0;
     for (auto& [ep, h] : state_) {
       const std::int64_t sample =
           idle ? 0 : static_cast<std::int64_t>(h.charged);
       charged_total += h.charged;
-      h.ewma += (sample - h.ewma) >> cfg_.ewma_shift;
+      h.ewma += (sample - h.ewma) >> kEwmaShift;
       h.charged = 0;
       h.admitted = 0;
-      const bool hot = h.ewma > cfg_.fever_threshold;
+      const bool hot = h.ewma > kFeverThreshold;
       if (!hot) {
         h.hot_quanta = 0;
         h.throttled_hot = 0;
@@ -136,16 +133,16 @@ class HealthMonitor {
       }
       ++h.hot_quanta;
       if (!h.throttled) {
-        if (!h.fevered && h.hot_quanta >= cfg_.onset_quanta) {
+        if (!h.fevered && h.hot_quanta >= kOnsetQuanta) {
           h.fevered = true;
           out.fevers.push_back(FeverEvent{ep, h.ewma, false});
         }
-      } else if (++h.throttled_hot >= cfg_.escalate_quanta) {
+      } else if (++h.throttled_hot >= kEscalateQuanta) {
         h.throttled_hot = 0;
         out.fevers.push_back(FeverEvent{ep, h.ewma, true});
       }
     }
-    out.starved = charged_total * 2 > cfg_.quantum_dispatches;
+    out.starved = charged_total * 2 > kQuantumDispatches;
     fill_ = 0;
     last_close_tick_ = now_tick;
     return out;
@@ -172,8 +169,8 @@ class HealthMonitor {
     bool throttled = false;
   };
 
-  HealthConfig cfg_;
   std::map<std::int32_t, EpHealth> state_;  // ordered: deterministic sweeps
+  std::size_t throttled_ = 0;               // entries with throttled set
   std::uint32_t fill_ = 0;                  // deliveries in the open quantum
   std::uint64_t last_close_tick_ = 0;
 };

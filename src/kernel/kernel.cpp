@@ -255,11 +255,12 @@ bool Kernel::dispatch_pending() {
     queue_.pop_front();
     any = true;
     if (burst_cap_ != 0 && ++delivered > burst_cap_) {
-      // Livelock valve: a self-sustaining message storm (e.g. kHandlerSpin
-      // with detection disabled) keeps this drain loop fed forever — the
+      // Livelock valve: a self-sustaining message storm that nothing
+      // detects (e.g. kHandlerSpin on a machine without recovery, where no
+      // storm handler samples) keeps this drain loop fed forever — the
       // virtual clock never advances while work is pending, so no timeout
       // can fire. Drop the backlog and return; the run loop's step budget
-      // then decides the outcome (a storm campaign classifies it starved).
+      // then decides the outcome.
       ++stats_.dispatch_aborts;
       queue_.clear();
       break;
@@ -281,7 +282,8 @@ bool Kernel::dispatch_pending() {
 }
 
 void Kernel::deliver_to_server(ServerSlot& slot, Endpoint dst, const Message& m) {
-  const bool health_on = health_.enabled();
+  // The health monitor runs exactly when recovery installed a storm handler.
+  const bool health_on = static_cast<bool>(storm_handler_);
   if (health_on) health_.note_delivery();
   if (slot.quarantined) {
     ++stats_.quarantine_rejects;
@@ -376,7 +378,7 @@ void Kernel::health_quantum_tick() {
     OSIRIS_TRACE_EVENT(kFeverOnset, kTraceKernel, static_cast<std::uint64_t>(f.endpoint),
                        static_cast<std::uint64_t>(f.ewma),
                        static_cast<std::uint64_t>(f.escalation));
-    if (storm_handler_) storm_handler_(Endpoint{f.endpoint});
+    storm_handler_(Endpoint{f.endpoint});
   }
 }
 

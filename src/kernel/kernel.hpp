@@ -198,15 +198,13 @@ class Kernel {
 
   // --- physiological health (storm detection; DESIGN.md §15) -----------
 
-  /// Configure the health monitor (default-off). Sampling, sender charging
-  /// and the throttle gate all key off HealthConfig::enabled.
-  void set_health(const HealthConfig& hc) { health_.configure(hc); }
   [[nodiscard]] const HealthMonitor& health() const noexcept { return health_; }
-  [[nodiscard]] HealthMonitor& health() noexcept { return health_; }
 
   /// Recovery-layer callback invoked (at the dispatch boundary, never
   /// nested) when an endpoint's fever crosses threshold or persists under
   /// an active throttle. Wired to recovery::Engine::on_storm by the OS.
+  /// Installing it switches the health monitor on: sampling, sender
+  /// charging and the throttle gate run exactly when a handler is set.
   void set_storm_handler(std::function<void(Endpoint)> handler) {
     storm_handler_ = std::move(handler);
   }

@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "ckpt/context.hpp"
-#include "kernel/health.hpp"
 #include "recovery/ladder.hpp"
 #include "seep/policy.hpp"
 #include "support/clock.hpp"
@@ -19,8 +18,10 @@ struct OsConfig {
   /// kAlways = "without opt", kWindowOnly = optimized (default).
   ckpt::Mode ckpt_mode = ckpt::Mode::kWindowOnly;
 
-  /// Register the recovery engine as the kernel's crash handler. When false
-  /// (pure-performance baselines), any crash wedges the system.
+  /// Register the recovery engine as the kernel's crash and storm handler,
+  /// which also runs the kernel's health monitor (DESIGN.md §15). When false
+  /// (pure-performance baselines), any crash wedges the system and nothing
+  /// samples for storms.
   bool recovery_enabled = true;
 
   /// Heartbeat sweep interval in virtual ticks; 0 disables heartbeats.
@@ -31,8 +32,8 @@ struct OsConfig {
   /// of wedging the system.
   std::uint32_t max_recoveries = 8;
 
-  /// Escalation-ladder tuning: crash-loop detection window, backoff curve,
-  /// and quarantine cooldown (see recovery::LadderConfig).
+  /// Escalation-ladder tuning: rung-1 backoff base and quarantine cooldown
+  /// (see recovery::LadderConfig; the rest of the ladder is constant).
   recovery::LadderConfig ladder;
 
   // Disk geometry (latencies: BlockDevice's 40/60-tick defaults).
@@ -54,11 +55,6 @@ struct OsConfig {
   /// Off by default so every pre-existing scenario — and every golden
   /// trace — is bit-identical.
   bool vfs_fom = false;
-
-  /// Physiological health monitor (DESIGN.md §15): per-endpoint fever
-  /// detection feeding the ladder's storm rung. Off by default so every
-  /// pre-existing scenario — and every golden trace — is bit-identical.
-  kernel::HealthConfig health;
 };
 
 }  // namespace osiris::os

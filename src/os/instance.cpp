@@ -12,9 +12,10 @@ using kernel::Message;
 
 namespace {
 /// Deliveries one kernel drain loop may make before the livelock valve
-/// trips (an undetected self-sustaining storm would otherwise spin the host
-/// forever: the virtual clock stands still while work is pending). Far
-/// above anything a legitimate workload produces.
+/// trips (a self-sustaining storm on a machine without recovery, where no
+/// health monitor runs, would otherwise spin the host forever: the virtual
+/// clock stands still while work is pending). Far above anything a
+/// legitimate workload produces.
 constexpr std::uint64_t kMaxDispatchBurst = 200'000;
 /// Scheduler-step budget: exceeded = the run is classified as hung.
 constexpr std::uint64_t kMaxSteps = 20'000'000;
@@ -146,7 +147,6 @@ void OsInstance::boot() {
   }
 
   kernel_ = std::make_unique<kernel::Kernel>(clock_);
-  kernel_->set_health(cfg_.health);
   kernel_->set_throttle_exempt(&servers::is_throttle_exempt);
   kernel_->set_dispatch_burst_cap(kMaxDispatchBurst);
 
@@ -177,9 +177,10 @@ void OsInstance::boot() {
     components_ = {pm_.get(), vm_.get(), vfs_.get(), ds_.get(), rs_.get()};
     for (recovery::Recoverable* c : components_) engine_->register_component(c);
     rs_->attach_engine(engine_.get());
-    // Fever decisions route into the ladder's storm rung. The handler fires
-    // only at the dispatch boundary (never nested), so the engine may park
-    // the fevered component on the spot.
+    // Fever decisions route into the ladder's storm rung, and installing the
+    // handler is what switches the kernel's health monitor on. The handler
+    // fires only at the dispatch boundary (never nested), so the engine may
+    // park the fevered component on the spot.
     kernel_->set_storm_handler(
         [this](kernel::Endpoint ep) { engine_->on_storm(ep); });
   }

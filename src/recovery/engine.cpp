@@ -82,7 +82,7 @@ void Engine::record_crash(Slot& slot, Tick now, bool was_hang) {
 std::uint32_t Engine::crashes_in_window(const Slot& slot, Tick now) const {
   std::uint32_t n = 0;
   for (std::size_t i = 0; i < slot.history_len; ++i) {
-    if (now - slot.history[i].when <= ladder_.crash_window_ticks) ++n;
+    if (now - slot.history[i].when <= kCrashWindowTicks) ++n;
   }
   return n;
 }
@@ -106,7 +106,7 @@ CrashDecision Engine::on_crash(const CrashContext& ctx) {
   // enforcing the quarantine, e.g. in unit harnesses) is recurring trivially.
   const bool over_budget = slot.recoveries > max_recoveries_;
   const bool recurring = slot.parked || over_budget || now < slot.probation_until ||
-                         crashes_in_window(slot, now) >= ladder_.recurring_threshold;
+                         crashes_in_window(slot, now) >= kRecurringThreshold;
 
   OSIRIS_INFO("recovery", "component %s crashed (%s): policy=%s window=%s class=%s",
               std::string(slot.comp->name()).c_str(), ctx.what.c_str(),
@@ -144,7 +144,7 @@ CrashDecision Engine::escalate(Slot& slot, const CrashContext& ctx, Tick now) {
   Recoverable& comp = *slot.comp;
   const bool over_budget = slot.recoveries > max_recoveries_;
 
-  if (!over_budget && slot.stateless_tries < ladder_.stateless_attempts) {
+  if (!over_budget && slot.stateless_tries < kStatelessAttempts) {
     // Rung 1: microreboot the component, then park it with exponential
     // backoff so a persistent fault cannot re-fire immediately.
     slot.rung = 1;
@@ -152,7 +152,7 @@ CrashDecision Engine::escalate(Slot& slot, const CrashContext& ctx, Tick now) {
     ++stats_.ladder_stateless;
     slot.backoff = slot.backoff == 0
                        ? ladder_.backoff_base_ticks
-                       : std::min(slot.backoff * 2, ladder_.backoff_cap_ticks);
+                       : std::min(slot.backoff * 2, kBackoffCapTicks);
     OSIRIS_TRACE_EVENT(kRecoveryStateless, comp.endpoint().value, slot.backoff, slot.rung);
   } else {
     // Rung 2: quarantine. The cooldown keeps doubling but never drops below
@@ -162,14 +162,14 @@ CrashDecision Engine::escalate(Slot& slot, const CrashContext& ctx, Tick now) {
     ++stats_.quarantines;
     if (over_budget) ++stats_.budget_quarantines;
     slot.backoff = std::max(ladder_.quarantine_cooldown_ticks,
-                            std::min(slot.backoff * 2, ladder_.backoff_cap_ticks));
+                            std::min(slot.backoff * 2, kBackoffCapTicks));
     OSIRIS_TRACE_EVENT(kRecoveryQuarantine, comp.endpoint().value, slot.backoff,
                        over_budget ? 1 : 0);
   }
   OSIRIS_INFO("recovery", "%s crash loop: escalating to rung %u (park %llu ticks, try %u/%u)",
               std::string(comp.name()).c_str(), slot.rung,
               static_cast<unsigned long long>(slot.backoff), slot.stateless_tries,
-              ladder_.stateless_attempts);
+              kStatelessAttempts);
 
   // Both rungs discard the possibly fault-damaged state: the component comes
   // back from its pristine boot image once readmitted.
@@ -178,7 +178,7 @@ CrashDecision Engine::escalate(Slot& slot, const CrashContext& ctx, Tick now) {
   // The probation deadline outlives the park: crashes shortly after
   // readmission stay classified as recurring even though the sliding window
   // has slid past the pre-park crash burst.
-  slot.probation_until = now + slot.backoff + ladder_.crash_window_ticks;
+  slot.probation_until = now + slot.backoff + kCrashWindowTicks;
   kernel_.quarantine(comp.endpoint());
   announce_park(comp.endpoint(), slot.backoff, slot.rung);
 
@@ -221,15 +221,15 @@ void Engine::on_storm(Endpoint ep) {
   ++stats_.storm_quarantines;
   if (fi::Registry::instance().disarm_storms_for(ep.value)) ++stats_.storm_disarms;
   slot.rung = 2;
-  slot.backoff = std::max(ladder_.storm_cooldown_ticks,
-                          std::min(slot.backoff * 2, ladder_.backoff_cap_ticks));
+  slot.backoff = std::max(kStormCooldownTicks,
+                          std::min(slot.backoff * 2, kBackoffCapTicks));
   OSIRIS_TRACE_EVENT(kRecoveryQuarantine, ep.value, slot.backoff, /*budget=*/0);
   OSIRIS_INFO("recovery", "%s storm persists under throttle: quarantining for %llu ticks",
               std::string(slot.comp->name()).c_str(),
               static_cast<unsigned long long>(slot.backoff));
   reset_to_boot_image(slot);
   slot.parked = true;
-  slot.probation_until = now + slot.backoff + ladder_.crash_window_ticks;
+  slot.probation_until = now + slot.backoff + kCrashWindowTicks;
   kernel_.quarantine(ep);
   kernel_.unthrottle(ep);  // quarantine supersedes the throttle
   announce_park(ep, slot.backoff, slot.rung);

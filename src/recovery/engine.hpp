@@ -121,7 +121,6 @@ class Engine {
 
   [[nodiscard]] seep::Policy policy() const noexcept { return policy_; }
   [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const LadderConfig& ladder() const noexcept { return ladder_; }
 
   /// Bytes pre-allocated for a component's spare clone (Table VI).
   [[nodiscard]] std::size_t clone_bytes(kernel::Endpoint ep) const;

@@ -17,28 +17,66 @@ namespace osiris::workload {
 
 namespace {
 
-SuiteResult run_suite_fresh(seep::Policy policy) {
+os::OsConfig config_for(seep::Policy policy) {
   os::OsConfig cfg;
   cfg.policy = policy;
+  return cfg;
+}
+
+/// The one campaign run: a fresh machine under `cfg` runs the suite. `arm`
+/// gets the calling thread's probe registry after boot, so boot-time
+/// executions cannot trigger the fault (plans are drawn from post-boot
+/// profiles anyway). `judge(inst, suite)` reads the finished machine before
+/// the registry is disarmed, and its verdict is returned. Each worker owns
+/// an isolated registry, so concurrent runs never see each other's state.
+template <typename Arm, typename Judge>
+auto run_armed(const os::OsConfig& cfg, Arm arm, Judge judge) {
+  fi::Registry& reg = fi::Registry::instance();
+  reg.disarm();
+  reg.reset_counts();
   os::OsInstance inst(cfg);
   register_suite_programs(inst.programs());
   inst.boot();
-  return run_suite(inst);
+  arm(reg);
+  const SuiteResult suite = run_suite(inst);
+  auto verdict = judge(inst, suite);
+  reg.disarm();
+  return verdict;
+}
+
+/// Run `one(i)` for every plan index on opts.jobs workers. Workers write
+/// disjoint, pre-sized slots, so results are indexed by plan position —
+/// and byte-identical across jobs settings — whatever the completion order.
+template <typename Result, typename One>
+std::vector<Result> run_sharded(std::size_t n, const CampaignOptions& opts, One one) {
+  std::vector<Result> results(n);
+  int done = 0;
+  std::mutex progress_mu;
+  support::WorkerPool::run_indexed(n, opts.jobs, [&](std::size_t i) {
+    results[i] = one(i);
+    if (opts.progress) {
+      // Increment under the same lock as the callback so `done` is
+      // strictly monotonic in call order, not just in total.
+      const std::lock_guard<std::mutex> lock(progress_mu);
+      opts.progress(++done, static_cast<int>(n));
+    }
+  });
+  return results;
 }
 
 }  // namespace
 
 std::vector<std::pair<fi::Site*, std::uint64_t>> profile_sites() {
-  fi::Registry& reg = fi::Registry::instance();
-  reg.disarm();
-  reg.reset_counts();
-  (void)run_suite_fresh(seep::Policy::kEnhanced);
-  std::vector<std::pair<fi::Site*, std::uint64_t>> out;
-  for (fi::Site* s : fi::Registry::sites()) {
-    const std::uint64_t hits = reg.hits(s);
-    if (hits > 0) out.emplace_back(s, hits);
-  }
-  return out;
+  return run_armed(
+      config_for(seep::Policy::kEnhanced), [](fi::Registry&) {},
+      [](os::OsInstance&, const SuiteResult&) {
+        std::vector<std::pair<fi::Site*, std::uint64_t>> out;
+        for (fi::Site* s : fi::Registry::sites()) {
+          const std::uint64_t hits = fi::Registry::instance().hits(s);
+          if (hits > 0) out.emplace_back(s, hits);
+        }
+        return out;
+      });
 }
 
 std::vector<Injection> plan_failstop(int points_per_site) {
@@ -88,47 +126,34 @@ std::vector<Injection> plan_edfi(std::uint64_t seed, int injections_per_site) {
 
 RunClass run_one_injection(seep::Policy policy, const Injection& inj, std::string* trace_out,
                            const CampaignOptions& opts) {
-  // The calling thread's registry: each worker owns an isolated probe
-  // runtime, so concurrent injections never see each other's state.
-  fi::Registry& reg = fi::Registry::instance();
-  reg.disarm();
-  reg.reset_counts();
-
-  os::OsConfig cfg;
-  cfg.policy = policy;
+  os::OsConfig cfg = config_for(policy);
   cfg.vfs_fom = opts.vfs_fom;
   if (opts.cache_blocks != 0) cfg.cache_blocks = opts.cache_blocks;
 #if OSIRIS_TRACE_ENABLED
   cfg.trace_enabled = trace_out != nullptr;
 #endif
-  os::OsInstance inst(cfg);
-  register_suite_programs(inst.programs());
-  inst.boot();
-  // Arm only after boot so boot-time executions cannot trigger the fault
-  // (the plan was drawn from post-boot profiles anyway).
-  reg.arm(inj.site, inj.type, inj.trigger_hit);
-  const SuiteResult suite = run_suite(inst);
-  reg.disarm();
-
+  return run_armed(
+      cfg, [&](fi::Registry& reg) { reg.arm(inj.site, inj.type, inj.trigger_hit); },
+      [&]([[maybe_unused]] os::OsInstance& inst, const SuiteResult& suite) {
 #if OSIRIS_TRACE_ENABLED
-  if (trace_out != nullptr && inst.tracer() != nullptr) {
-    *trace_out = trace::format_text(inst.tracer()->merged(), *inst.tracer());
-  }
+        if (trace_out != nullptr && inst.tracer() != nullptr) {
+          *trace_out = trace::format_text(inst.tracer()->merged(), *inst.tracer());
+        }
 #else
-  if (trace_out != nullptr) trace_out->clear();
+        if (trace_out != nullptr) trace_out->clear();
 #endif
-
-  switch (suite.outcome) {
-    case os::OsInstance::Outcome::kShutdown:
-      return RunClass::kShutdown;
-    case os::OsInstance::Outcome::kCrashed:
-    case os::OsInstance::Outcome::kHung:
-      return RunClass::kCrash;
-    case os::OsInstance::Outcome::kCompleted:
-      if (!suite.driver_completed) return RunClass::kCrash;
-      return suite.failed == 0 ? RunClass::kPass : RunClass::kFail;
-  }
-  return RunClass::kCrash;
+        switch (suite.outcome) {
+          case os::OsInstance::Outcome::kShutdown:
+            return RunClass::kShutdown;
+          case os::OsInstance::Outcome::kCrashed:
+          case os::OsInstance::Outcome::kHung:
+            return RunClass::kCrash;
+          case os::OsInstance::Outcome::kCompleted:
+            if (!suite.driver_completed) return RunClass::kCrash;
+            return suite.failed == 0 ? RunClass::kPass : RunClass::kFail;
+        }
+        return RunClass::kCrash;
+      });
 }
 
 unsigned campaign_jobs(unsigned requested) {
@@ -137,24 +162,11 @@ unsigned campaign_jobs(unsigned requested) {
 
 std::vector<RunClass> run_plan(seep::Policy policy, const std::vector<Injection>& plan,
                                const CampaignOptions& opts) {
-  std::vector<RunClass> classes(plan.size(), RunClass::kCrash);
   if (opts.traces != nullptr) opts.traces->assign(plan.size(), std::string());
-  int done = 0;
-  std::mutex progress_mu;
-
-  support::WorkerPool::run_indexed(
-      plan.size(), opts.jobs, [&](std::size_t i) {
-        // Workers write disjoint, pre-sized slots: no lock needed.
-        std::string* trace_out = opts.traces != nullptr ? &(*opts.traces)[i] : nullptr;
-        classes[i] = run_one_injection(policy, plan[i], trace_out, opts);
-        if (opts.progress) {
-          // Increment under the same lock as the callback so `done` is
-          // strictly monotonic in call order, not just in total.
-          const std::lock_guard<std::mutex> lock(progress_mu);
-          opts.progress(++done, static_cast<int>(plan.size()));
-        }
-      });
-  return classes;
+  return run_sharded<RunClass>(plan.size(), opts, [&](std::size_t i) {
+    std::string* trace_out = opts.traces != nullptr ? &(*opts.traces)[i] : nullptr;
+    return run_one_injection(policy, plan[i], trace_out, opts);
+  });
 }
 
 CampaignTotals run_campaign(seep::Policy policy, const std::vector<Injection>& plan,
@@ -186,54 +198,34 @@ std::vector<Injection> plan_recurring() {
   return plan;
 }
 
-RecurringClass run_one_recurring(seep::Policy policy, const Injection& inj) {
-  fi::Registry& reg = fi::Registry::instance();
-  reg.disarm();
-  reg.reset_counts();
-
-  os::OsConfig cfg;
-  cfg.policy = policy;
-  os::OsInstance inst(cfg);
-  register_suite_programs(inst.programs());
-  inst.boot();
-  reg.arm_persistent(inj.site, inj.type, inj.trigger_hit);
-  const SuiteResult suite = run_suite(inst);
-  reg.disarm();
-
-  // Default config always enables recovery, so the engine exists.
-  const std::uint64_t quarantines = inst.engine().stats().quarantines;
-  switch (suite.outcome) {
-    case os::OsInstance::Outcome::kShutdown:
-      return RecurringClass::kShutdown;
-    case os::OsInstance::Outcome::kCrashed:
-    case os::OsInstance::Outcome::kHung:
-      return RecurringClass::kWedged;
-    case os::OsInstance::Outcome::kCompleted:
-      if (!suite.driver_completed) return RecurringClass::kWedged;
-      // Surviving by quarantine (or with residual failures) is degraded-but-
-      // alive — the machine is up, a component is parked or misbehaving.
-      return (quarantines == 0 && suite.failed == 0) ? RecurringClass::kRecovered
-                                                     : RecurringClass::kDegraded;
-  }
-  return RecurringClass::kWedged;
-}
-
 std::vector<RecurringClass> run_recurring_plan(seep::Policy policy,
                                                const std::vector<Injection>& plan,
                                                const CampaignOptions& opts) {
-  std::vector<RecurringClass> classes(plan.size(), RecurringClass::kWedged);
-  int done = 0;
-  std::mutex progress_mu;
-
-  support::WorkerPool::run_indexed(
-      plan.size(), opts.jobs, [&](std::size_t i) {
-        classes[i] = run_one_recurring(policy, plan[i]);
-        if (opts.progress) {
-          const std::lock_guard<std::mutex> lock(progress_mu);
-          opts.progress(++done, static_cast<int>(plan.size()));
-        }
-      });
-  return classes;
+  return run_sharded<RecurringClass>(plan.size(), opts, [&](std::size_t i) {
+    const Injection& inj = plan[i];
+    return run_armed(
+        config_for(policy),
+        [&](fi::Registry& reg) { reg.arm_persistent(inj.site, inj.type, inj.trigger_hit); },
+        [](os::OsInstance& inst, const SuiteResult& suite) {
+          // Default config always enables recovery, so the engine exists.
+          const std::uint64_t quarantines = inst.engine().stats().quarantines;
+          switch (suite.outcome) {
+            case os::OsInstance::Outcome::kShutdown:
+              return RecurringClass::kShutdown;
+            case os::OsInstance::Outcome::kCrashed:
+            case os::OsInstance::Outcome::kHung:
+              return RecurringClass::kWedged;
+            case os::OsInstance::Outcome::kCompleted:
+              if (!suite.driver_completed) return RecurringClass::kWedged;
+              // Surviving by quarantine (or with residual failures) is
+              // degraded-but-alive — the machine is up, a component is
+              // parked or misbehaving.
+              return (quarantines == 0 && suite.failed == 0) ? RecurringClass::kRecovered
+                                                             : RecurringClass::kDegraded;
+          }
+          return RecurringClass::kWedged;
+        });
+  });
 }
 
 RecurringTotals run_recurring_campaign(seep::Policy policy,
@@ -318,89 +310,47 @@ std::vector<StormInjection> plan_storm() {
     flood.victim = victim;
     plan.push_back(flood);
   }
-  // Control runs: monitor on, nothing armed. Any fever here is a false
+  // Control runs: nothing armed. Any fever here is a false
   // positive; the acceptance bar is zero.
   plan.push_back(StormInjection{});
   plan.push_back(StormInjection{});
   return plan;
 }
 
-StormResult run_one_storm(seep::Policy policy, const StormInjection& s) {
-  fi::Registry& reg = fi::Registry::instance();
-  reg.disarm();
-  reg.reset_counts();
-
-  os::OsConfig cfg;
-  cfg.policy = policy;
-  cfg.health.enabled = true;
-  os::OsInstance inst(cfg);
-  register_suite_programs(inst.programs());
-  inst.boot();
-  if (s.site != nullptr) {
-    reg.set_storm_plan(s.victim, s.burst);
-    reg.arm_persistent(s.site, s.type, s.trigger_hit);
-  }
-  const SuiteResult suite = run_suite(inst);
-  const bool fired = reg.storm_fired();
-  reg.disarm();
-
-  const recovery::EngineStats& es = inst.engine().stats();
-  const kernel::KernelStats& ks = inst.kern().stats();
-  StormResult r;
-  r.fever_onsets = ks.fever_onsets;
-  r.throttled_drops = ks.throttled_drops;
-  r.quarantined = es.storm_quarantines > 0;
-  r.disarmed = es.storm_disarms > 0;
-  r.suite_clean = suite.outcome == os::OsInstance::Outcome::kCompleted &&
-                  suite.driver_completed && suite.failed == 0;
-  if (!fired) {
-    // Nothing stormed: a fever is the monitor crying wolf.
-    r.cls = ks.fever_onsets > 0 ? StormClass::kFalsePositive : StormClass::kClean;
-  } else if (es.storm_detected) {
-    r.cls = StormClass::kDetected;
-    r.detection_latency = es.detection_latency_ticks;
-  } else {
-    r.cls = StormClass::kStarved;
-  }
-  return r;
-}
-
 std::vector<StormResult> run_storm_plan(seep::Policy policy,
                                         const std::vector<StormInjection>& plan,
                                         const CampaignOptions& opts) {
-  std::vector<StormResult> results(plan.size());
-  int done = 0;
-  std::mutex progress_mu;
-
-  support::WorkerPool::run_indexed(
-      plan.size(), opts.jobs, [&](std::size_t i) {
-        results[i] = run_one_storm(policy, plan[i]);
-        if (opts.progress) {
-          const std::lock_guard<std::mutex> lock(progress_mu);
-          opts.progress(++done, static_cast<int>(plan.size()));
-        }
-      });
-  return results;
-}
-
-StormTotals run_storm_campaign(seep::Policy policy, const std::vector<StormInjection>& plan,
-                               const CampaignOptions& opts) {
-  const std::vector<StormResult> results = run_storm_plan(policy, plan, opts);
-  StormTotals totals;
-  for (const StormResult& r : results) {
-    switch (r.cls) {
-      case StormClass::kDetected: ++totals.detected; break;
-      case StormClass::kStarved: ++totals.starved; break;
-      case StormClass::kFalsePositive: ++totals.false_positive; break;
-      case StormClass::kClean: ++totals.clean; break;
-    }
-    if (r.cls == StormClass::kDetected) {
-      totals.latency_sum += r.detection_latency;
-      totals.latency_max = std::max(totals.latency_max, r.detection_latency);
-      ++totals.latency_n;
-    }
-  }
-  return totals;
+  return run_sharded<StormResult>(plan.size(), opts, [&](std::size_t i) {
+    const StormInjection& s = plan[i];
+    return run_armed(
+        config_for(policy),
+        [&](fi::Registry& reg) {
+          if (s.site == nullptr) return;  // control run
+          reg.set_storm_plan(s.victim, s.burst);
+          reg.arm_persistent(s.site, s.type, s.trigger_hit);
+        },
+        [](os::OsInstance& inst, const SuiteResult& suite) {
+          const recovery::EngineStats& es = inst.engine().stats();
+          const kernel::KernelStats& ks = inst.kern().stats();
+          StormResult r;
+          r.fever_onsets = ks.fever_onsets;
+          r.throttled_drops = ks.throttled_drops;
+          r.quarantined = es.storm_quarantines > 0;
+          r.disarmed = es.storm_disarms > 0;
+          r.suite_clean = suite.outcome == os::OsInstance::Outcome::kCompleted &&
+                          suite.driver_completed && suite.failed == 0;
+          if (!fi::Registry::instance().storm_fired()) {
+            // Nothing stormed: a fever is the monitor crying wolf.
+            r.cls = ks.fever_onsets > 0 ? StormClass::kFalsePositive : StormClass::kClean;
+          } else if (es.storm_detected) {
+            r.cls = StormClass::kDetected;
+            r.detection_latency = es.detection_latency_ticks;
+          } else {
+            r.cls = StormClass::kStarved;
+          }
+          return r;
+        });
+  });
 }
 
 }  // namespace osiris::workload

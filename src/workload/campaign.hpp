@@ -119,14 +119,6 @@ std::vector<RunClass> run_plan(seep::Policy policy, const std::vector<Injection>
 CampaignTotals run_campaign(seep::Policy policy, const std::vector<Injection>& plan,
                             const CampaignOptions& opts = {});
 
-/// Back-compat shim for the (policy, plan, progress) call shape.
-inline CampaignTotals run_campaign(seep::Policy policy, const std::vector<Injection>& plan,
-                                   const std::function<void(int, int)>& progress) {
-  CampaignOptions opts;
-  opts.progress = progress;
-  return run_campaign(policy, plan, opts);
-}
-
 // --- recurring-fault campaigns (escalation ladder / quarantine) -----------
 //
 // Persistent injections model deterministic bugs: the fault re-fires after
@@ -171,9 +163,6 @@ struct RecurringTotals {
 /// triggered site, armed in persistent mode (re-fires after each recovery).
 std::vector<Injection> plan_recurring();
 
-/// Run one persistent injection under a policy and bucket its fate.
-RecurringClass run_one_recurring(seep::Policy policy, const Injection& inj);
-
 /// Apply a recurring plan; the returned vector is indexed by plan position
 /// regardless of jobs (same determinism contract as run_plan).
 std::vector<RecurringClass> run_recurring_plan(seep::Policy policy,
@@ -191,7 +180,7 @@ RecurringTotals run_recurring_campaign(seep::Policy policy,
 // host: the component stays live and keeps answering heartbeats while it
 // burns dispatches or floods a peer. Crash/hang detection is structurally
 // blind to them, so a storm run is bucketed by whether the *physiological
-// health monitor* caught it:
+// health monitor* — part of every machine with recovery — caught it:
 //   detected       — the ladder's storm rung engaged (throttle, possibly
 //                    followed by quarantine + fault disarm);
 //   starved        — the storm fired but the monitor never reacted: the
@@ -214,8 +203,8 @@ enum class StormClass : std::uint8_t { kDetected, kStarved, kFalsePositive, kCle
 
 /// One storm injection: a persistent storm fault at `site`, plus the storm
 /// shape (flood victim endpoint and burst size). `site == nullptr` is a
-/// control run — health monitoring on, nothing armed — whose only legitimate
-/// outcome is kClean.
+/// control run — the same machine with nothing armed — whose only
+/// legitimate outcome is kClean.
 struct StormInjection {
   const fi::Site* site = nullptr;
   fi::FaultType type = fi::FaultType::kNone;
@@ -242,46 +231,15 @@ struct StormResult {
   }
 };
 
-struct StormTotals {
-  int detected = 0;
-  int starved = 0;
-  int false_positive = 0;
-  int clean = 0;
-  // Detection-latency aggregate over the kDetected runs.
-  std::uint64_t latency_sum = 0;
-  Tick latency_max = 0;
-  int latency_n = 0;
-
-  [[nodiscard]] int total() const { return detected + starved + false_positive + clean; }
-  [[nodiscard]] double latency_mean() const {
-    return latency_n == 0 ? 0.0
-                          : static_cast<double>(latency_sum) / static_cast<double>(latency_n);
-  }
-
-  friend bool operator==(const StormTotals& a, const StormTotals& b) {
-    return a.detected == b.detected && a.starved == b.starved &&
-           a.false_positive == b.false_positive && a.clean == b.clean &&
-           a.latency_sum == b.latency_sum && a.latency_max == b.latency_max &&
-           a.latency_n == b.latency_n;
-  }
-};
-
 /// Draw the storm plan: per subsystem tag, one spin and one flood injection
 /// planted on the tag's hottest profiled site (the storm should ride the
 /// component's busiest path so it engages mid-suite), plus control runs.
 std::vector<StormInjection> plan_storm();
 
-/// Run one storm injection (health monitor enabled) and bucket its fate.
-StormResult run_one_storm(seep::Policy policy, const StormInjection& s);
-
-/// Apply a storm plan; indexed by plan position regardless of jobs (same
-/// determinism contract as run_plan).
+/// Apply a storm plan and bucket each run's fate; indexed by plan position
+/// regardless of jobs (same determinism contract as run_plan).
 std::vector<StormResult> run_storm_plan(seep::Policy policy,
                                         const std::vector<StormInjection>& plan,
                                         const CampaignOptions& opts = {});
-
-/// run_storm_plan + order-independent merge into detection totals.
-StormTotals run_storm_campaign(seep::Policy policy, const std::vector<StormInjection>& plan,
-                               const CampaignOptions& opts = {});
 
 }  // namespace osiris::workload

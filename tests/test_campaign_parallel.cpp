@@ -7,7 +7,6 @@
 // campaigns are minutes; this is seconds).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <set>
@@ -167,27 +166,9 @@ TEST(CampaignParallel, StormCampaignJobsDoNotChangeResults) {
   ASSERT_EQ(par.size(), plan.size());
   for (std::size_t i = 0; i < plan.size(); ++i) {
     EXPECT_EQ(ref[i], par[i]) << "storm run " << i << " diverged under --jobs=4";
+    EXPECT_NE(ref[i].cls, workload::StormClass::kFalsePositive)
+        << "storm run " << i << " saw a false positive";
   }
-
-  const workload::StormTotals totals =
-      workload::run_storm_campaign(seep::Policy::kEnhanced, plan, parallel);
-  workload::StormTotals expect;
-  for (const workload::StormResult& r : ref) {
-    switch (r.cls) {
-      case workload::StormClass::kDetected:
-        ++expect.detected;
-        expect.latency_sum += r.detection_latency;
-        expect.latency_max = std::max<std::uint64_t>(expect.latency_max, r.detection_latency);
-        ++expect.latency_n;
-        break;
-      case workload::StormClass::kStarved: ++expect.starved; break;
-      case workload::StormClass::kFalsePositive: ++expect.false_positive; break;
-      case workload::StormClass::kClean: ++expect.clean; break;
-    }
-  }
-  EXPECT_TRUE(totals == expect);
-  EXPECT_EQ(totals.total(), static_cast<int>(plan.size()));
-  EXPECT_EQ(expect.false_positive, 0) << "storm campaign saw a false positive";
 }
 
 TEST(CampaignParallel, ProgressIsSerializedAndMonotonic) {

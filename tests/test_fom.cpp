@@ -478,12 +478,12 @@ TEST(FomExecutor, HealthMonitorCountsResumesAsUsefulWork) {
   // VFS resumes a parked FOM from its own VFS_DEV_DONE self-notification. A
   // resume re-runs a real request, so the health monitor must neither charge
   // it as storm traffic nor drop it at the throttle gate: a dropped resume
-  // strands its reader forever (the run would end kHung).
+  // strands its reader forever (the run would end kHung). The monitor comes
+  // with recovery, so a default machine runs it; it must have sampled.
   FiGuard guard;
   os::OsConfig cfg;
   cfg.vfs_fom = true;
   cfg.cache_blocks = 4;
-  cfg.health.enabled = true;
   os::OsInstance inst(cfg);
   workload::register_suite_programs(inst.programs());
   inst.boot();
@@ -494,6 +494,7 @@ TEST(FomExecutor, HealthMonitorCountsResumesAsUsefulWork) {
   EXPECT_EQ(fs.resumes, fs.parks);
   EXPECT_EQ(fs.completed, fs.admitted);
   const kernel::KernelStats& ks = inst.kern().stats();
+  EXPECT_GT(ks.health_charges, 0u) << "the monitor never sampled";
   EXPECT_EQ(ks.throttled_drops, 0u);
   EXPECT_EQ(ks.fever_onsets, 0u);
 }
@@ -1118,10 +1119,12 @@ TEST(FomRecovery, QuarantineWithLiveFomsAbortsThemAndSystemSurvives) {
 
 // --- composition matrix: health monitor x FOM executor -----------------------
 //
-// Every combination of the two default-off runtime extensions runs the full
+// Every combination of the health monitor and the FOM executor runs the full
 // suite and the three-reader cold-read scenario, each on a fresh machine
-// with a cache small enough that the FOM cells really park. No storm is
-// armed, so any fever in a health-on cell is a false positive.
+// with a cache small enough that the FOM cells really park. The monitor runs
+// exactly on machines with recovery, so a health-off cell is a recovery-off
+// machine. No storm is armed, so any fever in a health-on cell is a false
+// positive.
 
 namespace {
 
@@ -1129,6 +1132,7 @@ struct CellRun {
   workload::SuiteResult suite;
   OsInstance::Outcome cold = OsInstance::Outcome::kCompleted;
   servers::FomStats fom;          // summed over both machines
+  std::uint64_t health_charges = 0;
   std::uint64_t fever_onsets = 0;
   std::uint64_t throttled_drops = 0;
   std::string trace;  // both machines' merged text traces; empty unless traced
@@ -1140,7 +1144,7 @@ template <typename Drive>
 void run_machine(bool health, bool fom, bool traced, CellRun& r, Drive drive) {
   fi::Registry::instance().reset_counts();
   os::OsConfig cfg;
-  cfg.health.enabled = health;
+  cfg.recovery_enabled = health;
   cfg.vfs_fom = fom;
   cfg.cache_blocks = 4;
   cfg.trace_enabled = traced;
@@ -1153,6 +1157,7 @@ void run_machine(bool health, bool fom, bool traced, CellRun& r, Drive drive) {
   r.fom.completed += fs.completed;
   r.fom.parks += fs.parks;
   r.fom.resumes += fs.resumes;
+  r.health_charges += inst.kern().stats().health_charges;
   r.fever_onsets += inst.kern().stats().fever_onsets;
   r.throttled_drops += inst.kern().stats().throttled_drops;
 #if OSIRIS_TRACE_ENABLED
@@ -1185,6 +1190,11 @@ TEST_P(HealthFomMatrixP, SuiteAndColdReadsComplete) {
     EXPECT_GT(r.fom.parks, 0u);
     EXPECT_EQ(r.fom.resumes, r.fom.parks);
     EXPECT_EQ(r.fom.completed, r.fom.admitted);
+  }
+  if (health) {
+    EXPECT_GT(r.health_charges, 0u) << "the monitor never sampled";
+  } else {
+    EXPECT_EQ(r.health_charges, 0u) << "a machine without recovery sampled";
   }
   EXPECT_EQ(r.fever_onsets, 0u);
   EXPECT_EQ(r.throttled_drops, 0u);

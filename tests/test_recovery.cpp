@@ -184,7 +184,7 @@ TEST_F(EngineFixture, SpacedTransientCrashesStayOnPolicyRung) {
     EXPECT_EQ(engine.on_crash(crash_ctx(kernel::kPmEp)).action, CrashAction::kErrorReply);
     EXPECT_EQ(engine.rung_of(kernel::kPmEp), 0u);
     // Isolated faults, far apart in virtual time: always below the rate.
-    clock.spin(engine.ladder().crash_window_ticks + 1);
+    clock.spin(recovery::kCrashWindowTicks + 1);
   }
   EXPECT_EQ(engine.stats().transient_crashes, 5u);
   EXPECT_EQ(engine.stats().recurring_crashes, 0u);
@@ -264,12 +264,11 @@ TEST_F(EngineFixture, ParkWithoutRsIsReadmittedByClockFallback) {
 }
 
 TEST_F(EngineFixture, ProbationKeepsPostReadmitCrashesRecurring) {
-  // Long parks must not launder a crash loop back into "transient": a tiny
-  // rate window with a backoff longer than it would otherwise forget the
-  // pre-park burst entirely.
+  // Long parks must not launder a crash loop back into "transient": a
+  // backoff longer than the rate window would otherwise forget the pre-park
+  // burst entirely.
   recovery::LadderConfig ladder;
-  ladder.crash_window_ticks = 10;
-  ladder.backoff_base_ticks = 100;
+  ladder.backoff_base_ticks = recovery::kCrashWindowTicks + 1000;
   FakeComponent comp(seep::Policy::kEnhanced, kernel::kPmEp);
   recovery::Engine engine(kern, classification, seep::Policy::kEnhanced,
                           /*max_recoveries_per_component=*/32, ladder);
@@ -280,14 +279,16 @@ TEST_F(EngineFixture, ProbationKeepsPostReadmitCrashesRecurring) {
   }
   ASSERT_EQ(engine.rung_of(kernel::kPmEp), 1u);
   const auto recurring_before = engine.stats().recurring_crashes;
+  const auto transient_before = engine.stats().transient_crashes;
 
   // Serve the cooldown, readmit, and crash again: the burst has slid out of
-  // the 10-tick rate window, but probation still classifies it as recurring.
-  clock.spin(100);
+  // the rate window, but probation still classifies the crash as recurring.
+  clock.spin(ladder.backoff_base_ticks);
   engine.readmit(kernel::kPmEp);
   comp.begin_request_and_mutate(9);
   engine.on_crash(crash_ctx(kernel::kPmEp));
   EXPECT_EQ(engine.stats().recurring_crashes, recurring_before + 1);
+  EXPECT_EQ(engine.stats().transient_crashes, transient_before);
   EXPECT_EQ(engine.rung_of(kernel::kPmEp), 1u);  // second rung-1 attempt
   EXPECT_TRUE(engine.is_parked(kernel::kPmEp));
 }

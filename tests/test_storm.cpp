@@ -13,7 +13,9 @@
 #include <vector>
 
 #include "kernel/health.hpp"
+#include "kernel/kernel.hpp"
 #include "os/instance.hpp"
+#include "support/clock.hpp"
 #include "workload/campaign.hpp"
 #include "workload/suite.hpp"
 
@@ -40,15 +42,15 @@ struct StormRun {
   bool armed_after_suite = false;  // storm fault still armed when the suite ended
 };
 
-/// One suite run with the health monitor on and (optionally) a storm armed —
-/// the same shape as workload::run_one_storm, but exposing the raw stats.
+/// One suite run on a default machine, whose recovery brings the health
+/// monitor with it, with a storm optionally armed — the same shape as a
+/// workload::run_storm_plan run, but exposing the raw stats.
 StormRun run_storm_scenario(const workload::StormInjection& s) {
   fi::Registry& reg = fi::Registry::instance();
   reg.disarm();
   reg.reset_counts();
 
   os::OsConfig cfg;
-  cfg.health.enabled = true;
   os::OsInstance inst(cfg);
   workload::register_suite_programs(inst.programs());
   inst.boot();
@@ -84,111 +86,150 @@ StormRun run_storm_scenario(const workload::StormInjection& s) {
 }  // namespace
 
 // --- HealthMonitor unit level ---------------------------------------------
+//
+// These run the production constants (kernel/health.hpp): 64-delivery
+// quanta, EWMA shift 2, fever threshold 24, onset after 2 hot quanta,
+// escalation after 4, a throttle allowance of 2, idle above 1000 ticks.
 
 namespace {
 
-kernel::HealthConfig tiny_config() {
-  kernel::HealthConfig c;
-  c.enabled = true;
-  c.quantum_dispatches = 8;
-  c.ewma_shift = 1;       // fast fold: ewma += (sample - ewma) / 2
-  c.fever_threshold = 3;
-  c.onset_quanta = 2;
-  c.escalate_quanta = 2;
-  c.throttle_allowance = 1;
-  c.idle_quantum_ticks = 100;
-  return c;
-}
-
 /// Fill and close one quantum with `charges` charged deliveries to `ep`.
-kernel::QuantumResult quantum(kernel::HealthMonitor& h, std::int32_t ep, int charges,
+kernel::QuantumResult quantum(kernel::HealthMonitor& h, std::int32_t ep, std::uint32_t charges,
                               std::uint64_t now) {
-  for (std::uint32_t i = 0; i < h.config().quantum_dispatches; ++i) h.note_delivery();
-  for (int i = 0; i < charges; ++i) h.charge(ep);
+  for (std::uint32_t i = 0; i < kernel::kQuantumDispatches; ++i) h.note_delivery();
+  for (std::uint32_t i = 0; i < charges; ++i) h.charge(ep);
   EXPECT_TRUE(h.quantum_due());
   return h.close_quantum(now);
 }
 
+constexpr std::uint32_t kAll = kernel::kQuantumDispatches;  // every delivery charged
+
+/// A server whose every delivery is non-useful: no reply, no window.
+class SilentServer : public kernel::IServer {
+ public:
+  [[nodiscard]] std::string_view name() const override { return "silent"; }
+  std::optional<kernel::Message> dispatch(const kernel::Message&) override { return {}; }
+};
+
+class NullClient : public kernel::IClient {
+ public:
+  void on_reply(const kernel::Message&) override {}
+  void on_notify(const kernel::Message&) override {}
+};
+
 }  // namespace
 
 TEST(HealthMonitor, DisabledMonitorNeverSamples) {
-  kernel::HealthMonitor h;  // default config: enabled = false
-  for (int i = 0; i < 1000; ++i) h.note_delivery();
-  EXPECT_FALSE(h.quantum_due());
+  // The kernel's monitor is disabled until a storm handler is installed
+  // (OsInstance installs one iff recovery is on). Until then a client's
+  // stream of non-useful deliveries charges nothing and never fills a
+  // quantum; installing a handler switches the same stream on.
+  VirtualClock clock;
+  kernel::Kernel kern{clock};
+  SilentServer server;
+  NullClient client;
+  kern.register_server(kernel::kPmEp, &server);
+  const kernel::Endpoint client_ep = kern.register_client(&client);
+  const auto stream = [&] {
+    for (int i = 0; i < 1000; ++i) kern.send(client_ep, kernel::kPmEp, kernel::make_msg(0x42));
+    kern.dispatch_pending();
+  };
+
+  stream();
+  EXPECT_EQ(kern.stats().server_dispatches, 1000u);
+  EXPECT_EQ(kern.stats().health_charges, 0u);
+  EXPECT_EQ(kern.health().tracked(), 0u);
+  EXPECT_FALSE(kern.health().quantum_due());
+
+  int fevers = 0;
+  kern.set_storm_handler([&](kernel::Endpoint ep) {
+    EXPECT_EQ(ep.value, client_ep.value);
+    ++fevers;
+  });
+  stream();
+  EXPECT_EQ(kern.stats().health_charges, 1000u);
+  EXPECT_EQ(kern.health().tracked(), 1u);
+  EXPECT_EQ(fevers, 1);
 }
 
 TEST(HealthMonitor, SustainedChargesCrossThresholdAfterOnsetQuanta) {
   kernel::HealthMonitor h;
-  h.configure(tiny_config());
-  // Sample 6 > threshold 3, shift 1: ewma 3, then 4 (hot), then 5 (hot).
-  EXPECT_TRUE(quantum(h, 7, 6, 10).fevers.empty());   // ewma 3: not hot yet
-  EXPECT_TRUE(quantum(h, 7, 6, 20).fevers.empty());   // ewma 4: hot #1 of 2
-  const kernel::QuantumResult r = quantum(h, 7, 6, 30);  // hot #2 -> onset
+  // Every delivery charged, shift 2: ewma 16, then 28 (hot), then 37 (hot).
+  EXPECT_TRUE(quantum(h, 7, kAll, 10).fevers.empty());  // ewma 16: not hot yet
+  EXPECT_EQ(h.ewma(7), 16);
+  EXPECT_TRUE(quantum(h, 7, kAll, 20).fevers.empty());  // ewma 28: hot #1 of 2
+  const kernel::QuantumResult r = quantum(h, 7, kAll, 30);  // hot #2 -> onset
   ASSERT_EQ(r.fevers.size(), 1u);
   EXPECT_EQ(r.fevers[0].endpoint, 7);
+  EXPECT_EQ(r.fevers[0].ewma, 37);
   EXPECT_FALSE(r.fevers[0].escalation);
   EXPECT_TRUE(h.fevered(7));
   // The onset is an edge, not a level: staying hot does not re-fire it.
-  EXPECT_TRUE(quantum(h, 7, 6, 40).fevers.empty());
+  EXPECT_TRUE(quantum(h, 7, kAll, 40).fevers.empty());
 }
 
 TEST(HealthMonitor, SingleBurstQuantumIsNotAFever) {
   kernel::HealthMonitor h;
-  h.configure(tiny_config());
-  // One dense quantum, then quiet: the EWMA spike decays without an onset.
-  EXPECT_TRUE(quantum(h, 4, 8, 10).fevers.empty());
-  for (int q = 0; q < 8; ++q) EXPECT_TRUE(quantum(h, 4, 0, 20 + q).fevers.empty());
+  // Two dense quanta (ewma 16, then 28: one hot quantum, short of the
+  // onset), then quiet: the EWMA spike decays without an onset.
+  EXPECT_TRUE(quantum(h, 4, kAll, 10).fevers.empty());
+  EXPECT_TRUE(quantum(h, 4, kAll, 20).fevers.empty());
+  EXPECT_GT(h.ewma(4), kernel::kFeverThreshold);
+  for (int q = 0; q < 16; ++q) EXPECT_TRUE(quantum(h, 4, 0, 30 + q).fevers.empty());
   EXPECT_EQ(h.ewma(4), 0);
   EXPECT_FALSE(h.fevered(4));
 }
 
 TEST(HealthMonitor, IdleQuantaDecayInsteadOfCharging) {
   kernel::HealthMonitor h;
-  h.configure(tiny_config());
-  // Quanta spanning > idle_quantum_ticks are heartbeat-paced idle: even
+  // Quanta spanning > kIdleQuantumTicks are heartbeat-paced idle: even
   // wall-to-wall charged traffic (pings/pongs open no windows) must decay.
+  // The first quantum has no predecessor, so it samples (ewma 16).
   std::uint64_t now = 10;
   for (int q = 0; q < 10; ++q) {
-    now += 500;  // 500 > idle_quantum_ticks (100): idle quantum
-    EXPECT_TRUE(quantum(h, 5, 8, now).fevers.empty()) << "idle quantum " << q;
+    now += kernel::kIdleQuantumTicks + 500;
+    EXPECT_TRUE(quantum(h, 5, kAll, now).fevers.empty()) << "idle quantum " << q;
   }
   EXPECT_EQ(h.ewma(5), 0);
 }
 
 TEST(HealthMonitor, ThrottleAllowanceAndEscalation) {
   kernel::HealthMonitor h;
-  h.configure(tiny_config());
   EXPECT_TRUE(h.admit(9));  // unthrottled: always admitted
   h.set_throttled(9, true);
   EXPECT_TRUE(h.is_throttled(9));
-  EXPECT_TRUE(h.admit(9));   // allowance = 1
+  for (std::uint32_t i = 0; i < kernel::kThrottleAllowance; ++i) EXPECT_TRUE(h.admit(9));
   EXPECT_FALSE(h.admit(9));  // past the allowance: caller drops
-  // Hot under throttle for escalate_quanta (2) quanta -> escalation event.
-  EXPECT_TRUE(quantum(h, 9, 6, 10).fevers.empty());  // ewma 3: not hot
-  EXPECT_TRUE(quantum(h, 9, 6, 20).fevers.empty());  // ewma 4: throttled-hot #1
-  const kernel::QuantumResult r = quantum(h, 9, 6, 30);  // throttled-hot #2
+  EXPECT_TRUE(h.admit(8)) << "a throttle gates only its own endpoint";
+  // Hot under throttle for 4 quanta (ewma 28, 37, 43, 48) -> escalation.
+  EXPECT_TRUE(quantum(h, 9, kAll, 10).fevers.empty());  // ewma 16: not hot
+  for (std::uint32_t q = 1; q < kernel::kEscalateQuanta; ++q) {
+    EXPECT_TRUE(quantum(h, 9, kAll, 10 + 10 * q).fevers.empty()) << "throttled-hot #" << q;
+  }
+  const kernel::QuantumResult r = quantum(h, 9, kAll, 100);
   ASSERT_EQ(r.fevers.size(), 1u);
   EXPECT_TRUE(r.fevers[0].escalation);
   // close_quantum resets the allowance each quantum.
   EXPECT_TRUE(h.admit(9));
   h.set_throttled(9, false);
   EXPECT_FALSE(h.is_throttled(9));
+  for (std::uint32_t i = 0; i <= kernel::kThrottleAllowance; ++i) EXPECT_TRUE(h.admit(9));
 }
 
 TEST(HealthMonitor, StarvationFlagsQuantaDominatedByCharges) {
   kernel::HealthMonitor h;
-  h.configure(tiny_config());
-  EXPECT_FALSE(quantum(h, 3, 4, 10).starved);  // 4*2 == 8: not strictly >
-  EXPECT_TRUE(quantum(h, 3, 5, 20).starved);
+  EXPECT_FALSE(quantum(h, 3, kAll / 2, 10).starved);  // exactly half: not strictly >
+  EXPECT_TRUE(quantum(h, 3, kAll / 2 + 1, 20).starved);
 }
 
 // --- full-system scenarios ------------------------------------------------
 
 TEST(Storm, HandlerSpinMasksHeartbeatsButNotTheMonitor) {
-  // The satellite regression: a spinning handler still answers every
-  // heartbeat ping, so the hang sweep stays silent — zero hangs — while the
-  // physiological monitor flags the same component as feverish and the
-  // ladder's storm rung engages.
+  // A spinning handler still answers every heartbeat ping, so the hang
+  // sweep stays silent — zero hangs — while the physiological monitor flags
+  // the same component as feverish and the ladder's storm rung engages. The
+  // machine is a default OsConfig with no health setting anywhere: the
+  // monitor comes with recovery.
   const workload::StormInjection spin = storm_entry(fi::FaultType::kHandlerSpin, "pm");
   ASSERT_NE(spin.site, nullptr);
   const StormRun r = run_storm_scenario(spin);
@@ -239,6 +280,7 @@ TEST(Storm, CleanSuiteProducesZeroFalsePositives) {
   // decay rule exist to uphold.
   const StormRun r = run_storm_scenario(workload::StormInjection{});
 
+  EXPECT_GT(r.ks.health_charges, 0u) << "the monitor never sampled";
   EXPECT_EQ(r.ks.fever_onsets, 0u) << "health monitor cried wolf on a clean run";
   EXPECT_EQ(r.es.storm_throttles, 0u);
   EXPECT_EQ(r.es.storm_quarantines, 0u);
@@ -247,13 +289,15 @@ TEST(Storm, CleanSuiteProducesZeroFalsePositives) {
   EXPECT_EQ(r.failed, 0);
 }
 
-TEST(Storm, HealthMonitoringOffIsFreeAndSilent) {
-  // The default configuration must be bit-identical to the pre-storm world:
-  // no charges, no onsets, no drops, suite green.
+TEST(Storm, RecoveryOffMachineNeverSamples) {
+  // The monitor is part of recovery: a machine without it (the Table IV/V
+  // pure-performance baselines) installs no storm handler, so the kernel
+  // neither samples nor charges, and its suite run is the pre-monitor one.
   fi::Registry& reg = fi::Registry::instance();
   reg.disarm();
   reg.reset_counts();
-  os::OsConfig cfg;  // health.enabled defaults to false
+  os::OsConfig cfg;
+  cfg.recovery_enabled = false;
   os::OsInstance inst(cfg);
   workload::register_suite_programs(inst.programs());
   inst.boot();
@@ -262,21 +306,25 @@ TEST(Storm, HealthMonitoringOffIsFreeAndSilent) {
   EXPECT_EQ(inst.kern().stats().health_charges, 0u);
   EXPECT_EQ(inst.kern().stats().fever_onsets, 0u);
   EXPECT_EQ(inst.kern().stats().throttled_drops, 0u);
+  EXPECT_EQ(inst.kern().health().tracked(), 0u);
   EXPECT_EQ(suite.outcome, os::OsInstance::Outcome::kCompleted);
   EXPECT_EQ(suite.failed, 0);
 }
 
 TEST(Storm, MonitorTracksLiveEndpointsOnly) {
-  // Every sender gets a health record; an exiting client's must go with it,
-  // or the map (and each close_quantum sweep over it) grows by one entry per
-  // process ever run. Sampled after each reap, when the only live client is
-  // init itself, the tracked count may cover at most the servers plus init,
-  // and must not drift across a thousand fork+exit rounds.
+  // Every charged sender gets a health record; an exiting client's must go
+  // with it, or the map (and each close_quantum sweep over it) grows by one
+  // entry per process ever run. Without recovery windows (the naive policy)
+  // a deferred wait_pid reply leaves the request's delivery charged to the
+  // waiting client, so each child below, which waits on a grandchild, is
+  // charged. Sampled after each reap, when the only live client is init
+  // itself, the tracked count may cover at most the servers plus init, and
+  // must not drift across a thousand rounds.
   fi::Registry& reg = fi::Registry::instance();
   reg.disarm();
   reg.reset_counts();
   os::OsConfig cfg;
-  cfg.health.enabled = true;
+  cfg.policy = seep::Policy::kNaive;
   os::OsInstance inst(cfg);
   workload::register_suite_programs(inst.programs());
   inst.boot();
@@ -287,8 +335,14 @@ TEST(Storm, MonitorTracksLiveEndpointsOnly) {
   std::vector<std::size_t> tracked;
   const auto outcome = inst.run([&](os::ISys& sys) {
     for (int round = 1; round <= 1000; ++round) {
-      const std::int64_t pid =
-          sys.fork([](os::ISys& child) { child.exit(child.getpid() > 0 ? 0 : 1); });
+      const std::int64_t pid = sys.fork([](os::ISys& child) {
+        const std::int64_t grandchild = child.fork([](os::ISys& g) {
+          for (int i = 0; i < 3; ++i) (void)g.getpid();  // outlive the parent's wait_pid
+          g.exit(0);
+        });
+        std::int64_t status = -1;
+        child.exit(child.wait_pid(grandchild, &status) == grandchild && status == 0 ? 0 : 1);
+      });
       std::int64_t status = -1;
       if (sys.wait_pid(pid, &status) != pid || status != 0) sys.exit(1);
       if (round % 250 == 0) tracked.push_back(inst.kern().health().tracked());

@@ -11,6 +11,7 @@
 // regenerate with: OSIRIS_REGOLDEN=1 ./osiris_trace_tests && git diff
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -63,6 +64,7 @@ struct TraceRun {
   std::string landmarks_text;          // unsequenced text of the landmarks
   std::string full_text;               // sequenced text of everything
   std::string ipc_text;                // unsequenced text of the IPC events
+  std::uint64_t health_charges = 0;    // deliveries the health monitor charged
 };
 
 /// Boot a traced instance (after `tweak`), arm via `arm`, run `body`.
@@ -93,6 +95,7 @@ TraceRun run_traced(const std::function<void(os::OsConfig&)>& tweak,
       r.events, {EventKind::kIpcSend, EventKind::kIpcNotify, EventKind::kIpcCall,
                  EventKind::kIpcDeliver});
   r.ipc_text = trace::format_text_unsequenced(ipc, tracer);
+  r.health_charges = inst.kern().stats().health_charges;
   return r;
 }
 
@@ -258,7 +261,7 @@ TEST(TraceGolden, StormDetectionFeverThrottleQuarantine) {
   ASSERT_NE(site, nullptr);
 
   const TraceRun r = run_traced(
-      [](os::OsConfig& cfg) { cfg.health.enabled = true; },
+      nullptr,
       [&](fi::Registry& reg) {
         reg.set_storm_plan(/*victim=*/-1, /*burst=*/4);
         reg.arm_persistent(site, fi::FaultType::kHandlerSpin, 10);
@@ -285,9 +288,11 @@ TEST(TraceGolden, StormDetectionFeverThrottleQuarantine) {
 }
 
 // --- Zero false positives: the monitor must not perturb the crash goldens ---
-// Re-run the rung-2 ladder scenario with health monitoring ON: the landmark
-// stream must match the same golden byte-for-byte (no FeverOnset, no
-// Throttle), proving legitimate crash-recovery churn never reads as a storm.
+// The rung-2 ladder scenario runs under the health monitor, as every machine
+// with recovery does. The monitor must be live (it charged deliveries) and
+// the landmark stream must match the same golden byte-for-byte (no
+// FeverOnset, no Throttle), proving legitimate crash-recovery churn never
+// reads as a storm.
 TEST(TraceGolden, HealthMonitorIsSilentThroughLadderScenario) {
   FiGuard guard;
   const auto profile = [](ISys& sys) {
@@ -298,7 +303,6 @@ TEST(TraceGolden, HealthMonitorIsSilentThroughLadderScenario) {
 
   const TraceRun r = run_traced(
       [](os::OsConfig& cfg) {
-        cfg.health.enabled = true;  // the only delta vs LadderQuarantineParkAndReadmit
         cfg.ladder.backoff_base_ticks = 50;
         cfg.ladder.quarantine_cooldown_ticks = 400;
       },
@@ -308,6 +312,7 @@ TEST(TraceGolden, HealthMonitorIsSilentThroughLadderScenario) {
       });
 
   EXPECT_EQ(r.outcome, OsInstance::Outcome::kCompleted);
+  EXPECT_GT(r.health_charges, 0u) << "the monitor never sampled";
   EXPECT_TRUE(expect_absent(r.landmarks, Pat{EventKind::kFeverOnset}));
   EXPECT_TRUE(expect_absent(r.landmarks, Pat{EventKind::kRecoveryThrottle}));
   EXPECT_TRUE(trace_test::check_golden("ladder_quarantine_readmit.trace", r.landmarks_text));

@@ -109,7 +109,6 @@ ScenarioResult run_scenario(const std::string& name, std::size_t ring_capacity) 
     site = busiest_site("ds", [](ISys& sys) {
       for (int i = 0; i < 30; ++i) sys.ds_publish("trace.key", 1);
     });
-    cfg.health.enabled = true;  // the monitor is the detector for this one
     body = [](ISys& sys) {
       for (int i = 0; i < 200; ++i) sys.ds_publish("trace.key", static_cast<std::uint64_t>(i));
     };
