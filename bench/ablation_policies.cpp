@@ -10,10 +10,10 @@
 #include <cstdlib>
 
 #include "campaign_cli.hpp"
+#include "core/metrics.hpp"
 #include "support/table_printer.hpp"
 #include "support/worker_pool.hpp"
 #include "workload/campaign.hpp"
-#include "workload/coverage.hpp"
 
 using namespace osiris;
 using namespace osiris::workload;
@@ -26,23 +26,23 @@ int main(int argc, char** argv) {
   // The three coverage suites are independent simulators: shard them too.
   const seep::Policy cov_policies[] = {seep::Policy::kPessimistic, seep::Policy::kEnhanced,
                                        seep::Policy::kExtended};
-  CoverageReport cov_reports[3];
+  core::SystemMetrics cov_runs[3];
   support::WorkerPool::run_indexed(3, opts.jobs, [&](std::size_t i) {
-    cov_reports[i] = measure_coverage(cov_policies[i]);
+    cov_runs[i] = core::snapshot_suite(cov_policies[i]).metrics;
   });
-  const auto& pess = cov_reports[0];
-  const auto& enh = cov_reports[1];
-  const auto& ext = cov_reports[2];
+  const auto& pess = cov_runs[0];
+  const auto& enh = cov_runs[1];
+  const auto& ext = cov_runs[2];
 
   TablePrinter cov({"Server", "Pessimistic", "Enhanced", "Extended (SVII)"});
-  for (std::size_t i = 0; i < pess.servers.size(); ++i) {
-    cov.add_row({pess.servers[i].server, TablePrinter::pct(pess.servers[i].coverage),
-                 TablePrinter::pct(enh.servers[i].coverage),
-                 TablePrinter::pct(ext.servers[i].coverage)});
+  for (std::size_t i = 0; i < pess.components.size(); ++i) {
+    cov.add_row({pess.components[i].name, TablePrinter::pct(pess.components[i].recovery_coverage),
+                 TablePrinter::pct(enh.components[i].recovery_coverage),
+                 TablePrinter::pct(ext.components[i].recovery_coverage)});
   }
   cov.add_separator();
-  cov.add_row({"weighted mean", TablePrinter::pct(pess.weighted_mean),
-               TablePrinter::pct(enh.weighted_mean), TablePrinter::pct(ext.weighted_mean)});
+  cov.add_row({"weighted mean", TablePrinter::pct(pess.weighted_coverage),
+               TablePrinter::pct(enh.weighted_coverage), TablePrinter::pct(ext.weighted_coverage)});
   cov.print();
 
   const int sample =

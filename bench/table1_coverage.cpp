@@ -11,9 +11,9 @@
 #include <cstdio>
 
 #include "campaign_cli.hpp"
+#include "core/metrics.hpp"
 #include "support/table_printer.hpp"
 #include "support/worker_pool.hpp"
-#include "workload/coverage.hpp"
 
 using namespace osiris;
 
@@ -23,27 +23,27 @@ int main(int argc, char** argv) {
   // One isolated suite run per policy; with --jobs>1 they run concurrently
   // (each on its own worker thread/simulator).
   const seep::Policy policies[] = {seep::Policy::kPessimistic, seep::Policy::kEnhanced};
-  workload::CoverageReport reports[2];
+  core::SuiteSnapshot runs[2];
   support::WorkerPool::run_indexed(2, bench::parse_jobs(argc, argv), [&](std::size_t i) {
-    reports[i] = workload::measure_coverage(policies[i]);
+    runs[i] = core::snapshot_suite(policies[i]);
   });
-  const auto& pess = reports[0];
-  const auto& enh = reports[1];
+  const core::SystemMetrics& pess = runs[0].metrics;
+  const core::SystemMetrics& enh = runs[1].metrics;
 
   TablePrinter table({"Server", "Pessimistic", "Enhanced", "Probe hits"});
-  double pess_mean = pess.weighted_mean;
-  double enh_mean = enh.weighted_mean;
-  for (std::size_t i = 0; i < pess.servers.size(); ++i) {
-    table.add_row({pess.servers[i].server, TablePrinter::pct(pess.servers[i].coverage),
-                   TablePrinter::pct(enh.servers[i].coverage),
-                   std::to_string(enh.servers[i].total_hits)});
+  for (std::size_t i = 0; i < pess.components.size(); ++i) {
+    table.add_row({pess.components[i].name, TablePrinter::pct(pess.components[i].recovery_coverage),
+                   TablePrinter::pct(enh.components[i].recovery_coverage),
+                   std::to_string(enh.components[i].probe_hits)});
   }
   table.add_separator();
-  table.add_row({"weighted mean", TablePrinter::pct(pess_mean), TablePrinter::pct(enh_mean), ""});
+  table.add_row({"weighted mean", TablePrinter::pct(pess.weighted_coverage),
+                 TablePrinter::pct(enh.weighted_coverage), ""});
   table.print();
 
   std::printf("\npaper: weighted mean 57.7%% (pessimistic) / 68.4%% (enhanced);\n"
               "       DS lowest->highest across policies, VFS/VM policy-independent\n");
-  std::printf("suite: %d passed, %d failed (must be 89/0)\n", enh.suite_passed, enh.suite_failed);
-  return enh.suite_failed == 0 ? 0 : 1;
+  const workload::SuiteResult& suite = runs[1].suite;
+  std::printf("suite: %d passed, %d failed (must be 89/0)\n", suite.passed, suite.failed);
+  return suite.failed == 0 ? 0 : 1;
 }

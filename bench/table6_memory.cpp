@@ -9,24 +9,20 @@
 // reproduces.
 #include <cstdio>
 
-#include "os/instance.hpp"
+#include "core/metrics.hpp"
 #include "support/table_printer.hpp"
 #include "workload/unixbench.hpp"
 
 using namespace osiris;
 using namespace osiris::workload;
 
-namespace {
+int main() {
+  std::printf("Table VI — per-component memory overhead (bytes)\n\n");
 
-struct Totals {
-  std::size_t base = 0, clone = 0, log = 0;
-};
-
-/// Boot, drive every unixbench workload once inside one machine so each
-/// server's undo-log high-water mark reflects its busiest request, then print
-/// the per-component byte columns.
-Totals run_config(const os::OsConfig& cfg) {
-  os::OsInstance inst(cfg);
+  // Drive every unixbench workload once inside one machine (enhanced policy,
+  // window-gated instrumentation) so each server's undo-log high-water mark
+  // reflects its busiest request.
+  os::OsInstance inst{os::OsConfig{}};
   register_ub_programs(inst.programs());
   inst.boot();
   const auto outcome = inst.run([](os::ISys& sys) {
@@ -37,34 +33,22 @@ Totals run_config(const os::OsConfig& cfg) {
   OSIRIS_ASSERT(outcome == os::OsInstance::Outcome::kCompleted);
 
   TablePrinter table({"Server", "Base state", "+clone", "+undo log (max)", "Total overhead"});
-  Totals t;
-  for (recovery::Recoverable* comp : inst.components()) {
-    const std::size_t base = comp->data_section_size();
-    const std::size_t clone = inst.engine().clone_bytes(comp->endpoint());
-    const std::size_t log = comp->ckpt_context().log().stats().max_log_bytes;
-    t.base += base;
-    t.clone += clone;
-    t.log += log;
-    table.add_row({std::string(comp->name()), std::to_string(base), std::to_string(clone),
-                   std::to_string(log), std::to_string(clone + log)});
+  std::size_t base = 0, clone = 0, log = 0;
+  for (const core::ComponentMetrics& c : core::collect_metrics(inst).components) {
+    base += c.state_bytes;
+    clone += c.clone_bytes;
+    log += c.max_undo_log_bytes;
+    table.add_row({c.name, std::to_string(c.state_bytes), std::to_string(c.clone_bytes),
+                   std::to_string(c.max_undo_log_bytes),
+                   std::to_string(c.clone_bytes + c.max_undo_log_bytes)});
   }
   table.add_separator();
-  table.add_row({"total", std::to_string(t.base), std::to_string(t.clone), std::to_string(t.log),
-                 std::to_string(t.clone + t.log)});
+  table.add_row({"total", std::to_string(base), std::to_string(clone), std::to_string(log),
+                 std::to_string(clone + log)});
   table.print();
-  return t;
-}
-
-}  // namespace
-
-int main() {
-  os::OsConfig cfg;  // enhanced policy, window-gated instrumentation
-  std::printf("Table VI — per-component memory overhead (bytes)\n\n");
-  const Totals t = run_config(cfg);
 
   const double factor =
-      t.base > 0 ? static_cast<double>(t.base + t.clone + t.log) / static_cast<double>(t.base)
-                 : 0.0;
+      base > 0 ? static_cast<double>(base + clone + log) / static_cast<double>(base) : 0.0;
   std::printf("\nmemory usage factor vs base: %.1fx (paper: ~6x for the five servers)\n",
               factor);
   std::printf("paper shape: VM dominates both the clone pre-allocation and the\n"

@@ -32,7 +32,6 @@ class Context {
   Context& operator=(const Context&) = delete;
 
   [[nodiscard]] Mode mode() const noexcept { return mode_; }
-  void set_mode(Mode m) noexcept { mode_ = m; }
 
   [[nodiscard]] UndoLog& log() noexcept { return log_; }
   [[nodiscard]] const UndoLog& log() const noexcept { return log_; }

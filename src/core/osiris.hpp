@@ -11,8 +11,7 @@
 //   auto outcome = machine.run([](osiris::os::ISys& sys) { ... });
 //
 // plus, for experiments, the fault-injection registry (osiris::fi), the
-// campaign/coverage drivers (osiris::workload) and the metrics snapshot
-// below.
+// campaign drivers (osiris::workload) and the metrics snapshot (osiris::core).
 #pragma once
 
 #include "ckpt/cell.hpp"
@@ -30,6 +29,5 @@
 #include "seep/window.hpp"
 #include "servers/protocol.hpp"
 #include "workload/campaign.hpp"
-#include "workload/coverage.hpp"
 #include "workload/suite.hpp"
 #include "workload/unixbench.hpp"

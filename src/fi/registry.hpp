@@ -137,7 +137,7 @@ class Registry {
   /// A storm probe never throws: instead it *records* the firing here and
   /// ServerBase picks it up after the dispatch returns, turning it into a
   /// self-notification burst (kHandlerSpin) or a flood pump against
-  /// `storm_victim` (kChannelFlood). `storm_owner` is the endpoint whose
+  /// `storm_victim` (kChannelFlood). The storm's owner is the endpoint whose
   /// code hosts the armed probe — the component quarantine must silence.
   struct StormPlan {
     FaultType type = FaultType::kNone;
@@ -173,7 +173,6 @@ class Registry {
   /// persistent faults are left armed — recurring-crash campaigns depend on
   /// them surviving recovery. Returns true if something was disarmed.
   bool disarm_storms_for(int endpoint);
-  [[nodiscard]] int storm_owner() const noexcept { return storm_owner_; }
   /// True while a storm fault armed at `endpoint`'s probe is still live —
   /// the flood pump polls this to know when to stop rescheduling itself.
   [[nodiscard]] bool storm_armed_for(int endpoint) const noexcept {

@@ -87,7 +87,6 @@ std::int64_t MiniFs::mount() {
   store_.read_block(0, std::span<std::byte, kBlockSize>(blk));
   std::memcpy(&sb_, blk, sizeof sb_);
   if (sb_.magic != kFsMagic || sb_.data_start >= sb_.nblocks) return E_INVAL;
-  mounted_ = true;
   return OK;
 }
 

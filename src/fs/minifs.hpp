@@ -98,7 +98,6 @@ class MiniFs {
   /// Read and validate the superblock. Returns OK or E_INVAL.
   std::int64_t mount();
 
-  [[nodiscard]] bool mounted() const noexcept { return mounted_; }
   [[nodiscard]] const SuperBlock& super() const noexcept { return sb_; }
 
   // --- namespace operations (all return negative Errno on failure) -----
@@ -153,7 +152,6 @@ class MiniFs {
 
   BlockStore& store_;
   SuperBlock sb_{};
-  bool mounted_ = false;
 };
 
 }  // namespace osiris::fs

@@ -26,10 +26,6 @@ class IServer {
   /// message needs no reply). May throw FailStopFault.
   virtual std::optional<Message> dispatch(const Message& msg) = 0;
 
-  /// True while the server is processing deferred work (e.g. worker threads
-  /// blocked on disk I/O). Used by the scheduler's idle detection.
-  [[nodiscard]] virtual bool has_pending_work() const { return false; }
-
   /// Monotonic useful-work counter sampled by the health monitor around
   /// each dispatch: recovery windows opened plus deferred replies sent. A
   /// dispatch that moves neither is physiologically idle — if a component

@@ -46,12 +46,6 @@ void Kernel::unregister_client(Endpoint ep) {
 }
 
 bool Kernel::is_server(Endpoint ep) const { return servers_.count(ep.value) != 0; }
-bool Kernel::is_client(Endpoint ep) const { return clients_.count(ep.value) != 0; }
-
-IServer* Kernel::server_at(Endpoint ep) const {
-  auto it = servers_.find(ep.value);
-  return it == servers_.end() ? nullptr : it->second.srv;
-}
 
 void Kernel::send(Endpoint src, Endpoint dst, Message m) {
   if (state_ != SystemState::kRunning) return;
@@ -177,11 +171,6 @@ GrantId Kernel::make_grant(Endpoint owner, Endpoint grantee, std::byte* base, st
 void Kernel::revoke_grant(GrantId id) {
   auto it = grants_.find(id);
   if (it != grants_.end()) it->second.revoked = true;
-}
-
-std::size_t Kernel::grant_size(GrantId id) const {
-  auto it = grants_.find(id);
-  return it == grants_.end() ? 0 : it->second.len;
 }
 
 const Grant* Kernel::check_grant(Endpoint grantee, GrantId id, std::size_t offset,

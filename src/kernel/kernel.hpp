@@ -112,8 +112,6 @@ class Kernel {
   void unregister_client(Endpoint ep);
 
   [[nodiscard]] bool is_server(Endpoint ep) const;
-  [[nodiscard]] bool is_client(Endpoint ep) const;
-  [[nodiscard]] IServer* server_at(Endpoint ep) const;
 
   // --- IPC -------------------------------------------------------------
 
@@ -143,7 +141,6 @@ class Kernel {
                              std::size_t len);
   std::int64_t safecopy_to(Endpoint grantee, GrantId id, std::size_t offset, const void* src,
                            std::size_t len);
-  [[nodiscard]] std::size_t grant_size(GrantId id) const;
 
   /// Zero-copy: a validated direct span over the grant region, so bulk
   /// payloads skip the staging buffer + safecopy. Same checks (and error

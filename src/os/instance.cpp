@@ -171,10 +171,10 @@ void OsInstance::boot() {
 
   vfs_->mount();
 
+  components_ = {pm_.get(), vm_.get(), vfs_.get(), ds_.get(), rs_.get()};
   if (cfg_.recovery_enabled) {
     engine_ = std::make_unique<recovery::Engine>(*kernel_, classification_, cfg_.policy,
                                                  cfg_.max_recoveries, cfg_.ladder);
-    components_ = {pm_.get(), vm_.get(), vfs_.get(), ds_.get(), rs_.get()};
     for (recovery::Recoverable* c : components_) engine_->register_component(c);
     rs_->attach_engine(engine_.get());
     // Fever decisions route into the ladder's storm rung, and installing the

@@ -71,7 +71,7 @@ class UserProc final : public kernel::IClient {
   kernel::Message reply_;
   bool killed_ = false;
   std::uint64_t pending_sig_mask_ = 0;
-  std::uint64_t handled_mask_ = 0;  // user-side handlers installed
+  std::uint64_t handled_mask_ = 0;  // signals the process catches (sigaction)
   std::int64_t exit_status_ = 0;
 };
 
@@ -106,7 +106,11 @@ class OsInstance {
   servers::Ds& ds() noexcept { return *ds_; }
   servers::Rs& rs() noexcept { return *rs_; }
   servers::SysTask& sys_task() noexcept { return *sys_; }
-  recovery::Engine& engine() noexcept { return *engine_; }
+  /// The recovery engine; only a machine with cfg.recovery_enabled has one.
+  recovery::Engine& engine() noexcept {
+    OSIRIS_ASSERT(engine_ != nullptr);
+    return *engine_;
+  }
   fs::BlockDevice& disk() noexcept { return *disk_; }
 #if OSIRIS_TRACE_ENABLED
   /// This machine's tracer, or nullptr when cfg.trace_enabled is false.
@@ -116,7 +120,8 @@ class OsInstance {
   [[nodiscard]] std::uint64_t steps() const noexcept { return steps_; }
   [[nodiscard]] const std::string& halt_reason() const { return kernel_->halt_reason(); }
 
-  /// All recoverable components (registration order: PM, VM, VFS, DS, RS).
+  /// The five recoverable servers (PM, VM, VFS, DS, RS), with or without
+  /// recovery; empty before boot().
   [[nodiscard]] const std::vector<recovery::Recoverable*>& components() const {
     return components_;
   }

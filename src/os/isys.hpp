@@ -1,8 +1,8 @@
 // ISys: the system-call interface seen by simulated user programs.
 //
 // Every workload (the 89-program prototype test suite, the unixbench
-// workloads, the shell) is written against this interface, so the same
-// program runs unmodified on two system organisations:
+// workloads) is written against this interface, so the same program runs
+// unmodified on two system organisations:
 //
 //   - os::OsInstance — the OSIRIS multiserver system: syscalls are messages
 //     through the microkernel, with SEEPs, checkpointing and recovery; and

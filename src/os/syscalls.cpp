@@ -19,26 +19,6 @@ void Sys::check_killed() {
   if (proc_.killed_) throw ProcKilled{};
 }
 
-void Sys::run_pending_handlers() {
-  if (in_handler_) return;
-  const std::uint64_t pending = proc_.pending_sig_mask_ & proc_.handled_mask_;
-  if (pending == 0) return;
-  proc_.pending_sig_mask_ &= ~pending;
-  in_handler_ = true;
-  for (std::uint64_t sig = 1; sig < 64; ++sig) {
-    if ((pending & (1ULL << sig)) != 0) {
-      auto it = handlers_.find(sig);
-      if (it != handlers_.end()) it->second();
-    }
-  }
-  in_handler_ = false;
-}
-
-void Sys::on_signal(std::uint64_t sig, std::function<void()> handler) {
-  handlers_[sig] = std::move(handler);
-  proc_.handled_mask_ |= (1ULL << sig);
-}
-
 Message Sys::sendrec(kernel::Endpoint dst, Message m) {
   check_killed();
   proc_.has_reply_ = false;
@@ -55,7 +35,7 @@ Message Sys::sendrec(kernel::Endpoint dst, Message m) {
   proc_.run_state_ = UserProc::RunState::kRunning;
   Message reply = proc_.reply_;
   proc_.has_reply_ = false;
-  run_pending_handlers();
+  proc_.pending_sig_mask_ &= ~proc_.handled_mask_;  // caught signals are consumed here
   return reply;
 }
 

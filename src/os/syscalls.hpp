@@ -2,9 +2,9 @@
 //
 // Every call marshals a message, grants access to user buffers where bulk
 // data is involved, performs a sendrec (suspending the calling fiber until
-// the reply arrives), and demarshals the result. Signal handlers installed
-// by the process run at syscall boundaries, and kSigKill interrupts any
-// blocked call by unwinding the fiber with ProcKilled.
+// the reply arrives), and demarshals the result. Pending signals the process
+// catches (sigaction) are consumed at syscall boundaries, and kSigKill
+// interrupts any blocked call by unwinding the fiber with ProcKilled.
 #pragma once
 
 #include "kernel/kernel.hpp"
@@ -70,21 +70,15 @@ class Sys final : public ISys {
   std::int64_t uname(std::string* name) override;
   std::int64_t rs_status(std::int32_t endpoint) override;
 
-  /// Install a user-side signal handler body (runs at syscall boundaries).
-  void on_signal(std::uint64_t sig, std::function<void()> handler);
-
  private:
   /// Send a request and suspend the fiber until the reply arrives.
   kernel::Message sendrec(kernel::Endpoint dst, kernel::Message m);
   /// sendrec with one transparent retry on E_CRASH (idempotent calls only).
   kernel::Message sendrec_retry(kernel::Endpoint dst, kernel::Message m);
   void check_killed();
-  void run_pending_handlers();
 
   OsInstance& os_;
   UserProc& proc_;
-  std::unordered_map<std::uint64_t, std::function<void()>> handlers_;
-  bool in_handler_ = false;
 };
 
 }  // namespace osiris::os

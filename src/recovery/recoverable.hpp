@@ -14,10 +14,6 @@
 #include "kernel/endpoint.hpp"
 #include "seep/window.hpp"
 
-namespace osiris::servers {
-struct FomStats;  // servers/fom.hpp; forward-declared to keep layering acyclic
-}  // namespace osiris::servers
-
 namespace osiris::recovery {
 
 class Recoverable {
@@ -49,9 +45,6 @@ class Recoverable {
   /// sender), but the executor knows the parked request's real requester and
   /// sends the E_CRASH reconciliation reply on its own.
   [[nodiscard]] virtual bool can_reconcile_inflight() const { return false; }
-
-  /// Executor statistics, or nullptr for components without a FOM executor.
-  [[nodiscard]] virtual const servers::FomStats* fom_stats() const { return nullptr; }
 
   /// Extra memory the spare clone must pre-allocate beyond the data section.
   /// The Virtual Memory Manager needs a substantial recovery arena so that

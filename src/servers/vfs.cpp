@@ -72,14 +72,6 @@ void Vfs::register_boot_proc(std::int32_t pid, kernel::Endpoint ep) {
   for (auto& fd : t.fds) fd = -1;
 }
 
-bool Vfs::has_pending_work() const {
-  for (const Worker& w : workers_) {
-    if (w.wait_token != 0) return true;
-  }
-  if (fom_.in_flight() > 0 || !pending_reads_.empty()) return true;
-  return !backlog_.empty();
-}
-
 void Vfs::on_restored(bool rolled_back) {
   // Cooperative-thread-library fixup (paper SIV-E): the library still thinks
   // the crashed thread is running; repair the current-thread variable and

@@ -108,16 +108,14 @@ class Vfs final : public ServerBase<VfsState> {
 
   void on_restored(bool rolled_back) override;
 
-  [[nodiscard]] bool has_pending_work() const override;
   [[nodiscard]] const fs::CacheStats& cache_stats() const { return cache_.stats(); }
 
   /// Enable the FOM request executor (OsConfig::vfs_fom). Off by default so
   /// every pre-existing scenario — and every golden trace — is bit-identical.
   /// Call once at boot, before dispatch begins.
   void set_fom_enabled(bool on) noexcept { fom_enabled_ = on; }
-  [[nodiscard]] bool fom_enabled() const noexcept { return fom_enabled_; }
   [[nodiscard]] bool can_reconcile_inflight() const override { return fom_enabled_; }
-  [[nodiscard]] const FomStats* fom_stats() const override { return &fom_.stats(); }
+  [[nodiscard]] const FomStats& fom_stats() const noexcept { return fom_.stats(); }
   [[nodiscard]] const FomCore& fom_core() const noexcept { return fom_; }
 
  protected:

@@ -30,7 +30,6 @@ class VirtualClock {
   void call_after(Tick delay, std::function<void()> fn) { call_at(now_ + delay, std::move(fn)); }
 
   [[nodiscard]] bool has_pending() const noexcept { return !pending_.empty(); }
-  [[nodiscard]] std::size_t pending_count() const noexcept { return pending_.size(); }
 
   /// Advance time without running callbacks scheduled in the skipped span.
   /// Used by workloads that model pure computation time.

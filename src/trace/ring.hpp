@@ -3,10 +3,11 @@
 // push() never allocates past the configured capacity: once full, the oldest
 // record is overwritten and the drop counter advances, so tracing cost is
 // bounded no matter how long the simulation runs. Silent truncation is
-// forbidden by design — dropped() and high_water() are surfaced through
-// core::collect_metrics so a Table-VI-style memory report shows exactly what
-// the ring held and what it lost. A zero-capacity ring is a valid "attached
-// but recording nothing" configuration: every push is counted as dropped.
+// forbidden by design — core::collect_metrics copies dropped() and
+// high_water() into each server's metrics row, so SystemMetrics::report()
+// shows exactly what the ring held and what it lost. A zero-capacity ring is
+// a valid "attached but recording nothing" configuration: every push is
+// counted as dropped.
 #pragma once
 
 #include <cstddef>
@@ -46,9 +47,6 @@ class EventRing {
 
   /// Most events the ring ever held at once (ring memory = this * sizeof(Event)).
   [[nodiscard]] std::size_t high_water() const noexcept { return high_water_; }
-  [[nodiscard]] std::size_t high_water_bytes() const noexcept {
-    return high_water_ * sizeof(Event);
-  }
 
   /// Copy the retained records out in emission order (oldest first).
   void snapshot(std::vector<Event>& out) const {

@@ -63,14 +63,6 @@ class Tracer {
     return comp >= 0 && i < rings_.size() ? rings_[i].get() : nullptr;
   }
 
-  /// Visit every existing ring in component-id order (deterministic).
-  template <typename Fn>
-  void for_each_ring(Fn&& fn) const {
-    for (std::size_t i = 0; i < rings_.size(); ++i) {
-      if (rings_[i]) fn(static_cast<std::int32_t>(i), *rings_[i]);
-    }
-  }
-
   [[nodiscard]] std::uint64_t events_emitted() const noexcept { return seq_; }
   std::uint64_t total_dropped() const;
 

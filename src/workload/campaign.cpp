@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iterator>
-#include <mutex>
 #include <string_view>
 
 #include "os/instance.hpp"
@@ -50,17 +49,7 @@ auto run_armed(const os::OsConfig& cfg, Arm arm, Judge judge) {
 template <typename Result, typename One>
 std::vector<Result> run_sharded(std::size_t n, const CampaignOptions& opts, One one) {
   std::vector<Result> results(n);
-  int done = 0;
-  std::mutex progress_mu;
-  support::WorkerPool::run_indexed(n, opts.jobs, [&](std::size_t i) {
-    results[i] = one(i);
-    if (opts.progress) {
-      // Increment under the same lock as the callback so `done` is
-      // strictly monotonic in call order, not just in total.
-      const std::lock_guard<std::mutex> lock(progress_mu);
-      opts.progress(++done, static_cast<int>(n));
-    }
-  });
+  support::WorkerPool::run_indexed(n, opts.jobs, [&](std::size_t i) { results[i] = one(i); });
   return results;
 }
 

@@ -17,7 +17,6 @@
 // which makes every table byte-identical to a --jobs=1 run.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -77,10 +76,6 @@ struct CampaignTotals {
 struct CampaignOptions {
   /// Worker threads; 1 = serial reference run, 0 = hardware_concurrency.
   unsigned jobs = 1;
-  /// Invoked after every completed run with (done, total). Serialized; the
-  /// completion order is nondeterministic for jobs > 1, but `done` is
-  /// monotonic.
-  std::function<void(int, int)> progress;
   /// When non-null, every injection runs with event tracing enabled and its
   /// merged text trace lands here, indexed by plan position. Workers write
   /// disjoint slots, so — like the classifications — the captured traces are
@@ -101,8 +96,8 @@ struct CampaignOptions {
 /// distinct threads. When `trace_out` is non-null (and the build has
 /// OSIRIS_TRACE=ON), the run executes with event tracing enabled and the
 /// merged, sequence-ordered text trace is stored there. `opts` carries the
-/// per-run OsConfig knobs (FOM executor, cache size); its
-/// jobs/progress/traces fields are ignored here.
+/// per-run OsConfig knobs (FOM executor, cache size); its jobs and traces
+/// fields are ignored here.
 RunClass run_one_injection(seep::Policy policy, const Injection& inj,
                            std::string* trace_out = nullptr, const CampaignOptions& opts = {});
 
@@ -131,16 +126,6 @@ CampaignTotals run_campaign(seep::Policy policy, const std::vector<Injection>& p
 //   wedged    — the run crashed or hung: the worst bucket, the one the
 //               ladder exists to empty.
 enum class RecurringClass : std::uint8_t { kRecovered, kDegraded, kShutdown, kWedged };
-
-[[nodiscard]] constexpr const char* recurring_class_name(RecurringClass c) {
-  switch (c) {
-    case RecurringClass::kRecovered: return "recovered";
-    case RecurringClass::kDegraded: return "degraded";
-    case RecurringClass::kShutdown: return "shutdown";
-    case RecurringClass::kWedged: return "wedged";
-  }
-  return "?";
-}
 
 struct RecurringTotals {
   int recovered = 0;
@@ -190,16 +175,6 @@ RecurringTotals run_recurring_campaign(seep::Policy policy,
 //                    acceptance bar is zero);
 //   clean          — a control run that stayed quiet, as it should.
 enum class StormClass : std::uint8_t { kDetected, kStarved, kFalsePositive, kClean };
-
-[[nodiscard]] constexpr const char* storm_class_name(StormClass c) {
-  switch (c) {
-    case StormClass::kDetected: return "detected";
-    case StormClass::kStarved: return "starved";
-    case StormClass::kFalsePositive: return "false-positive";
-    case StormClass::kClean: return "clean";
-  }
-  return "?";
-}
 
 /// One storm injection: a persistent storm fault at `site`, plus the storm
 /// shape (flood victim endpoint and burst size). `site == nullptr` is a

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string_view>
@@ -169,27 +168,6 @@ TEST(CampaignParallel, StormCampaignJobsDoNotChangeResults) {
     EXPECT_NE(ref[i].cls, workload::StormClass::kFalsePositive)
         << "storm run " << i << " saw a false positive";
   }
-}
-
-TEST(CampaignParallel, ProgressIsSerializedAndMonotonic) {
-  const auto plan = thin(workload::plan_failstop(/*points_per_site=*/1), 6);
-  ASSERT_GE(plan.size(), 4u);
-
-  std::mutex mu;
-  int last_done = 0;
-  bool monotonic = true;
-  workload::CampaignOptions opts;
-  opts.jobs = 4;
-  opts.progress = [&](int done, int total) {
-    // The campaign already serializes progress callbacks; the lock here makes
-    // the test's own bookkeeping race-free under TSan.
-    const std::lock_guard<std::mutex> lock(mu);
-    if (done != last_done + 1 || total != static_cast<int>(plan.size())) monotonic = false;
-    last_done = done;
-  };
-  (void)workload::run_plan(seep::Policy::kPessimistic, plan, opts);
-  EXPECT_TRUE(monotonic);
-  EXPECT_EQ(last_done, static_cast<int>(plan.size()));
 }
 
 #if OSIRIS_TRACE_ENABLED

@@ -17,9 +17,9 @@ TEST(Metrics, SnapshotAfterSuiteRun) {
   const core::SystemMetrics m = core::collect_metrics(inst);
   ASSERT_EQ(m.components.size(), 5u);
   EXPECT_GT(m.weighted_coverage, 0.3);
-  EXPECT_GT(m.messages, 1000u);
-  EXPECT_EQ(m.crashes, 0u);
-  EXPECT_EQ(m.rollbacks, 0u);
+  EXPECT_GT(m.kernel.messages_queued, 1000u);
+  EXPECT_EQ(m.kernel.crashes, 0u);
+  EXPECT_EQ(m.engine.rollbacks, 0u);
 
   for (const auto& c : m.components) {
     EXPECT_GT(c.state_bytes, 0u) << c.name;
@@ -73,7 +73,34 @@ TEST(Metrics, RecoveryCountsAppear) {
   fi::Registry::instance().disarm();
 
   const core::SystemMetrics m = core::collect_metrics(inst);
-  EXPECT_EQ(m.crashes, 1u);
-  EXPECT_EQ(m.rollbacks, 1u);
-  EXPECT_EQ(m.restarts, 1u);
+  EXPECT_EQ(m.kernel.crashes, 1u);
+  EXPECT_EQ(m.engine.rollbacks, 1u);
+  EXPECT_EQ(m.engine.restarts, 1u);
+}
+
+TEST(Metrics, SnapshotWithoutRecovery) {
+  // The Tables IV/V baseline: no engine, but the five servers still report.
+  fi::Registry::instance().disarm();
+  os::OsConfig cfg;
+  cfg.recovery_enabled = false;
+  os::OsInstance inst(cfg);
+  inst.boot();
+  ASSERT_EQ(inst.run([](os::ISys& sys) { (void)sys.getpid(); }),
+            os::OsInstance::Outcome::kCompleted);
+
+  const core::SystemMetrics m = core::collect_metrics(inst);
+  ASSERT_EQ(m.components.size(), 5u);
+  for (const auto& c : m.components) {
+    EXPECT_GT(c.state_bytes, 0u) << c.name;
+    EXPECT_EQ(c.clone_bytes, 0u) << c.name;
+    EXPECT_EQ(c.recoveries, 0u) << c.name;
+  }
+  EXPECT_EQ(m.engine.crashes_seen, 0u);
+  EXPECT_EQ(m.engine.restarts, 0u);
+  EXPECT_EQ(m.engine.rollbacks, 0u);
+  EXPECT_EQ(m.engine.error_replies, 0u);
+  EXPECT_EQ(m.engine.storm_throttles, 0u);
+  EXPECT_FALSE(m.engine.storm_detected);
+  EXPECT_GT(m.kernel.messages_queued, 0u);
+  EXPECT_NE(m.report().find("engine: 0 restarts"), std::string::npos);
 }

@@ -5,9 +5,9 @@
 
 #include <cstring>
 
+#include "core/metrics.hpp"
 #include "fi/registry.hpp"
 #include "os/instance.hpp"
-#include "workload/coverage.hpp"
 #include "workload/suite.hpp"
 
 using namespace osiris;
@@ -62,17 +62,17 @@ TEST(ExtendedPolicy, SuitePassesCleanly) {
 }
 
 TEST(ExtendedPolicy, CoverageAtLeastEnhanced) {
-  const auto enh = workload::measure_coverage(seep::Policy::kEnhanced);
-  const auto ext = workload::measure_coverage(seep::Policy::kExtended);
+  const core::SystemMetrics enh = core::snapshot_suite(seep::Policy::kEnhanced).metrics;
+  const core::SystemMetrics ext = core::snapshot_suite(seep::Policy::kExtended).metrics;
   // Windows that survive requester-scoped SEEPs can only widen coverage.
-  EXPECT_GE(ext.weighted_mean + 1e-9, enh.weighted_mean);
+  EXPECT_GE(ext.weighted_coverage + 1e-9, enh.weighted_coverage);
   // PM specifically gains: its brk path stays inside the window.
   double pm_enh = 0, pm_ext = 0;
-  for (const auto& s : enh.servers) {
-    if (s.server == "pm") pm_enh = s.coverage;
+  for (const auto& c : enh.components) {
+    if (c.name == "pm") pm_enh = c.recovery_coverage;
   }
-  for (const auto& s : ext.servers) {
-    if (s.server == "pm") pm_ext = s.coverage;
+  for (const auto& c : ext.components) {
+    if (c.name == "pm") pm_ext = c.recovery_coverage;
   }
   EXPECT_GE(pm_ext + 1e-9, pm_enh);
 }

@@ -417,7 +417,7 @@ TEST(FomExecutor, ColdCacheReadParksAndResumes) {
   });
   EXPECT_EQ(outcome, OsInstance::Outcome::kCompleted);
   EXPECT_EQ(got, data);
-  const servers::FomStats& fs = *inst.vfs().fom_stats();
+  const servers::FomStats& fs = inst.vfs().fom_stats();
   EXPECT_GT(fs.admitted, 0u);
   EXPECT_GT(fs.parks, 0u);         // cold reads suspended mid-flight...
   EXPECT_EQ(fs.resumes, fs.parks);  // ...and every park was resumed
@@ -467,7 +467,7 @@ TEST(FomExecutor, ConcurrentColdReadsOverlapInFlight) {
   inst.boot();
   const auto outcome = inst.run(concurrent_cold_reads);
   EXPECT_EQ(outcome, OsInstance::Outcome::kCompleted);
-  const servers::FomStats& fs = *inst.vfs().fom_stats();
+  const servers::FomStats& fs = inst.vfs().fom_stats();
   EXPECT_GT(fs.parks, 0u);
   EXPECT_GE(fs.in_flight_high_water, 2u);  // requests genuinely overlapped
   EXPECT_EQ(fs.completed, fs.admitted);
@@ -489,7 +489,7 @@ TEST(FomExecutor, HealthMonitorCountsResumesAsUsefulWork) {
   inst.boot();
   const auto outcome = inst.run(concurrent_cold_reads);
   EXPECT_EQ(outcome, OsInstance::Outcome::kCompleted);
-  const servers::FomStats& fs = *inst.vfs().fom_stats();
+  const servers::FomStats& fs = inst.vfs().fom_stats();
   EXPECT_GT(fs.parks, 0u);
   EXPECT_EQ(fs.resumes, fs.parks);
   EXPECT_EQ(fs.completed, fs.admitted);
@@ -513,17 +513,12 @@ TEST(FomExecutor, MetricsSurfaceExecutorCounters) {
     read_back(sys, "/tmp/fom-m", data.size());
   });
   const core::SystemMetrics m = core::collect_metrics(inst);
-  const servers::FomStats& fs = *inst.vfs().fom_stats();
-  bool found = false;
-  for (const core::ComponentMetrics& c : m.components) {
-    if (c.name != "vfs") continue;
-    found = true;
-    EXPECT_EQ(c.fom_admitted, fs.admitted);
-    EXPECT_EQ(c.fom_parks, fs.parks);
-    EXPECT_EQ(c.fom_resumes, fs.resumes);
-    EXPECT_EQ(c.fom_in_flight_high_water, fs.in_flight_high_water);
-  }
-  EXPECT_TRUE(found);
+  const servers::FomStats& fs = inst.vfs().fom_stats();
+  EXPECT_GT(m.fom.admitted, 0u);
+  EXPECT_EQ(m.fom.admitted, fs.admitted);
+  EXPECT_EQ(m.fom.parks, fs.parks);
+  EXPECT_EQ(m.fom.resumes, fs.resumes);
+  EXPECT_EQ(m.fom.in_flight_high_water, fs.in_flight_high_water);
   EXPECT_NE(m.report().find("fom[vfs]:"), std::string::npos);
 }
 
@@ -703,7 +698,7 @@ SweepCell run_sweep(int depth, bool fom) {
   }
 
   const Tick start = inst.clock().now();
-  const std::uint64_t fallbacks0 = inst.vfs().fom_stats()->sync_fallbacks;
+  const std::uint64_t fallbacks0 = inst.vfs().fom_stats().sync_fallbacks;
   const std::uint64_t reads0 = inst.disk().stats().reads;
   for (auto& c : clients) c->send_next();
   const auto all_finished = [&clients] {
@@ -726,8 +721,8 @@ SweepCell run_sweep(int depth, bool fom) {
     cell.ticks = std::max(cell.ticks, c->last_reply() - start);
     cell.failures += c->failures();
   }
-  cell.high_water = inst.vfs().fom_stats()->in_flight_high_water;
-  cell.sync_fallbacks = inst.vfs().fom_stats()->sync_fallbacks - fallbacks0;
+  cell.high_water = inst.vfs().fom_stats().in_flight_high_water;
+  cell.sync_fallbacks = inst.vfs().fom_stats().sync_fallbacks - fallbacks0;
   cell.device_reads = inst.disk().stats().reads - reads0;
   return cell;
 }
@@ -875,7 +870,7 @@ std::vector<std::vector<std::byte>> interleave_run(
     }
   });
   EXPECT_EQ(outcome, OsInstance::Outcome::kCompleted);
-  if (stats_out != nullptr) *stats_out = *inst.vfs().fom_stats();
+  if (stats_out != nullptr) *stats_out = inst.vfs().fom_stats();
   return contents;
 }
 
@@ -972,7 +967,7 @@ TEST(FomRecovery, RollbackWithParkedFomsCompletesEveryRequest) {
   }
   EXPECT_EQ(inst.engine().recoveries_of(kernel::kVfsEp), 1u);
   EXPECT_EQ(inst.engine().stats().rollbacks, 1u);
-  const servers::FomStats& fs = *inst.vfs().fom_stats();
+  const servers::FomStats& fs = inst.vfs().fom_stats();
   // The crashed request was dropped (≤1 abort); everything else completed.
   EXPECT_LE(fs.aborts, 1u);
   EXPECT_EQ(fs.completed + fs.aborts, fs.admitted);
@@ -1031,7 +1026,7 @@ TEST(FomRecovery, ResumedAttemptCrashIsReconciledByExecutor) {
       EXPECT_EQ(read_ret, kernel::E_CRASH);
       EXPECT_FALSE(ok);
       EXPECT_EQ(inst.engine().stats().rollbacks, 1u);
-      EXPECT_EQ(inst.vfs().fom_stats()->aborts, 1u);
+      EXPECT_EQ(inst.vfs().fom_stats().aborts, 1u);
       EXPECT_EQ(inst.vfs().fom_core().in_flight(), 0u);
     } else if (inst.engine().stats().crashes_seen > 0 && !ok) {
       // Fault fired in the initial attempt instead: ordinary reconciliation.
@@ -1108,7 +1103,7 @@ TEST(FomRecovery, QuarantineWithLiveFomsAbortsThemAndSystemSurvives) {
   EXPECT_GE(stats.recurring_crashes, 1u);
   EXPECT_GE(stats.quarantines, 1u);
   EXPECT_TRUE(inst.engine().is_parked(kernel::kVfsEp));
-  const servers::FomStats& fs = *inst.vfs().fom_stats();
+  const servers::FomStats& fs = inst.vfs().fom_stats();
   // Live FOMs really were aborted — and none leaked: every admitted request
   // either completed or was aborted (boot-image restarts answer parked
   // requesters with E_CRASH).
@@ -1152,7 +1147,7 @@ void run_machine(bool health, bool fom, bool traced, CellRun& r, Drive drive) {
   workload::register_suite_programs(inst.programs());
   inst.boot();
   drive(inst);
-  const servers::FomStats& fs = *inst.vfs().fom_stats();
+  const servers::FomStats& fs = inst.vfs().fom_stats();
   r.fom.admitted += fs.admitted;
   r.fom.completed += fs.completed;
   r.fom.parks += fs.parks;

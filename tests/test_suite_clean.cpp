@@ -2,8 +2,8 @@
 // recovery policy and instrumentation mode when no faults are injected.
 #include <gtest/gtest.h>
 
+#include "core/metrics.hpp"
 #include "os/instance.hpp"
-#include "workload/coverage.hpp"
 #include "workload/suite.hpp"
 
 using namespace osiris;
@@ -45,17 +45,17 @@ TEST(SuiteClean, UnoptimizedInstrumentation) {
 }
 
 TEST(SuiteClean, CoverageShapeMatchesTable1) {
-  const auto pess = workload::measure_coverage(seep::Policy::kPessimistic);
-  const auto enh = workload::measure_coverage(seep::Policy::kEnhanced);
-  ASSERT_EQ(pess.servers.size(), 5u);
-  ASSERT_EQ(enh.servers.size(), 5u);
+  const core::SystemMetrics pess = core::snapshot_suite(seep::Policy::kPessimistic).metrics;
+  const core::SystemMetrics enh = core::snapshot_suite(seep::Policy::kEnhanced).metrics;
+  ASSERT_EQ(pess.components.size(), 5u);
+  ASSERT_EQ(enh.components.size(), 5u);
   // Enhanced coverage >= pessimistic for every server (Table I).
   for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_GE(enh.servers[i].coverage + 1e-9, pess.servers[i].coverage)
-        << enh.servers[i].server;
+    EXPECT_GE(enh.components[i].recovery_coverage + 1e-9, pess.components[i].recovery_coverage)
+        << enh.components[i].name;
   }
-  EXPECT_GT(enh.weighted_mean, pess.weighted_mean);
+  EXPECT_GT(enh.weighted_coverage, pess.weighted_coverage);
   // Both means are substantial (the paper reports 57.7% and 68.4%).
-  EXPECT_GT(pess.weighted_mean, 0.30);
-  EXPECT_GT(enh.weighted_mean, 0.45);
+  EXPECT_GT(pess.weighted_coverage, 0.30);
+  EXPECT_GT(enh.weighted_coverage, 0.45);
 }

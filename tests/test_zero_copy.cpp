@@ -345,9 +345,9 @@ TEST(FastPathMetrics, IpcCountersSurfaceInCollectMetrics) {
   ASSERT_EQ(outcome, OsInstance::Outcome::kCompleted);
 
   const core::SystemMetrics m = core::collect_metrics(inst);
-  EXPECT_GT(m.queue_high_water, 0u);
-  EXPECT_GT(m.grant_bypass_bytes, 0u);
-  EXPECT_GT(m.grant_spans, 0u);
+  EXPECT_GT(m.kernel.queue_high_water, 0u);
+  EXPECT_GT(m.kernel.grant_bypass_bytes, 0u);
+  EXPECT_GT(m.kernel.grant_spans, 0u);
 
   const std::string report = m.report();
   EXPECT_NE(report.find("ipc: queue high-water"), std::string::npos);
@@ -364,6 +364,6 @@ TEST(FastPathMetrics, QueueHighWaterTracksWithoutFlags) {
   });
   ASSERT_EQ(outcome, OsInstance::Outcome::kCompleted);
   const core::SystemMetrics m = core::collect_metrics(inst);
-  EXPECT_GT(m.queue_high_water, 0u);
-  EXPECT_EQ(m.grant_bypass_bytes, 0u);
+  EXPECT_GT(m.kernel.queue_high_water, 0u);
+  EXPECT_EQ(m.kernel.grant_bypass_bytes, 0u);
 }

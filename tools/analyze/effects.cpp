@@ -352,7 +352,7 @@ class Summarizer {
   /// current translation unit first; member calls union over all classes).
   ///
   /// Resolution is layer-aware: servers reach the OS personality layer
-  /// (src/os: syscall wrappers, the monolithic baseline, the shell) only via
+  /// (src/os: syscall wrappers and the monolithic baseline) only via
   /// IPC, never by direct call, so a name-union edge from server/fs code
   /// into src/os is always spurious (e.g. `minifs_.read(...)` must not pull
   /// in `Sys::read`'s sendrec loop). Callers inside src/os keep the full
