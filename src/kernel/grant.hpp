@@ -31,7 +31,6 @@ struct Grant {
   std::byte* base = nullptr;
   std::size_t len = 0;
   Access access = Access::kRead;
-  bool revoked = false;
 };
 
 }  // namespace osiris::kernel

@@ -43,6 +43,10 @@ Endpoint Kernel::register_client(IClient* cli) {
 void Kernel::unregister_client(Endpoint ep) {
   clients_.erase(ep.value);
   health_.forget(ep.value);
+  // A process that dies blocked in a syscall never revokes the grant it
+  // made for that call, and a server may still hold its id (a pipe
+  // waiter): the memory behind it is gone with the process.
+  std::erase_if(grants_, [ep](const auto& kv) { return kv.second.owner == ep; });
 }
 
 bool Kernel::is_server(Endpoint ep) const { return servers_.count(ep.value) != 0; }
@@ -163,20 +167,17 @@ void Kernel::reply_to(Endpoint dst, Message m) {
 GrantId Kernel::make_grant(Endpoint owner, Endpoint grantee, std::byte* base, std::size_t len,
                            Access access) {
   GrantId id = next_grant_++;
-  grants_[id] = Grant{owner, grantee, base, len, access, false};
+  grants_[id] = Grant{owner, grantee, base, len, access};
   ++stats_.grants_created;
   return id;
 }
 
-void Kernel::revoke_grant(GrantId id) {
-  auto it = grants_.find(id);
-  if (it != grants_.end()) it->second.revoked = true;
-}
+void Kernel::revoke_grant(GrantId id) { grants_.erase(id); }
 
 const Grant* Kernel::check_grant(Endpoint grantee, GrantId id, std::size_t offset,
                                  std::size_t len, Access need, std::int64_t* err) const {
   auto it = grants_.find(id);
-  if (it == grants_.end() || it->second.revoked) {
+  if (it == grants_.end()) {
     *err = E_INVAL;
     return nullptr;
   }

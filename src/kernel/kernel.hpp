@@ -109,6 +109,7 @@ class Kernel {
 
   /// Register a user process; allocates a fresh endpoint.
   Endpoint register_client(IClient* cli);
+  /// Forget a user process, and drop every grant it still owns.
   void unregister_client(Endpoint ep);
 
   [[nodiscard]] bool is_server(Endpoint ep) const;
@@ -136,6 +137,8 @@ class Kernel {
 
   GrantId make_grant(Endpoint owner, Endpoint grantee, std::byte* base, std::size_t len,
                      Access access);
+  /// Erase the grant: the table holds live grants only, and a safecopy
+  /// through a revoked or unknown id fails with E_INVAL.
   void revoke_grant(GrantId id);
   std::int64_t safecopy_from(Endpoint grantee, GrantId id, std::size_t offset, void* dst,
                              std::size_t len);

@@ -1,5 +1,7 @@
 #include "servers/vm.hpp"
 
+#include <algorithm>
+
 namespace osiris::servers {
 
 using kernel::E_INVAL;
@@ -41,6 +43,7 @@ bool Vm::claim_frames(std::int32_t pid, std::uint32_t n) {
     if (st().frame_owner.at(f) == 0) {
       if (claimed % 8 == 4) FI_BLOCK("vm");  // mid-mutation fault candidates
       st().frame_owner.set(f, pid);
+      frame_bound_ = std::max(frame_bound_, f + 1);
       ++claimed;
     }
   }
@@ -52,7 +55,7 @@ bool Vm::claim_frames(std::int32_t pid, std::uint32_t n) {
 
 std::uint32_t Vm::release_frames(std::int32_t pid, std::uint32_t n) {
   std::uint32_t released = 0;
-  for (std::uint32_t f = 0; f < kTotalFrames && released < n; ++f) {
+  for (std::uint32_t f = 0; f < frame_bound_ && released < n; ++f) {
     if (st().frame_owner.at(f) == pid) {
       if (released % 8 == 4) FI_BLOCK("vm");  // mid-mutation fault candidates
       // analyze-suppress(mutate-after-send): frame release runs after the
@@ -122,7 +125,7 @@ std::optional<Message> Vm::do_fork_as(const Message& m) {
   SRV_CHECK(sys_r.sarg(0) == OK, "vm: kernel map failed on fork");
   // Post-fork frame audit (outside the window: the SYS_MAP SEEP closed it).
   std::uint32_t owned = 0;
-  for (std::uint32_t f = 0; f < kTotalFrames && owned < need; ++f) {
+  for (std::uint32_t f = 0; f < frame_bound_ && owned < need; ++f) {
     if (st().frame_owner.at(f) == child) ++owned;
   }
   FI_BLOCK("vm");

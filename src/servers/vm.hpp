@@ -87,6 +87,14 @@ class Vm final : public ServerBase<VmState> {
   std::optional<kernel::Message> do_mmap(const kernel::Message& m);
   std::optional<kernel::Message> do_munmap(const kernel::Message& m);
   std::optional<kernel::Message> do_info(const kernel::Message& m);
+
+  /// One past the highest frame index claim_frames ever set. Only
+  /// claim_frames and release_frames write frame_owner, and rollback and
+  /// restart restore only values they wrote, so no frame at or above this
+  /// bound is owned and ownership scans stop here. Not a VmState field: a
+  /// rollback must not lower it, since it bounds every value a restore can
+  /// bring back.
+  std::uint32_t frame_bound_ = 0;
 };
 
 }  // namespace osiris::servers

@@ -244,6 +244,16 @@ TEST_F(KernelFixture, RevokedGrantIsDead) {
   EXPECT_EQ(kern.safecopy_from(kernel::kPmEp, g, 0, tmp, 1), kernel::E_INVAL);
 }
 
+TEST_F(KernelFixture, GrantDiesWithItsOwner) {
+  // A process killed mid-syscall never reaches its revoke_grant; its grants
+  // must not outlive it, or a server holding the id copies into freed memory.
+  std::byte buf[8] = {};
+  const auto g = kern.make_grant(client_ep, kernel::kPmEp, buf, sizeof buf, Access::kReadWrite);
+  kern.unregister_client(client_ep);
+  char tmp[1];
+  EXPECT_EQ(kern.safecopy_from(kernel::kPmEp, g, 0, tmp, 1), kernel::E_INVAL);
+}
+
 TEST_F(KernelFixture, MessagesToDeadEndpointsAreDropped) {
   kern.unregister_client(client_ep);
   kern.send(kernel::kPmEp, client_ep, make_msg(0x90));

@@ -2,6 +2,9 @@
 // cooperative thread library.
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
+
 #include "cothread/fiber.hpp"
 #include "seep/policy.hpp"
 #include "seep/seep.hpp"
@@ -202,4 +205,85 @@ TEST(Fiber, NestedResumeFromInsideFiber) {
   outer.resume();
   EXPECT_EQ(inner_ran, 1);
   EXPECT_TRUE(outer.finished());
+}
+
+TEST(Fiber, FloatingPointControlStateIsPerFiber) {
+  // The x87 control word and MXCSR are callee-saved: a rounding mode set in
+  // a fiber must neither leak into its resumer nor be lost across a suspend.
+  // volatile keeps the divisions at run time, under the live rounding mode.
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  const double nearest = one / three;
+  int fiber_mode_on_resume = -1;
+  double fiber_third_on_resume = 0.0;
+  cothread::Fiber f([&] {
+    ASSERT_EQ(std::fesetround(FE_UPWARD), 0);
+    cothread::Fiber::suspend();
+    fiber_mode_on_resume = std::fegetround();
+    fiber_third_on_resume = one / three;
+    std::fesetround(FE_TONEAREST);
+  });
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  f.resume();
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_EQ(one / three, nearest);
+  f.resume();
+  EXPECT_TRUE(f.finished());
+  EXPECT_EQ(fiber_mode_on_resume, FE_UPWARD);
+  EXPECT_GT(fiber_third_on_resume, nearest);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+}
+
+namespace {
+
+// Keeps a dozen values live across every step(), in whichever registers the
+// compiler picks (callee-saved ones, since a switch is an opaque call), and
+// counts the rounds on which any of them came back wrong. The empty asm
+// statements hide the values' closed form, so the checks cannot fold away.
+template <typename Step>
+[[gnu::noinline]] void churn_registers(std::uint64_t seed, int rounds, int* mismatches,
+                                       Step step) {
+  std::uint64_t r0 = seed, r1 = seed * 3, r2 = seed * 5, r3 = seed * 7, r4 = seed * 11,
+                r5 = seed * 13, r6 = seed * 17, r7 = seed * 19, r8 = seed * 23, r9 = seed * 29,
+                r10 = seed * 31, r11 = seed * 37;
+  for (int i = 1; i <= rounds; ++i) {
+    step();
+    asm volatile("" : "+r"(r0), "+r"(r1), "+r"(r2), "+r"(r3), "+r"(r4), "+r"(r5));
+    asm volatile("" : "+r"(r6), "+r"(r7), "+r"(r8), "+r"(r9), "+r"(r10), "+r"(r11));
+    r0 += 1, r1 += 2, r2 += 3, r3 += 4, r4 += 5, r5 += 6;
+    r6 += 7, r7 += 8, r8 += 9, r9 += 10, r10 += 11, r11 += 12;
+    const auto n = static_cast<std::uint64_t>(i);
+    const bool ok = r0 == seed + n && r1 == seed * 3 + 2 * n && r2 == seed * 5 + 3 * n &&
+                    r3 == seed * 7 + 4 * n && r4 == seed * 11 + 5 * n &&
+                    r5 == seed * 13 + 6 * n && r6 == seed * 17 + 7 * n &&
+                    r7 == seed * 19 + 8 * n && r8 == seed * 23 + 9 * n &&
+                    r9 == seed * 29 + 10 * n && r10 == seed * 31 + 11 * n &&
+                    r11 == seed * 37 + 12 * n;
+    if (!ok) ++*mismatches;
+  }
+}
+
+}  // namespace
+
+TEST(Fiber, CalleeSavedRegistersSurviveInterleavedSwitches) {
+  // Both directions: each fiber's values across its suspends, and the
+  // resumer's across its resumes.
+  constexpr int kRounds = 10000;
+  const auto suspend = [] { cothread::Fiber::suspend(); };
+  int mismatches_a = 0;
+  int mismatches_b = 0;
+  int mismatches_resumer = 0;
+  cothread::Fiber a([&] { churn_registers(0x1111, kRounds, &mismatches_a, suspend); });
+  cothread::Fiber b([&] { churn_registers(0x2222'0000'0000, kRounds, &mismatches_b, suspend); });
+  a.resume();  // each fiber runs to its first suspend
+  b.resume();
+  churn_registers(0x3333'0000, kRounds, &mismatches_resumer, [&] {
+    a.resume();
+    b.resume();
+  });
+  EXPECT_TRUE(a.finished());
+  EXPECT_TRUE(b.finished());
+  EXPECT_EQ(mismatches_a, 0);
+  EXPECT_EQ(mismatches_b, 0);
+  EXPECT_EQ(mismatches_resumer, 0);
 }

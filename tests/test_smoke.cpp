@@ -5,6 +5,7 @@
 #include "os/instance.hpp"
 #include "os/mono.hpp"
 #include "servers/protocol.hpp"
+#include "servers/vm.hpp"
 
 using namespace osiris;
 using os::ISys;
@@ -135,6 +136,30 @@ TEST(Smoke, ReadMostlyCalls) {
     EXPECT_EQ(sys.uname(&name), kernel::OK);
     EXPECT_EQ(name, "osiris");
     EXPECT_GE(sys.brk(0x20000), 0);
+  });
+  EXPECT_EQ(outcome, OsInstance::Outcome::kCompleted);
+}
+
+TEST(Smoke, ExhaustedFramePoolIsReleasedOnExit) {
+  // The child claims every free frame, the top of the pool included, so the
+  // release on exit must reach the highest frame ever claimed.
+  OsInstance inst(os::OsConfig{});
+  inst.boot();
+  const auto outcome = inst.run([&inst](ISys& sys) {
+    const std::uint32_t before = inst.vm().free_frames();
+    const std::int64_t pid = sys.fork([&inst](ISys& child) {
+      const std::uint64_t free = inst.vm().free_frames();
+      ASSERT_GT(free, 0u);
+      EXPECT_GT(child.mmap(free * servers::kPageSize), 0);
+      EXPECT_EQ(inst.vm().free_frames(), 0u);
+      EXPECT_EQ(child.mmap(servers::kPageSize), kernel::E_NOMEM);
+      child.exit(0);
+    });
+    ASSERT_GT(pid, 1);
+    std::int64_t status = -1;
+    EXPECT_EQ(sys.wait_pid(pid, &status), pid);
+    EXPECT_EQ(status, 0);
+    EXPECT_EQ(inst.vm().free_frames(), before);
   });
   EXPECT_EQ(outcome, OsInstance::Outcome::kCompleted);
 }
