@@ -138,8 +138,8 @@ double time_dispatch(MiniServer& srv, const std::vector<kernel::Message>& mix,
 /// table shape costs per dispatch, relative to what the syscall-heavy
 /// workload actually spends per syscall end-to-end (checkpoint scoping,
 /// window bookkeeping, kernel queueing). A naked two-array-load-plus-
-/// indirect-call is a few ns dearer than a naked jump table, but a request
-/// costs three orders of magnitude more than either shape.
+/// indirect-call is dearer than a naked jump table by a fraction of a ns,
+/// and a syscall costs two orders of magnitude more than either shape.
 ///
 /// Min-of-runs with the two shapes interleaved: the minimum is the least
 /// noisy point estimate for a code path's true cost, and interleaving

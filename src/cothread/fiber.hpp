@@ -11,9 +11,8 @@
 // r12-r15, the MXCSR and the x87 control word, pushed on the outgoing stack
 // before the stack pointers swap (fiber.cpp). glibc's swapcontext also saves
 // the signal mask, an rt_sigprocmask syscall on every switch, which no fiber
-// here needs. A resume+suspend round trip costs about 60 ns, against about
-// 520 ns with swapcontext, on a shared 4-vCPU x86-64 VM. The
-// floating-point control state stays per fiber, as the ABI requires.
+// here needs; DESIGN.md §2 gives the cost of each. The floating-point control
+// state stays per fiber, as the ABI requires.
 // x86-64 only. The switch does not switch CET shadow stacks, so constructing
 // the first fiber panics if one is active (run with
 // GLIBC_TUNABLES=glibc.cpu.x86_shstk=off).

@@ -152,17 +152,21 @@ enum class MsgKind : std::uint8_t {
 /// One row of the protocol spec.
 struct MsgSpec {
   std::uint32_t type;
-  const char* name;
-  const char* server;  // owning server ("client"/"any" = no single dispatcher)
   seep::SeepClass seep;
   MsgKind kind;
   std::uint8_t args;  // number of meaningful request args
   bool text;          // whether the request carries m.text
+  const char* name;
+  const char* server;  // owning server ("client"/"any" = no single dispatcher)
   const char* doc;
 
   [[nodiscard]] constexpr bool replyable() const noexcept { return kind == MsgKind::kRequest; }
   [[nodiscard]] constexpr bool notify() const noexcept { return kind == MsgKind::kNotify; }
 };
+// The byte-wide fields share the word after `type`, so a row is 32 bytes: a
+// row pointer turns back into its index with a shift wherever the compiler
+// cannot fold the subtraction away, not with a multiply by the inverse of 40.
+static_assert(sizeof(MsgSpec) == 32);
 
 namespace spec_detail {
 inline constexpr seep::SeepClass NSM = seep::SeepClass::kNonStateModifying;
@@ -178,40 +182,44 @@ inline constexpr bool NOTEXT = false;
 /// The registry itself: one entry per protocol message, in table order.
 inline constexpr MsgSpec kMsgSpecTable[] = {
 #define X(NAME, VALUE, OWNER, CLS, KIND, NARGS, TEXT, DOC)                              \
-  MsgSpec{VALUE, #NAME, #OWNER, spec_detail::CLS, spec_detail::KIND, NARGS,             \
-          spec_detail::TEXT, DOC},
+  MsgSpec{VALUE, spec_detail::CLS, spec_detail::KIND, NARGS, spec_detail::TEXT, #NAME,  \
+          #OWNER, DOC},
     OSIRIS_MSG_SPEC(X)
 #undef X
 };
 
 inline constexpr std::size_t kMsgSpecCount = std::size(kMsgSpecTable);
 
-// Flat-array type -> row index, built at compile time: the dispatch hot path
-// does one subtract, one bounds check and one array load — no hashing.
+// Flat-array type -> row, built at compile time: the dispatch hot path does
+// one subtract, one bounds check and one array load — no hashing.
 inline constexpr std::uint32_t kMsgBase = 0x100;
 inline constexpr std::uint32_t kMsgSlots = 0x600;  // covers 0x100..0x6ff
 
 namespace spec_detail {
-consteval std::array<std::int16_t, kMsgSlots> build_index() {
-  std::array<std::int16_t, kMsgSlots> idx{};
-  for (auto& slot : idx) slot = -1;
-  for (std::size_t i = 0; i < kMsgSpecCount; ++i) {
-    const std::uint32_t off = kMsgSpecTable[i].type - kMsgBase;
-    if (off >= kMsgSlots || idx[off] != -1) throw "msg spec type out of range or duplicated";
-    idx[off] = static_cast<std::int16_t>(i);
+// A plain array rather than std::array, so sanitizer builds do not
+// null-check an operator[] call on the dispatch path.
+struct MsgIndex {
+  const MsgSpec* row[kMsgSlots];  // nullptr: a type the table does not declare
+};
+consteval MsgIndex build_index() {
+  MsgIndex idx{};
+  for (const MsgSpec& s : kMsgSpecTable) {
+    const std::uint32_t off = s.type - kMsgBase;
+    if (off >= kMsgSlots || idx.row[off] != nullptr) {
+      throw "msg spec type out of range or duplicated";
+    }
+    idx.row[off] = &s;
   }
   return idx;
 }
-inline constexpr std::array<std::int16_t, kMsgSlots> kIndex = build_index();
+inline constexpr MsgIndex kIndex = build_index();
 }  // namespace spec_detail
 
 /// Look up the spec row for a message type; kNotifyBit/kReplyBit are ignored.
 /// Returns nullptr for types outside the registry.
 [[nodiscard]] inline constexpr const MsgSpec* find_msg_spec(std::uint32_t type) noexcept {
   const std::uint32_t base = (type & ~(kernel::kNotifyBit | kernel::kReplyBit)) - kMsgBase;
-  if (base >= kMsgSlots) return nullptr;
-  const std::int16_t i = spec_detail::kIndex[base];
-  return i < 0 ? nullptr : &kMsgSpecTable[i];
+  return base < kMsgSlots ? spec_detail::kIndex.row[base] : nullptr;
 }
 
 /// Heartbeat-protocol traffic, exempt from the kernel's storm-throttle gate

@@ -74,6 +74,17 @@ TEST(MsgSpec, RegistryIsCompleteAndUnique) {
     EXPECT_STREQ(servers::msg_name(s.type), s.name);
   }
   EXPECT_EQ(values.size(), servers::kMsgSpecCount);
+  // Every slot of the index range resolves to its own row or to nothing:
+  // the types no row declares are holes, not stray rows.
+  std::size_t resolved = 0;
+  for (std::uint32_t t = servers::kMsgBase; t < servers::kMsgBase + servers::kMsgSlots; ++t) {
+    const MsgSpec* s = servers::find_msg_spec(t);
+    if (s == nullptr) continue;
+    EXPECT_EQ(s->type, t);
+    ++resolved;
+  }
+  EXPECT_EQ(resolved, servers::kMsgSpecCount);
+  EXPECT_EQ(servers::find_msg_spec(0x111), nullptr);  // inside the range, undeclared
   EXPECT_EQ(servers::find_msg_spec(0x7777), nullptr);
   EXPECT_EQ(servers::msg_name(0x7777), nullptr);
 }
