@@ -43,7 +43,6 @@ SystemMetrics collect_metrics(os::OsInstance& inst) {
   m.kernel = inst.kern().stats();
   if (engine != nullptr) m.engine = engine->stats();
   m.fom = inst.vfs().fom_stats();
-  m.classification_defaults = inst.classification().default_lookups();
 
 #if OSIRIS_TRACE_ENABLED
   if (const trace::Tracer* tracer = inst.tracer()) {
@@ -101,8 +100,6 @@ std::string SystemMetrics::report() const {
   out += "engine: " + std::to_string(e.restarts) + " restarts, " + std::to_string(e.rollbacks) +
          " rollbacks, " + std::to_string(e.error_replies) + " error replies, " +
          std::to_string(e.shutdowns) + " shutdowns\n";
-  out += "classification: " + std::to_string(classification_defaults) +
-         " default-trait lookups\n";
   if (fom.admitted > 0) {
     out += "fom[vfs]: " + std::to_string(fom.admitted) + " admitted, " +
            std::to_string(fom.parks) + " parks, " + std::to_string(fom.resumes) +

@@ -42,12 +42,6 @@ struct SystemMetrics {
   /// VFS's FOM executor (DESIGN.md §16): zero unless cfg.vfs_fom is set.
   servers::FomStats fom;
 
-  // SEEP classification health: how many lookups fell back to the
-  // conservative default because the type was absent from the spec table.
-  // Nonzero means a channel carried an undeclared type (dispatch fail-stops
-  // on these at the receiver, but outbound wrappers consult the table too).
-  std::uint64_t classification_defaults = 0;
-
   // event tracing (machine-wide; see ComponentMetrics for the per-ring view)
   bool trace_active = false;          // a tracer was attached to the run
   std::uint64_t trace_emitted = 0;    // total events emitted (incl. overwritten)
@@ -61,7 +55,7 @@ struct SystemMetrics {
 SystemMetrics collect_metrics(os::OsInstance& inst);
 
 /// A fresh machine under one policy after a full prototype test-suite run:
-/// the setting of Table I and of the ablation's coverage table.
+/// the setting of Table I.
 struct SuiteSnapshot {
   workload::SuiteResult suite;
   SystemMetrics metrics;

@@ -133,14 +133,6 @@ Message Kernel::call(Endpoint src, Endpoint dst, Message m) {
       case CrashAction::kNoReply:
         // The caller can never be unblocked; treat it as hung mid-request.
         throw HangSuspend{};
-      case CrashAction::kKillRequester: {
-        // Reconciliation: the requester must die to clean up its scoped
-        // state. PM performs the actual teardown (endpoint-keyed kill).
-        Message kill = make_msg(0x151 /* PM_KILL_EP */,
-                                static_cast<std::uint64_t>(m.sender.value));
-        send(kKernelEp, Endpoint{2} /* PM */, kill);
-        throw HangSuspend{};  // the (nested) caller never gets an answer
-      }
       case CrashAction::kShutdown:
         request_shutdown(ctx.what);
         throw ControlledShutdown(ctx.what);
@@ -398,12 +390,6 @@ void Kernel::handle_crash(Endpoint crashed, const CrashContext& ctx) {
     }
     case CrashAction::kNoReply:
       break;
-    case CrashAction::kKillRequester: {
-      Message kill = make_msg(0x151 /* PM_KILL_EP */,
-                              static_cast<std::uint64_t>(ctx.inflight.sender.value));
-      send(kKernelEp, Endpoint{2} /* PM */, kill);
-      break;
-    }
     case CrashAction::kShutdown:
       request_shutdown(ctx.what);
       throw ControlledShutdown(ctx.what);

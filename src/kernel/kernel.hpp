@@ -47,8 +47,6 @@ enum class CrashAction : std::uint8_t {
   kNoReply,         // component restarted; requester (if any) stays blocked
   kShutdown,        // consistent recovery impossible: controlled shutdown
   kGiveUp,          // recovery itself failed: the system is wedged (counts as crash)
-  kKillRequester,   // SVII extension: reconcile requester-scoped leakage by
-                    // terminating the requesting process (via PM)
 };
 
 struct CrashContext {

@@ -152,15 +152,13 @@ void OsInstance::boot() {
 
   const ckpt::Mode mode =
       seep::policy_uses_windows(cfg_.policy) ? cfg_.ckpt_mode : ckpt::Mode::kOff;
-  classification_ = servers::build_classification();
-  sys_ = std::make_unique<servers::SysTask>(*kernel_, classification_);
-  pm_ = std::make_unique<servers::Pm>(*kernel_, classification_, cfg_.policy, mode);
-  vm_ = std::make_unique<servers::Vm>(*kernel_, classification_, cfg_.policy, mode);
-  vfs_ = std::make_unique<servers::Vfs>(*kernel_, classification_, cfg_.policy, mode, *disk_,
-                                        cfg_.cache_blocks);
+  sys_ = std::make_unique<servers::SysTask>(*kernel_);
+  pm_ = std::make_unique<servers::Pm>(*kernel_, cfg_.policy, mode);
+  vm_ = std::make_unique<servers::Vm>(*kernel_, cfg_.policy, mode);
+  vfs_ = std::make_unique<servers::Vfs>(*kernel_, cfg_.policy, mode, *disk_, cfg_.cache_blocks);
   vfs_->set_fom_enabled(cfg_.vfs_fom);
-  ds_ = std::make_unique<servers::Ds>(*kernel_, classification_, cfg_.policy, mode);
-  rs_ = std::make_unique<servers::Rs>(*kernel_, classification_, cfg_.policy, mode);
+  ds_ = std::make_unique<servers::Ds>(*kernel_, cfg_.policy, mode);
+  rs_ = std::make_unique<servers::Rs>(*kernel_, cfg_.policy, mode);
 
   kernel_->register_server(servers::kSysEp, sys_.get());
   kernel_->register_server(kernel::kPmEp, pm_.get());
@@ -173,8 +171,8 @@ void OsInstance::boot() {
 
   components_ = {pm_.get(), vm_.get(), vfs_.get(), ds_.get(), rs_.get()};
   if (cfg_.recovery_enabled) {
-    engine_ = std::make_unique<recovery::Engine>(*kernel_, classification_, cfg_.policy,
-                                                 cfg_.max_recoveries, cfg_.ladder);
+    engine_ = std::make_unique<recovery::Engine>(*kernel_, cfg_.policy, cfg_.max_recoveries,
+                                                 cfg_.ladder);
     for (recovery::Recoverable* c : components_) engine_->register_component(c);
     rs_->attach_engine(engine_.get());
     // Fever decisions route into the ladder's storm rung, and installing the

@@ -96,9 +96,6 @@ class OsInstance {
 
   // --- accessors for tests and benches ---------------------------------
   kernel::Kernel& kern() noexcept { return *kernel_; }
-  [[nodiscard]] const seep::Classification& classification() const noexcept {
-    return classification_;
-  }
   VirtualClock& clock() noexcept { return clock_; }
   servers::Pm& pm() noexcept { return *pm_; }
   servers::Vm& vm() noexcept { return *vm_; }
@@ -145,7 +142,6 @@ class OsInstance {
   trace::Tracer* prev_tracer_ = nullptr;
 #endif
   std::unique_ptr<fs::BlockDevice> disk_;
-  seep::Classification classification_;
   std::unique_ptr<kernel::Kernel> kernel_;
   std::unique_ptr<servers::SysTask> sys_;
   std::unique_ptr<servers::Pm> pm_;

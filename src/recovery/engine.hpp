@@ -53,7 +53,6 @@
 #include "recovery/ladder.hpp"
 #include "recovery/recoverable.hpp"
 #include "seep/policy.hpp"
-#include "seep/seep.hpp"
 
 namespace osiris::recovery {
 
@@ -66,8 +65,7 @@ struct EngineStats {
   std::uint64_t giveups = 0;
   std::uint64_t stateless_restarts = 0;
   std::uint64_t naive_restarts = 0;
-  std::uint64_t requester_kills = 0;  // SVII extended-policy reconciliations
-  std::uint64_t fom_reconciles = 0;   // windowed recoveries reconciled by the FOM executor
+  std::uint64_t fom_reconciles = 0;  // windowed recoveries reconciled by the FOM executor
   // --- escalation ladder -------------------------------------------------
   std::uint64_t transient_crashes = 0;  // classified below the recurrence rate
   std::uint64_t recurring_crashes = 0;  // classified as a crash loop
@@ -92,9 +90,8 @@ class Engine {
   /// `max_recoveries_per_component` bounds crash storms: a component that
   /// exhausts its budget is forced onto the ladder's quarantine rung (the
   /// system degrades instead of wedging).
-  Engine(kernel::Kernel& kernel, const seep::Classification& classification,
-         seep::Policy policy, std::uint32_t max_recoveries_per_component = 8,
-         LadderConfig ladder = {});
+  Engine(kernel::Kernel& kernel, seep::Policy policy,
+         std::uint32_t max_recoveries_per_component = 8, LadderConfig ladder = {});
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -176,7 +173,6 @@ class Engine {
   kernel::CrashDecision error_reply(const kernel::CrashContext& ctx);
 
   kernel::Kernel& kernel_;
-  const seep::Classification& classification_;
   seep::Policy policy_;
   std::uint32_t max_recoveries_;
   LadderConfig ladder_;

@@ -20,15 +20,11 @@ enum class Policy : std::uint8_t {
   kPessimistic,
   /// OSIRIS enhanced (default): only state-modifying SEEPs close the window.
   kEnhanced,
-  /// SVII composable-policy extension: like enhanced, but requester-scoped
-  /// SEEPs keep the window open (tainting it); reconciliation then kills
-  /// the requester instead of error-replying.
-  kExtended,
 };
 
 /// Does this policy maintain checkpoints / recovery windows at all?
 [[nodiscard]] constexpr bool policy_uses_windows(Policy p) {
-  return p == Policy::kPessimistic || p == Policy::kEnhanced || p == Policy::kExtended;
+  return p == Policy::kPessimistic || p == Policy::kEnhanced;
 }
 
 /// Does an outbound message of the given SEEP class close the window?
@@ -40,19 +36,9 @@ enum class Policy : std::uint8_t {
     case Policy::kPessimistic:
       return true;  // any outbound interaction
     case Policy::kEnhanced:
-      // Without the kill-requester reconciliation, requester-scoped effects
-      // are as fatal as any other dependency: close.
-      return cls != SeepClass::kNonStateModifying;
-    case Policy::kExtended:
       return cls == SeepClass::kStateModifying;
   }
   return true;
-}
-
-/// Does an outbound message of the given SEEP class *taint* the window
-/// (recovery stays possible, but reconciliation must kill the requester)?
-[[nodiscard]] constexpr bool policy_taints_window(Policy p, SeepClass cls) {
-  return p == Policy::kExtended && cls == SeepClass::kRequesterScoped;
 }
 
 [[nodiscard]] constexpr const char* policy_name(Policy p) {
@@ -61,7 +47,6 @@ enum class Policy : std::uint8_t {
     case Policy::kNaive: return "naive";
     case Policy::kPessimistic: return "pessimistic";
     case Policy::kEnhanced: return "enhanced";
-    case Policy::kExtended: return "extended";
   }
   return "?";
 }

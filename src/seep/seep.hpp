@@ -2,16 +2,15 @@
 //
 // Every inter-component channel is wrapped in a SEEP that carries a static
 // classification of the messages flowing through it: does the request modify
-// the receiver's state (creating a cross-component dependency), and can the
-// sender be answered with an error reply after recovery?
+// the receiver's state, creating a cross-component dependency?
 //
 // The paper computes this classification with an LLVM pass over outbound
-// call sites; we hand-author the same static table (see servers/protocol.cpp
-// for the system-wide classification, the output the pass would produce).
+// call sites; we hand-author the same static table. Each message's class is
+// a column of its row in the declarative spec (servers/msg_spec.hpp), the
+// one place the class is declared and read.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
 namespace osiris::seep {
 
@@ -23,53 +22,6 @@ enum class SeepClass : std::uint8_t {
   /// The interaction changes the receiver's state: rolling back the sender
   /// afterwards would orphan that change. Closes the recovery window.
   kStateModifying,
-  /// The interaction changes receiver state that belongs exclusively to the
-  /// *requesting process* (its address space, its fd table). Rolling back
-  /// the sender orphans only requester-local state, which killing the
-  /// requester cleans up automatically — the paper's SVII extensibility
-  /// example. Under the extended policy such a SEEP taints the window
-  /// instead of closing it; every other policy treats it as
-  /// state-modifying.
-  kRequesterScoped,
-};
-
-struct MsgTraits {
-  SeepClass seep = SeepClass::kStateModifying;  // conservative default
-  /// Whether the *incoming* message of this type is a request whose sender
-  /// waits for a reply, so reconciliation may error-virtualize it (E_CRASH).
-  bool replyable = true;
-};
-
-/// System-wide static SEEP classification: message type -> traits.
-/// Message types are globally unique across server protocols, so the table
-/// does not need to be keyed by destination.
-class Classification {
- public:
-  void set(std::uint32_t type, SeepClass seep, bool replyable = true) {
-    table_[type] = MsgTraits{seep, replyable};
-  }
-
-  /// Unknown types get the conservative default (state-modifying, replyable).
-  /// Every such fallback is counted: a nonzero default_lookups() means some
-  /// channel carried a type the spec table never declared — invisible
-  /// conservatism the metrics report surfaces (and dispatch fail-stops on).
-  [[nodiscard]] MsgTraits get(std::uint32_t type) const {
-    auto it = table_.find(type);
-    if (it == table_.end()) {
-      ++default_hits_;
-      return MsgTraits{};
-    }
-    return it->second;
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return table_.size(); }
-
-  /// How many get() calls fell back to the conservative default.
-  [[nodiscard]] std::uint64_t default_lookups() const noexcept { return default_hits_; }
-
- private:
-  std::unordered_map<std::uint32_t, MsgTraits> table_;
-  mutable std::uint64_t default_hits_ = 0;
 };
 
 }  // namespace osiris::seep

@@ -3,10 +3,11 @@
 // One Window per component. It opens at the top of the request processing
 // loop (which is also where the checkpoint — an undo-log reset — is taken)
 // and closes at the first outbound SEEP the policy forbids, or when a
-// cooperative thread yields (SIV-E). While open, rolling back the undo log
-// provably returns the whole system to a consistent state; once closed, the
-// undo log is discarded and instrumentation stops logging (the SIV-D
-// optimization).
+// cooperative thread yields (SIV-E). The caller passes each outbound SEEP's
+// class, read from the message's spec row (servers/msg_spec.hpp). While
+// open, rolling back the undo log provably returns the whole system to a
+// consistent state; once closed, the undo log is discarded and
+// instrumentation stops logging (the SIV-D optimization).
 //
 // The Window also owns the recovery-coverage accounting behind Table I:
 // every fi:: probe reports a basic-block execution, attributed to
@@ -41,7 +42,6 @@ struct WindowStats {
   std::uint64_t opened = 0;
   std::uint64_t closed_by_seep = 0;
   std::uint64_t closed_by_yield = 0;
-  std::uint64_t tainted = 0;
   std::uint64_t fom_parks = 0;    // windows suspended by an executor park
   std::uint64_t fom_resumes = 0;  // windows reopened by an executor resume
   std::uint64_t probe_hits_inside = 0;
@@ -54,14 +54,12 @@ struct WindowStats {
 };
 
 /// Per-message-type window accounting: which request opened the window when
-/// it closed or tainted. This is the runtime ground truth the static
-/// handler-granularity predictions (osiris-analyze Pass 4) are validated
-/// against.
+/// it closed. This is the runtime ground truth the static handler-granularity
+/// predictions (osiris-analyze Pass 4) are validated against.
 struct MsgWindowStats {
   std::uint64_t opened = 0;
   std::uint64_t closed_by_seep = 0;
   std::uint64_t closed_by_yield = 0;
-  std::uint64_t tainted = 0;
   std::uint64_t fom_parks = 0;
   std::uint64_t fom_resumes = 0;
 };
@@ -76,19 +74,14 @@ class Window {
   [[nodiscard]] Policy policy() const noexcept { return policy_; }
   [[nodiscard]] bool is_open() const noexcept { return open_; }
 
-  /// True when a requester-scoped SEEP left the window open under the
-  /// extended policy: recovery must kill the requester to reconcile.
-  [[nodiscard]] bool is_tainted() const noexcept { return tainted_; }
-
   /// Top of the request processing loop: take the checkpoint and open the
   /// window. Under non-window policies this is a no-op. `msg_type` (when
-  /// nonzero) attributes this window's eventual close/taint to the request
+  /// nonzero) attributes this window's eventual close to the request
   /// being processed, feeding the per-handler stats.
   void open(std::uint32_t msg_type = 0) {
     if (!policy_uses_windows(policy_)) return;
     ctx_.log().checkpoint();
     open_ = true;
-    tainted_ = false;
     current_msg_ = msg_type;
     ctx_.set_window_open(true);
     ++stats_.opened;
@@ -99,14 +92,6 @@ class Window {
   /// Called *before* each outbound SEEP message leaves the component.
   void on_outbound(SeepClass cls) {
     if (!open_) return;
-    if (policy_taints_window(policy_, cls)) {
-      if (!tainted_) {
-        ++stats_.tainted;
-        if (current_msg_ != 0) ++per_msg_[current_msg_].tainted;
-      }
-      tainted_ = true;
-      return;  // window survives: reconciliation will kill the requester
-    }
     if (policy_closes_window(policy_, cls)) {
       close_common(kCloseCauseSeep, static_cast<std::uint64_t>(cls));
       ++stats_.closed_by_seep;
@@ -132,7 +117,6 @@ class Window {
     if (!open_) return;
     OSIRIS_TRACE_EVENT(kWindowClose, ctx_.trace_id(), kCloseCauseFomPark);
     open_ = false;
-    tainted_ = false;
     ctx_.set_window_open(false);
     ++stats_.fom_parks;
     if (current_msg_ != 0) ++per_msg_[current_msg_].fom_parks;
@@ -146,7 +130,6 @@ class Window {
     if (!policy_uses_windows(policy_)) return;
     ctx_.log().checkpoint();
     open_ = true;
-    tainted_ = false;
     current_msg_ = msg_type;
     ctx_.set_window_open(true);
     ++stats_.fom_resumes;
@@ -161,7 +144,6 @@ class Window {
       OSIRIS_TRACE_EVENT(kWindowClose, ctx_.trace_id(), kCloseCauseEndOfRequest);
     }
     open_ = false;
-    tainted_ = false;
     ctx_.set_window_open(false);
   }
 
@@ -176,7 +158,7 @@ class Window {
 
   [[nodiscard]] const WindowStats& stats() const noexcept { return stats_; }
 
-  /// Close/taint accounting keyed by the message type passed to open().
+  /// Close accounting keyed by the message type passed to open().
   [[nodiscard]] const std::map<std::uint32_t, MsgWindowStats>& per_msg_stats() const noexcept {
     return per_msg_;
   }
@@ -195,7 +177,6 @@ class Window {
   Policy policy_;
   ckpt::Context& ctx_;
   bool open_ = false;
-  bool tainted_ = false;
   std::uint32_t current_msg_ = 0;
   WindowStats stats_;
   std::map<std::uint32_t, MsgWindowStats> per_msg_;

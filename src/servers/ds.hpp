@@ -37,9 +37,8 @@ struct DsState {
 
 class Ds final : public ServerBase<DsState> {
  public:
-  Ds(kernel::Kernel& kernel, const seep::Classification& classification, seep::Policy policy,
-     ckpt::Mode mode)
-      : ServerBase(kernel, kernel::kDsEp, "ds", classification, policy, mode) {
+  Ds(kernel::Kernel& kernel, seep::Policy policy, ckpt::Mode mode)
+      : ServerBase(kernel, kernel::kDsEp, "ds", policy, mode) {
     init_state();
     register_handlers();
   }

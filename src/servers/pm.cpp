@@ -73,7 +73,6 @@ void Pm::register_handlers() {
   on(PM_GETMEMINFO, &Pm::do_getmeminfo);
   on(PM_UNAME, &Pm::do_uname);
   on(PM_PROCSTAT, &Pm::do_procstat);
-  on(PM_KILL_EP, &Pm::do_kill_ep);
   on_notify(DS_NOTIFY_SUB, &Pm::ignore_ds_note);
 }
 
@@ -199,18 +198,6 @@ std::optional<Message> Pm::do_procstat(const Message& m) {
   r.arg[1] = static_cast<std::uint64_t>(st().procs.at(i).state);
   r.arg[2] = static_cast<std::uint64_t>(st().procs.at(i).parent);
   return r;
-}
-
-std::optional<Message> Pm::do_kill_ep(const Message& m) {
-  FI_BLOCK("pm");
-  // Reconciliation kill from the recovery engine (SVII): tear down the
-  // process owning the endpoint, exactly like an external SIGKILL.
-  const std::size_t i = slot_of_ep(MsgView(m).i32(0));
-  if (i == kNpos) return std::nullopt;  // already gone
-  seep_send(kernel::Endpoint{st().procs.at(i).client_ep},
-            encode(PM_SIG_NOTIFY | kernel::kNotifyBit, 1ULL << kSigKill));
-  terminate_proc(i, -static_cast<std::int64_t>(kSigKill));
-  return std::nullopt;
 }
 
 std::optional<Message> Pm::ignore_ds_note(const Message&) {

@@ -55,9 +55,8 @@ struct PmState {
 
 class Pm final : public ServerBase<PmState> {
  public:
-  Pm(kernel::Kernel& kernel, const seep::Classification& classification, seep::Policy policy,
-     ckpt::Mode mode)
-      : ServerBase(kernel, kernel::kPmEp, "pm", classification, policy, mode) {
+  Pm(kernel::Kernel& kernel, seep::Policy policy, ckpt::Mode mode)
+      : ServerBase(kernel, kernel::kPmEp, "pm", policy, mode) {
     init_state();
     register_handlers();
   }
@@ -96,7 +95,6 @@ class Pm final : public ServerBase<PmState> {
   std::optional<kernel::Message> do_getmeminfo(const kernel::Message& m);
   std::optional<kernel::Message> do_uname(const kernel::Message& m);
   std::optional<kernel::Message> do_procstat(const kernel::Message& m);
-  std::optional<kernel::Message> do_kill_ep(const kernel::Message& m);
   std::optional<kernel::Message> ignore_ds_note(const kernel::Message& m);
 
   /// Shared exit path (voluntary exit and kSigKill).

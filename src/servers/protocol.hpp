@@ -1,5 +1,5 @@
 // System-wide IPC protocol. The message types themselves — together with
-// their owning server, SEEP classification and arg/text schema — live in the
+// their owning server, SEEP class and arg/text schema — live in the
 // declarative spec table in servers/msg_spec.hpp; this header adds the
 // protocol-adjacent constants that are not per-message rows.
 //
@@ -12,7 +12,6 @@
 #include <cstdint>
 
 #include "kernel/endpoint.hpp"
-#include "seep/seep.hpp"
 #include "servers/msg_spec.hpp"
 
 namespace osiris::servers {
@@ -41,9 +40,5 @@ enum Signal : std::uint64_t {
   kSigUsr2 = 12,
   kSigChld = 17,
 };
-
-/// Build the system-wide static SEEP classification — the artifact the
-/// paper's compiler pass produces — as a pure derivation from kMsgSpecTable.
-seep::Classification build_classification();
 
 }  // namespace osiris::servers

@@ -35,9 +35,8 @@ struct RsState {
 
 class Rs final : public ServerBase<RsState> {
  public:
-  Rs(kernel::Kernel& kernel, const seep::Classification& classification, seep::Policy policy,
-     ckpt::Mode mode)
-      : ServerBase(kernel, kernel::kRsEp, "rs", classification, policy, mode) {
+  Rs(kernel::Kernel& kernel, seep::Policy policy, ckpt::Mode mode)
+      : ServerBase(kernel, kernel::kRsEp, "rs", policy, mode) {
     init_state();
     register_handlers();
   }

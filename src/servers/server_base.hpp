@@ -13,9 +13,9 @@
 //   - opens the recovery window (and takes the checkpoint — an undo-log
 //     reset) at the "top of the loop", i.e. when a replyable request
 //     arrives;
-//   - routes all outbound communication through SEEP wrappers that consult
-//     the static classification and the active policy, closing the window
-//     when required (Figure 2);
+//   - routes all outbound communication through SEEP wrappers that read the
+//     message's SEEP class from its spec row and ask the active policy
+//     whether it closes the window (Figure 2);
 //   - activates the server's checkpointing context and fault-injection
 //     attribution for the duration of the dispatch, including across nested
 //     calls into other servers;
@@ -39,7 +39,6 @@
 #include "kernel/kernel.hpp"
 #include "recovery/recoverable.hpp"
 #include "seep/policy.hpp"
-#include "seep/seep.hpp"
 #include "seep/window.hpp"
 #include "servers/protocol.hpp"
 
@@ -73,12 +72,10 @@ class FiScope {
 class ServerCommon : public kernel::IServer, public recovery::Recoverable {
  public:
   ServerCommon(kernel::Kernel& kernel, kernel::Endpoint ep, std::string name,
-               const seep::Classification& classification, seep::Policy policy,
-               ckpt::Mode ckpt_mode)
+               seep::Policy policy, ckpt::Mode ckpt_mode)
       : kernel_(kernel),
         ep_(ep),
         name_(std::move(name)),
-        classification_(classification),
         ctx_(ckpt_mode),
         window_(policy, ctx_) {
     // Checkpoint/window events attribute to this server's endpoint.
@@ -128,7 +125,7 @@ class ServerCommon : public kernel::IServer, public recovery::Recoverable {
     // reconciled, so the window (conservatively) stays closed.
     if (spec->replyable() && !is_notify && !is_reply) {
       // Attribute the window to the request's message type: the per-msg
-      // close/taint stats are the runtime ground truth for the Pass 4
+      // close stats are the runtime ground truth for the Pass 4
       // handler-granularity predictions.
       window_.open(m.type);
     }
@@ -249,34 +246,36 @@ class ServerCommon : public kernel::IServer, public recovery::Recoverable {
   virtual void init_state() = 0;
 
   // --- SEEP-wrapped outbound communication ---------------------------------
+  // Each wrapper reads the message's SEEP class from its spec row. Every sent
+  // type has a row: encode() and encode_text() assert it.
 
   /// Synchronous sendrec to another server through a SEEP.
   kernel::Message seep_call(kernel::Endpoint dst, kernel::Message m) {
-    window_.on_outbound(classification_.get(m.type & ~kernel::kNotifyBit).seep);
+    window_.on_outbound(find_msg_spec(m.type)->seep);
     return kernel_.call(ep_, dst, std::move(m));
   }
 
   /// Asynchronous send through a SEEP.
   void seep_send(kernel::Endpoint dst, kernel::Message m) {
-    window_.on_outbound(classification_.get(m.type & ~kernel::kNotifyBit).seep);
+    window_.on_outbound(find_msg_spec(m.type)->seep);
     kernel_.send(ep_, dst, std::move(m));
   }
 
   /// Notification through a SEEP.
   void seep_notify(kernel::Endpoint dst, std::uint32_t type) {
-    window_.on_outbound(classification_.get(type).seep);
+    window_.on_outbound(find_msg_spec(type)->seep);
     kernel_.notify(ep_, dst, type);
   }
 
-  /// Batched notification fan-out through a SEEP: one classification lookup
-  /// and one window transition cover the whole batch (every element carries
-  /// the same type, so the per-send on_outbound calls would be no-ops after
-  /// the first — taint latches, close is idempotent). The kernel still
-  /// queues and traces each notification individually, so delivery order
-  /// and the event trace are identical to a seep_notify loop.
+  /// Batched notification fan-out through a SEEP: one class lookup and one
+  /// window transition cover the whole batch (every element carries the same
+  /// type, so the per-send on_outbound calls would be no-ops after the first
+  /// — close is idempotent). The kernel still queues and traces each
+  /// notification individually, so delivery order and the event trace are
+  /// identical to a seep_notify loop.
   void seep_notify_batch(std::span<const kernel::Endpoint> dsts, std::uint32_t type) {
     if (dsts.empty()) return;
-    window_.on_outbound(classification_.get(type).seep);
+    window_.on_outbound(find_msg_spec(type)->seep);
     for (const kernel::Endpoint dst : dsts) kernel_.notify(ep_, dst, type);
   }
 
@@ -291,9 +290,6 @@ class ServerCommon : public kernel::IServer, public recovery::Recoverable {
   }
 
   kernel::Kernel& kern() noexcept { return kernel_; }
-  [[nodiscard]] const seep::Classification& classification() const noexcept {
-    return classification_;
-  }
 
  private:
   /// One slot per spec row; the three delivery kinds dispatch independently.
@@ -348,7 +344,6 @@ class ServerCommon : public kernel::IServer, public recovery::Recoverable {
   kernel::Kernel& kernel_;
   kernel::Endpoint ep_;
   std::string name_;
-  const seep::Classification& classification_;
   ckpt::Context ctx_;
   seep::Window window_;
   std::uint64_t deferred_replies_ = 0;

@@ -29,9 +29,8 @@ struct SysState {
 
 class SysTask final : public ServerBase<SysState> {
  public:
-  SysTask(kernel::Kernel& kernel, const seep::Classification& classification)
-      : ServerBase(kernel, kSysEp, "sys", classification, seep::Policy::kEnhanced,
-                   ckpt::Mode::kOff) {
+  explicit SysTask(kernel::Kernel& kernel)
+      : ServerBase(kernel, kSysEp, "sys", seep::Policy::kEnhanced, ckpt::Mode::kOff) {
     init_state();
     register_handlers();
   }

@@ -26,9 +26,9 @@ namespace {
 constexpr auto kNpos = static_cast<std::size_t>(-1);
 }
 
-Vfs::Vfs(kernel::Kernel& kernel, const seep::Classification& classification,
-         seep::Policy policy, ckpt::Mode mode, fs::BlockDevice& dev, std::size_t cache_blocks)
-    : ServerBase(kernel, kernel::kVfsEp, "vfs", classification, policy, mode),
+Vfs::Vfs(kernel::Kernel& kernel, seep::Policy policy, ckpt::Mode mode, fs::BlockDevice& dev,
+         std::size_t cache_blocks)
+    : ServerBase(kernel, kernel::kVfsEp, "vfs", policy, mode),
       dev_(dev),
       cache_(cache_blocks),
       store_(*this),

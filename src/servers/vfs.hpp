@@ -96,8 +96,8 @@ struct VfsState {
 
 class Vfs final : public ServerBase<VfsState> {
  public:
-  Vfs(kernel::Kernel& kernel, const seep::Classification& classification, seep::Policy policy,
-      ckpt::Mode mode, fs::BlockDevice& dev, std::size_t cache_blocks = 64);
+  Vfs(kernel::Kernel& kernel, seep::Policy policy, ckpt::Mode mode, fs::BlockDevice& dev,
+      std::size_t cache_blocks = 64);
   ~Vfs() override;
 
   /// Boot: mount the (already formatted) device.

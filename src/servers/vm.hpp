@@ -47,9 +47,8 @@ struct VmState {
 
 class Vm final : public ServerBase<VmState> {
  public:
-  Vm(kernel::Kernel& kernel, const seep::Classification& classification, seep::Policy policy,
-     ckpt::Mode mode)
-      : ServerBase(kernel, kernel::kVmEp, "vm", classification, policy, mode) {
+  Vm(kernel::Kernel& kernel, seep::Policy policy, ckpt::Mode mode)
+      : ServerBase(kernel, kernel::kVmEp, "vm", policy, mode) {
     init_state();
     register_handlers();
   }

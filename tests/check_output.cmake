@@ -1,12 +1,14 @@
 # Byte-for-byte output pin for a paper-table binary.
 #
-# Runs BIN, fails if it exits non-zero or if its stdout differs from the
-# committed reference REF; the actual output is left in OUT for diffing.
-# Regenerate a reference only for an intentional change to the table, as
-# with the golden traces, e.g.
+# Runs BIN with the optional ARGS list, fails if it exits non-zero or if its
+# stdout differs from the committed reference REF; the actual output is left
+# in OUT for diffing. OSIRIS_SAMPLE is cleared so a campaign always runs its
+# full plan. Regenerate a reference only for an intentional change to the
+# table, as with the golden traces, e.g.
 #   ./build/bench/table1_coverage > tests/golden/table1_coverage.txt
 #
-# Usage: cmake -DBIN=<exe> -DREF=<file> -DOUT=<file> -P check_output.cmake
+# Usage: cmake -DBIN=<exe> [-DARGS=<arg;...>] -DREF=<file> -DOUT=<file>
+#              -P check_output.cmake
 
 foreach(var BIN REF OUT)
   if(NOT DEFINED ${var})
@@ -14,7 +16,8 @@ foreach(var BIN REF OUT)
   endif()
 endforeach()
 
-execute_process(COMMAND ${BIN} OUTPUT_FILE ${OUT} RESULT_VARIABLE rc)
+unset(ENV{OSIRIS_SAMPLE})
+execute_process(COMMAND ${BIN} ${ARGS} OUTPUT_FILE ${OUT} RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "check_output: ${BIN} exited with ${rc}")
 endif()

@@ -1,8 +1,8 @@
 // osiris-analyze integration: the static analyzer must (a) report zero
 // findings on the real tree, (b) detect every seeded violation in the
 // fixture tree, and (c) produce SEEP predictions that agree with the
-// hand-authored classification table and with runtime WindowStats from the
-// standard workload.
+// compiled spec table and with runtime WindowStats from the standard
+// workload.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -31,8 +31,6 @@ osiris::seep::SeepClass to_runtime(analyze::SeepClass c) {
       return osiris::seep::SeepClass::kNonStateModifying;
     case analyze::SeepClass::kStateModifying:
       return osiris::seep::SeepClass::kStateModifying;
-    case analyze::SeepClass::kRequesterScoped:
-      return osiris::seep::SeepClass::kRequesterScoped;
   }
   return osiris::seep::SeepClass::kStateModifying;
 }
@@ -43,8 +41,6 @@ osiris::seep::Policy to_runtime(analyze::Policy p) {
       return osiris::seep::Policy::kPessimistic;
     case analyze::Policy::kEnhanced:
       return osiris::seep::Policy::kEnhanced;
-    case analyze::Policy::kExtended:
-      return osiris::seep::Policy::kExtended;
   }
   return osiris::seep::Policy::kPessimistic;
 }
@@ -56,8 +52,6 @@ int policy_index(Policy p) {
       return 0;
     case Policy::kEnhanced:
       return 1;
-    case Policy::kExtended:
-      return 2;
     default:
       return -1;
   }
@@ -136,22 +130,20 @@ TEST(Analyze, FixtureSeedsEveryDetector) {
 
 TEST(Analyze, ParsedClassificationAgreesWithRuntimeTable) {
   const analyze::Report& r = clean_report();
-  const osiris::seep::Classification runtime = osiris::servers::build_classification();
+  using osiris::servers::kMsgSpecCount;
 
-  // Same cardinality: every spec row was parsed, nothing extra. (The runtime
-  // table is itself derived from the spec, so this closes the loop.)
-  EXPECT_EQ(r.classification.size(), runtime.size());
-  EXPECT_EQ(r.messages.size(), runtime.size());  // complete table, no strays
+  // Same cardinality: every compiled spec row was parsed, nothing extra.
+  EXPECT_EQ(r.classification.size(), kMsgSpecCount);
+  EXPECT_EQ(r.messages.size(), kMsgSpecCount);  // complete table, no strays
 
-  // Per-entry agreement, keyed through the parsed enum values.
-  std::map<std::string, std::uint32_t> values;
-  for (const auto& m : r.messages) values[m.name] = m.value;
-  for (const auto& e : r.classification) {
-    const auto it = values.find(e.msg);
-    ASSERT_NE(it, values.end()) << e.msg;
-    const osiris::seep::MsgTraits t = runtime.get(it->second);
-    EXPECT_EQ(t.seep, to_runtime(e.cls)) << e.msg;
-    EXPECT_EQ(t.replyable, e.replyable) << e.msg;
+  // Per-row agreement with the compiled table, keyed by message name.
+  std::map<std::string, const analyze::ClassEntry*> parsed;
+  for (const auto& e : r.classification) parsed[e.msg] = &e;
+  for (const osiris::servers::MsgSpec& s : osiris::servers::kMsgSpecTable) {
+    const auto it = parsed.find(s.name);
+    ASSERT_NE(it, parsed.end()) << s.name;
+    EXPECT_EQ(s.seep, to_runtime(it->second->cls)) << s.name;
+    EXPECT_EQ(s.replyable(), it->second->replyable) << s.name;
   }
 }
 
@@ -182,13 +174,10 @@ TEST(Analyze, SpecTableParsedExactly) {
 TEST(Analyze, PolicyMirrorsMatchRuntimePolicyFunctions) {
   for (int pi = 0; pi < analyze::kNumPolicies; ++pi) {
     const auto ap = static_cast<analyze::Policy>(pi);
-    for (int ci = 0; ci < 3; ++ci) {
+    for (int ci = 0; ci < 2; ++ci) {
       const auto ac = static_cast<analyze::SeepClass>(ci);
       EXPECT_EQ(analyze::policy_closes_window(ap, ac),
                 osiris::seep::policy_closes_window(to_runtime(ap), to_runtime(ac)))
-          << analyze::policy_name(ap) << " / " << analyze::seep_class_name(ac);
-      EXPECT_EQ(analyze::policy_taints_window(ap, ac),
-                osiris::seep::policy_taints_window(to_runtime(ap), to_runtime(ac)))
           << analyze::policy_name(ap) << " / " << analyze::seep_class_name(ac);
     }
   }
@@ -234,20 +223,6 @@ TEST(Analyze, StaticPredictionsMatchHandAnalysis) {
   ASSERT_NE(ds, nullptr);
   EXPECT_TRUE(ds->may_close_by_seep[policy_index(Policy::kPessimistic)]);
   EXPECT_FALSE(ds->may_close_by_seep[policy_index(Policy::kEnhanced)]);
-  EXPECT_FALSE(ds->may_close_by_seep[policy_index(Policy::kExtended)]);
-
-  // PM forwards brk to VM as a requester-scoped SEEP: under the extended
-  // policy that taints instead of closing; PM is the only server with
-  // requester-scoped outbound traffic.
-  const analyze::WindowPrediction* pm = r.prediction_for("pm");
-  ASSERT_NE(pm, nullptr);
-  EXPECT_TRUE(pm->may_taint[policy_index(Policy::kExtended)]);
-  EXPECT_FALSE(pm->may_taint[policy_index(Policy::kEnhanced)]);
-  for (const auto& p : r.predictions) {
-    if (p.server != "pm") {
-      EXPECT_FALSE(p.may_taint[policy_index(Policy::kExtended)]) << p.server;
-    }
-  }
 
   // The remaining servers all send state-modifying traffic: may close under
   // every windowed policy.
@@ -263,7 +238,7 @@ TEST(Analyze, StaticPredictionsMatchHandAnalysis) {
 TEST(Analyze, StaticPredictionsConsistentWithRuntimeWindowStats) {
   const analyze::Report& r = clean_report();
 
-  for (const Policy policy : {Policy::kPessimistic, Policy::kEnhanced, Policy::kExtended}) {
+  for (const Policy policy : {Policy::kPessimistic, Policy::kEnhanced}) {
     const int pi = policy_index(policy);
     ASSERT_GE(pi, 0);
 
@@ -282,7 +257,6 @@ TEST(Analyze, StaticPredictionsConsistentWithRuntimeWindowStats) {
       if (pred == nullptr) {
         // A server with no outbound sites can never close its window by SEEP.
         EXPECT_EQ(stats.closed_by_seep, 0u) << name;
-        EXPECT_EQ(stats.tainted, 0u) << name;
         continue;
       }
       // Soundness: runtime behaviour must stay inside the static envelope.
@@ -294,12 +268,6 @@ TEST(Analyze, StaticPredictionsConsistentWithRuntimeWindowStats) {
       if (stats.closed_by_seep > 0) {
         EXPECT_TRUE(pred->may_close_by_seep[pi])
             << name << " under " << osiris::seep::policy_name(policy);
-      }
-      if (!pred->may_taint[pi]) {
-        EXPECT_EQ(stats.tainted, 0u) << name << " under " << osiris::seep::policy_name(policy);
-      }
-      if (stats.tainted > 0) {
-        EXPECT_TRUE(pred->may_taint[pi]) << name;
       }
     }
 

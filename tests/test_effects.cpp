@@ -42,8 +42,6 @@ int policy_index(Policy p) {
       return 0;
     case Policy::kEnhanced:
       return 1;
-    case Policy::kExtended:
-      return 2;
     default:
       return -1;
   }
@@ -123,10 +121,9 @@ TEST(Effects, RecursionCutAndMutationOrdering) {
   ASSERT_GE(send_at, 0) << "FX_POKE send missing from the summary";
   ASSERT_GT(late_mutation_at, send_at) << "no mutation after the window-closing send";
   EXPECT_GE(h->mutations_after_close, 1);
-  // SM send: closes under every policy, taints under none.
+  // SM send: closes under every policy.
   for (int pi = 0; pi < analyze::kNumPolicies; ++pi) {
     EXPECT_TRUE(h->may_close_by_seep[pi]) << pi;
-    EXPECT_FALSE(h->may_taint[pi]) << pi;
   }
 }
 
@@ -185,16 +182,13 @@ TEST(Effects, HandlerPredictionsWithinServerEnvelopeAndTighter) {
   const analyze::Report& r = clean_report();
 
   // Soundness against Pass 2: the per-server envelope is the union of its
-  // handlers, so no handler may predict a closure/taint its server cannot.
+  // handlers, so no handler may predict a closure its server cannot.
   for (const auto& h : r.handler_effects) {
     const analyze::WindowPrediction* server_pred = r.prediction_for(h.server);
     if (server_pred == nullptr) continue;
     for (int pi = 0; pi < analyze::kNumPolicies; ++pi) {
       if (h.may_close_by_seep[pi]) {
         EXPECT_TRUE(server_pred->may_close_by_seep[pi]) << h.server << "/" << h.msg << " " << pi;
-      }
-      if (h.may_taint[pi]) {
-        EXPECT_TRUE(server_pred->may_taint[pi]) << h.server << "/" << h.msg << " " << pi;
       }
     }
   }
@@ -230,7 +224,7 @@ TEST(Effects, HandlerPredictionsConsistentWithRuntimePerMsgWindowStats) {
   for (const auto& row : r.spec) msg_by_value[row.value] = row.name;
   ASSERT_FALSE(msg_by_value.empty());
 
-  for (const Policy policy : {Policy::kPessimistic, Policy::kEnhanced, Policy::kExtended}) {
+  for (const Policy policy : {Policy::kPessimistic, Policy::kEnhanced}) {
     const int pi = policy_index(policy);
     ASSERT_GE(pi, 0);
 
@@ -264,10 +258,6 @@ TEST(Effects, HandlerPredictionsConsistentWithRuntimePerMsgWindowStats) {
           EXPECT_TRUE(h->may_close_by_yield)
               << name << "/" << msg << ": runtime closed by yield, statically impossible";
         }
-        if (stats.tainted > 0) {
-          EXPECT_TRUE(h->may_taint[pi])
-              << name << "/" << msg << " under " << osiris::seep::policy_name(policy);
-        }
         // And conversely, statically-impossible events never occur.
         if (!h->may_close_by_seep[pi]) {
           EXPECT_EQ(stats.closed_by_seep, 0u)
@@ -275,10 +265,6 @@ TEST(Effects, HandlerPredictionsConsistentWithRuntimePerMsgWindowStats) {
         }
         if (!h->may_close_by_yield) {
           EXPECT_EQ(stats.closed_by_yield, 0u) << name << "/" << msg;
-        }
-        if (!h->may_taint[pi]) {
-          EXPECT_EQ(stats.tainted, 0u)
-              << name << "/" << msg << " under " << osiris::seep::policy_name(policy);
         }
 
         if (msg == "PM_FORK" && stats.closed_by_seep > 0) fork_closed = true;
@@ -294,13 +280,13 @@ TEST(Effects, HandlerPredictionsConsistentWithRuntimePerMsgWindowStats) {
 
 // --- artifact + loader hardening ---------------------------------------------
 
-TEST(Effects, HandlerEffectsJsonCarriesV1Schema) {
+TEST(Effects, HandlerEffectsJsonCarriesV2Schema) {
   const std::string doc = analyze::handler_effects_to_json(clean_report(), OSIRIS_SOURCE_ROOT);
   for (const char* key :
-       {"\"schema_version\": 1", "\"policies\"", "\"handlers\"", "\"blocking_points\"",
+       {"\"schema_version\": 2", "\"policies\"", "\"handlers\"", "\"blocking_points\"",
         "\"opens_window\"", "\"mutations_after_close\"", "\"may_close_by_yield\"",
-        "\"may_park\"", "\"suppressed\"", "\"predictions\"", "\"pessimistic\"", "\"enhanced\"",
-        "\"extended\"", "\"effects\""}) {
+        "\"may_park\"", "\"suppressed\"", "\"predictions\"", "\"pessimistic\"",
+        "\"enhanced\"", "\"may_close_by_seep\"", "\"effects\""}) {
     EXPECT_NE(doc.find(key), std::string::npos) << key;
   }
   // The blocking-point inventory is non-empty on the real tree (the legacy

@@ -1,14 +1,13 @@
 // The declarative protocol spec (servers/msg_spec.hpp): registry
 // completeness, typed marshalling round-trips, schema validation at the
 // dispatch boundary (malformed / unregistered -> fail-stop, paper SII-E),
-// handler-table coverage, and the classification default-lookup counter.
+// handler-table coverage, and recovery's answer to an undeclared type.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
 #include <string>
 
-#include "core/metrics.hpp"
 #include "kernel/faults.hpp"
 #include "kernel/kernel.hpp"
 #include "os/instance.hpp"
@@ -187,34 +186,21 @@ TEST(MsgSpec, MalformedRequestsFailStopAtDispatch) {
   }
 }
 
-TEST(MsgSpec, ClassificationCountsDefaultLookups) {
-  const seep::Classification c = servers::build_classification();
-  EXPECT_EQ(c.size(), servers::kMsgSpecCount);
-  EXPECT_EQ(c.default_lookups(), 0u);
-  (void)c.get(servers::PM_FORK);
-  EXPECT_EQ(c.default_lookups(), 0u);  // declared type: no fallback
-  (void)c.get(0x9999);
-  (void)c.get(0x9999);
-  EXPECT_EQ(c.default_lookups(), 2u);  // every fallback counts
-  const seep::MsgTraits t = c.get(0xdead);
-  EXPECT_EQ(t.seep, seep::SeepClass::kStateModifying);  // conservative default
-  EXPECT_TRUE(t.replyable);
-}
-
-TEST(MsgSpec, MetricsExposeClassificationDefaults) {
-  os::OsInstance inst;
+TEST(MsgSpec, UnregisteredTypeUnderNaiveStillErrorReplies) {
+  os::OsConfig cfg;
+  cfg.policy = seep::Policy::kNaive;
+  os::OsInstance inst(cfg);
   inst.boot();
-  const auto outcome = inst.run([](os::ISys& sys) { (void)sys.getpid(); });
-  ASSERT_EQ(outcome, os::OsInstance::Outcome::kCompleted);
+  StubClient client;
+  const kernel::Endpoint ep = inst.kern().register_client(&client);
 
-  // A clean run never leaves the spec table: the boot + syscall traffic all
-  // resolves explicitly.
-  core::SystemMetrics m = core::collect_metrics(inst);
-  EXPECT_EQ(m.classification_defaults, 0u);
-  EXPECT_NE(m.report().find("default-trait lookups"), std::string::npos);
-
-  // Probing an undeclared type is visible in the next snapshot.
-  (void)inst.classification().get(0x9999);
-  m = core::collect_metrics(inst);
-  EXPECT_EQ(m.classification_defaults, 1u);
+  // DS fail-stops on the undeclared type. The spec has no row to say
+  // whether its sender waits, so recovery takes the conservative answer:
+  // the sender may be blocked, and the naive restart error-replies it.
+  inst.kern().send(ep, kernel::kDsEp, make_msg(0x7777));
+  inst.kern().dispatch_pending();
+  EXPECT_EQ(client.replies, 1);
+  EXPECT_EQ(client.last_reply.sarg(0), kernel::E_CRASH);
+  EXPECT_EQ(inst.engine().stats().naive_restarts, 1u);
+  EXPECT_EQ(inst.engine().stats().error_replies, 1u);
 }

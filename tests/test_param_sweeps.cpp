@@ -78,8 +78,7 @@ TEST_P(PolicyModeP, CompactWorkloadIdenticalAcrossMatrix) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, PolicyModeP,
     ::testing::Combine(::testing::Values(seep::Policy::kStateless, seep::Policy::kNaive,
-                                         seep::Policy::kPessimistic, seep::Policy::kEnhanced,
-                                         seep::Policy::kExtended),
+                                         seep::Policy::kPessimistic, seep::Policy::kEnhanced),
                        ::testing::Values(ckpt::Mode::kOff, ckpt::Mode::kAlways,
                                          ckpt::Mode::kWindowOnly)),
     [](const ::testing::TestParamInfo<PolicyMode>& info) {

@@ -1,35 +1,14 @@
-// seep::Classification defaults and Window accounting edge cases: the
-// conservative-default fallback for unknown message types, the tainted_
+// Window accounting edge cases: per-policy close rules, the close
 // double-count guard, and the closed_by_yield path.
 #include <gtest/gtest.h>
 
 #include "ckpt/context.hpp"
 #include "seep/policy.hpp"
-#include "seep/seep.hpp"
 #include "seep/window.hpp"
 
 using namespace osiris;
 using seep::Policy;
 using seep::SeepClass;
-
-TEST(Classification, UnknownTypeFallsToConservativeDefault) {
-  seep::Classification c;
-  const seep::MsgTraits t = c.get(0xDEAD);
-  EXPECT_EQ(t.seep, SeepClass::kStateModifying);
-  EXPECT_TRUE(t.replyable);
-  EXPECT_EQ(c.size(), 0u);
-}
-
-TEST(Classification, ExplicitEntryOverridesDefault) {
-  seep::Classification c;
-  c.set(0x100, SeepClass::kNonStateModifying, /*replyable=*/false);
-  const seep::MsgTraits t = c.get(0x100);
-  EXPECT_EQ(t.seep, SeepClass::kNonStateModifying);
-  EXPECT_FALSE(t.replyable);
-  EXPECT_EQ(c.size(), 1u);
-  // Unrelated types still fall to the default.
-  EXPECT_EQ(c.get(0x101).seep, SeepClass::kStateModifying);
-}
 
 namespace {
 
@@ -40,26 +19,6 @@ struct WindowFixture {
 };
 
 }  // namespace
-
-TEST(Window, ExtendedDoubleRequesterScopedTaintCountsOnce) {
-  WindowFixture f(Policy::kExtended);
-  f.window.open();
-  f.window.on_outbound(SeepClass::kRequesterScoped);
-  f.window.on_outbound(SeepClass::kRequesterScoped);
-  EXPECT_TRUE(f.window.is_open());  // taint does not close
-  EXPECT_TRUE(f.window.is_tainted());
-  EXPECT_EQ(f.window.stats().tainted, 1u);  // guard: counted once per window
-  EXPECT_EQ(f.window.stats().closed_by_seep, 0u);
-
-  f.window.end_of_request();
-  EXPECT_FALSE(f.window.is_tainted());
-
-  // The guard re-arms for the next window.
-  f.window.open();
-  EXPECT_FALSE(f.window.is_tainted());
-  f.window.on_outbound(SeepClass::kRequesterScoped);
-  EXPECT_EQ(f.window.stats().tainted, 2u);
-}
 
 TEST(Window, EnhancedClosesOnStateModifyingOnly) {
   WindowFixture f(Policy::kEnhanced);
@@ -72,15 +31,6 @@ TEST(Window, EnhancedClosesOnStateModifyingOnly) {
   // Further outbound traffic on a closed window is not double-counted.
   f.window.on_outbound(SeepClass::kStateModifying);
   EXPECT_EQ(f.window.stats().closed_by_seep, 1u);
-}
-
-TEST(Window, EnhancedTreatsRequesterScopedAsClosing) {
-  WindowFixture f(Policy::kEnhanced);
-  f.window.open();
-  f.window.on_outbound(SeepClass::kRequesterScoped);
-  EXPECT_FALSE(f.window.is_open());
-  EXPECT_EQ(f.window.stats().closed_by_seep, 1u);
-  EXPECT_EQ(f.window.stats().tainted, 0u);
 }
 
 TEST(Window, PessimisticClosesOnAnyOutbound) {

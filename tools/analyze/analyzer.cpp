@@ -311,8 +311,6 @@ std::string report_to_json(const Report& report) {
       const auto pol = static_cast<Policy>(pi);
       j.key(std::string(policy_name(pol)) + "_may_close_by_seep");
       j.boolean(p.may_close_by_seep[pi]);
-      j.key(std::string(policy_name(pol)) + "_may_taint");
-      j.boolean(p.may_taint[pi]);
     }
     j.close('}');
   }
@@ -327,7 +325,7 @@ std::string handler_effects_to_json(const Report& report, const std::string& roo
   Json j;
   j.open('{');
   j.key("schema_version");
-  j.num(1);
+  j.num(2);
   j.key("root");
   j.str(root);
   j.key("policies");
@@ -380,8 +378,6 @@ std::string handler_effects_to_json(const Report& report, const std::string& roo
       j.open('{');
       j.key("may_close_by_seep");
       j.boolean(h.may_close_by_seep[pi]);
-      j.key("may_taint");
-      j.boolean(h.may_taint[pi]);
       j.close('}');
     }
     j.close('}');

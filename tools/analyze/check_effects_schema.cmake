@@ -1,7 +1,7 @@
 # Schema-stability check for handler_effects.json.
 #
 # Runs the analyzer with --effects and asserts the artifact still carries the
-# v1 key set that downstream tooling (the FOM-refactor worklist, CI trend
+# v2 key set that downstream tooling (the FOM-refactor worklist, CI trend
 # scripts) relies on. Growing the schema is fine; renaming or dropping a key,
 # or bumping schema_version without updating this check, fails the gate.
 #
@@ -24,12 +24,12 @@ endif()
 file(READ ${OUT} doc)
 
 # Version pin: bumping it must be a deliberate act that also updates this file.
-string(FIND "${doc}" "\"schema_version\": 1" pos)
+string(FIND "${doc}" "\"schema_version\": 2" pos)
 if(pos EQUAL -1)
-  message(FATAL_ERROR "check_effects_schema: schema_version != 1")
+  message(FATAL_ERROR "check_effects_schema: schema_version != 2")
 endif()
 
-# Top-level and per-handler keys of the v1 schema.
+# Top-level and per-handler keys of the v2 schema.
 set(required_keys
   "\"root\""
   "\"policies\""
@@ -52,9 +52,7 @@ set(required_keys
   "\"predictions\""
   "\"pessimistic\""
   "\"enhanced\""
-  "\"extended\""
   "\"may_close_by_seep\""
-  "\"may_taint\""
   "\"may_park\""
   "\"suppressed\""
   "\"effects\""
@@ -67,4 +65,4 @@ foreach(key IN LISTS required_keys)
   endif()
 endforeach()
 
-message(STATUS "check_effects_schema: handler_effects.json schema v1 intact")
+message(STATUS "check_effects_schema: handler_effects.json schema v2 intact")

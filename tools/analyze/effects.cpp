@@ -574,10 +574,7 @@ void run_effects_pass(const std::vector<LexedFile>& files, const CallGraph& grap
         case EffectKind::kSend:
           if (he.opens_window) {
             for (int pi = 0; pi < kNumPolicies; ++pi) {
-              const auto pol = static_cast<Policy>(pi);
-              if (policy_taints_window(pol, e.cls)) {
-                he.may_taint[pi] = true;
-              } else if (policy_closes_window(pol, e.cls)) {
+              if (policy_closes_window(static_cast<Policy>(pi), e.cls)) {
                 he.may_close_by_seep[pi] = true;
               }
             }

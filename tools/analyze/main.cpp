@@ -89,8 +89,7 @@ int main(int argc, char** argv) {
       for (int pi = 0; pi < osiris::analyze::kNumPolicies; ++pi) {
         const auto pol = static_cast<osiris::analyze::Policy>(pi);
         std::cout << ' ' << osiris::analyze::policy_name(pol) << "=("
-                  << (p.may_close_by_seep[pi] ? "close" : "stay")
-                  << (p.may_taint[pi] ? ",taint" : "") << ')';
+                  << (p.may_close_by_seep[pi] ? "close" : "stay") << ')';
       }
       std::cout << '\n';
     }

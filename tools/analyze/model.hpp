@@ -54,11 +54,11 @@ struct Finding {
 
 /// Mirror of seep::SeepClass (the analyzer must not link the runtime; the
 /// integration test cross-checks the two enums stay in sync).
-enum class SeepClass : std::uint8_t { kNonStateModifying, kStateModifying, kRequesterScoped };
+enum class SeepClass : std::uint8_t { kNonStateModifying, kStateModifying };
 
 /// Mirror of the windowed subset of seep::Policy.
-enum class Policy : std::uint8_t { kPessimistic, kEnhanced, kExtended };
-inline constexpr int kNumPolicies = 3;
+enum class Policy : std::uint8_t { kPessimistic, kEnhanced };
+inline constexpr int kNumPolicies = 2;
 
 const char* seep_class_name(SeepClass c);
 const char* policy_name(Policy p);
@@ -69,16 +69,9 @@ const char* policy_name(Policy p);
     case Policy::kPessimistic:
       return true;
     case Policy::kEnhanced:
-      return cls != SeepClass::kNonStateModifying;
-    case Policy::kExtended:
       return cls == SeepClass::kStateModifying;
   }
   return true;
-}
-
-/// Static mirror of seep::policy_taints_window.
-[[nodiscard]] constexpr bool policy_taints_window(Policy p, SeepClass cls) {
-  return p == Policy::kExtended && cls == SeepClass::kRequesterScoped;
 }
 
 /// One enumerator of a `*Msg` protocol enum.
@@ -147,9 +140,7 @@ struct ChannelEdge {
 struct WindowPrediction {
   std::string server;
   /// Any outbound site whose class closes the window under the policy?
-  bool may_close_by_seep[kNumPolicies] = {false, false, false};
-  /// Any outbound site whose class taints the window under the policy?
-  bool may_taint[kNumPolicies] = {false, false, false};
+  bool may_close_by_seep[kNumPolicies] = {false, false};
   /// Distinct SEEP classes seen across the server's outbound sites.
   std::vector<SeepClass> classes_used;
 };
@@ -211,8 +202,7 @@ struct HandlerEffects {
   int mutations_after_close = 0;
   /// Handler-granularity window predictions (existential over the effect
   /// sequence — sound against branches skipping any prefix).
-  bool may_close_by_seep[kNumPolicies] = {false, false, false};
-  bool may_taint[kNumPolicies] = {false, false, false};
+  bool may_close_by_seep[kNumPolicies] = {false, false};
   bool may_close_by_yield = false;  // any blocking/yield effect in the flow
   /// Any resumable FOM park point (kFomYield) in the flow: under the FOM
   /// executor this handler can checkpoint mid-flight and resume after the

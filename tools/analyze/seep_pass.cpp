@@ -71,7 +71,6 @@ std::string first_msg_constant(const Tokens& t, std::size_t from, std::size_t to
 
 SeepClass seep_class_from_token(std::string_view name) {
   if (name == "kNonStateModifying") return SeepClass::kNonStateModifying;
-  if (name == "kRequesterScoped") return SeepClass::kRequesterScoped;
   return SeepClass::kStateModifying;
 }
 
@@ -87,7 +86,6 @@ const char* seep_class_name(SeepClass c) {
   switch (c) {
     case SeepClass::kNonStateModifying: return "non-state-modifying";
     case SeepClass::kStateModifying: return "state-modifying";
-    case SeepClass::kRequesterScoped: return "requester-scoped";
   }
   return "?";
 }
@@ -96,7 +94,6 @@ const char* policy_name(Policy p) {
   switch (p) {
     case Policy::kPessimistic: return "pessimistic";
     case Policy::kEnhanced: return "enhanced";
-    case Policy::kExtended: return "extended";
   }
   return "?";
 }
@@ -148,7 +145,7 @@ std::vector<MsgDef> parse_protocol_enums(const LexedFile& f) {
 std::vector<ClassEntry> parse_classification(const LexedFile& f, std::vector<Finding>& findings) {
   std::vector<ClassEntry> out;
   const Tokens& t = f.tokens;
-  std::map<std::string, SeepClass> aliases;  // SM / NSM / RSC ...
+  std::map<std::string, SeepClass> aliases;  // SM / NSM ...
 
   for (std::size_t i = 0; i + 1 < t.size(); ++i) {
     // `const auto X = [seep::]SeepClass::kY;`
@@ -440,9 +437,7 @@ std::vector<SpecRow> parse_spec_rows(const LexedFile& f) {
       }
       r.owner = t[args[2].first].text;
       const std::string& cls = t[args[3].first].text;
-      r.cls = cls == "NSM"   ? SeepClass::kNonStateModifying
-              : cls == "RSC" ? SeepClass::kRequesterScoped
-                             : SeepClass::kStateModifying;
+      r.cls = cls == "NSM" ? SeepClass::kNonStateModifying : SeepClass::kStateModifying;
       r.kind = t[args[4].first].text;
       if (t[args[5].first].kind == Tok::kNumber) {
         r.args = static_cast<int>(std::strtol(t[args[5].first].text.c_str(), nullptr, 0));
@@ -555,14 +550,14 @@ void resolve_and_predict(Report& report) {
   std::map<std::string, const ClassEntry*> table;
   for (const ClassEntry& e : report.classification) table[e.msg] = &e;
 
-  // Completeness: every protocol message must have an explicit entry, or the
-  // conservative default in seep::Classification::get applies silently.
+  // Completeness: every protocol message must have an explicit entry, or its
+  // class is left to a conservative default that nobody reviewed.
   for (const MsgDef& m : report.messages) {
     if (table.count(m.name) != 0) continue;
     report.findings.push_back(
         Finding{kDetUnclassifiedMsg, m.file, m.line,
                 m.name + " (" + m.enum_name +
-                    ") has no entry in build_classification(): it silently falls to the "
+                    ") has no classification entry: it silently falls to the "
                     "conservative default (state-modifying, replyable)"});
   }
   // Staleness: every classification entry must name a live protocol message.
@@ -623,7 +618,6 @@ void resolve_and_predict(Report& report) {
       const auto pol = static_cast<Policy>(pi);
       for (SeepClass c : classes) {
         if (policy_closes_window(pol, c)) p.may_close_by_seep[pi] = true;
-        if (policy_taints_window(pol, c)) p.may_taint[pi] = true;
       }
     }
     report.predictions.push_back(std::move(p));

@@ -2,15 +2,15 @@
 // classification pass from the source tree and verify the hand-authored
 // substitution.
 //
-//   * parse every `*Msg` protocol enum (message name -> value);
-//   * parse the hand-authored `build_classification()` table;
+//   * take message names, values and classes from the OSIRIS_MSG_SPEC rows
+//     (parse_spec_rows); pre-spec trees such as the fixture declare them in
+//     `*Msg` enums and a literal `c.set(...)` table, which still parse;
 //   * extract all outbound seep_call / seep_send / seep_notify /
 //     seep_deferred_reply sites per server, resolving each site's message
 //     type (inline make_msg, or a local `Message x = make_msg(...)`);
 //   * build the static inter-component channel graph;
-//   * flag message types that would silently fall to the conservative
-//     default in seep::Classification::get (unclassified-msg), send sites
-//     whose type has no explicit entry (unclassified-send), and
+//   * flag message types without a classification entry (unclassified-msg),
+//     send sites whose type has no explicit entry (unclassified-send), and
 //     classification entries for messages that no longer exist
 //     (stale-class-entry);
 //   * emit per-server, per-policy static recovery-window predictions that
@@ -27,8 +27,8 @@ namespace osiris::analyze {
 /// Parse `enum [class] <Name>Msg : type { NAME = value, ... }` definitions.
 std::vector<MsgDef> parse_protocol_enums(const LexedFile& f);
 
-/// Parse `c.set(NAME, CLASS[, replyable])` entries plus the local
-/// `const auto SM = SeepClass::k...;` aliases of build_classification().
+/// Parse a pre-spec tree's literal `c.set(NAME, CLASS[, replyable])` entries
+/// plus the local `const auto SM = SeepClass::k...;` aliases they use.
 std::vector<ClassEntry> parse_classification(const LexedFile& f, std::vector<Finding>& findings);
 
 /// Extract outbound SEEP sites from one server implementation file.
