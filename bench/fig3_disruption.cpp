@@ -4,8 +4,10 @@
 // Fail-stop faults are injected into PM at a fixed interval, but only while
 // PM's recovery window is open (as in the paper, so that every fault is
 // consistently recoverable and the benchmark always completes). The
-// interval is measured in PM request-loop executions; each sweep step
-// doubles the fault influx (halves the interval).
+// interval is measured in PM request-loop executions; the sweep runs from
+// one fault per 10,000 PM requests to one per request. The cells come from
+// workload::run_fig3_cell, whose outcome and completed work units the
+// Fig3/* ctests pin; this binary adds the host timing and prints scores.
 //
 // Expected shape (paper): PM-dependent workloads (shell1, shell8, execl,
 // spawn, syscall) degrade as the interval shrinks; PM-independent ones
@@ -16,14 +18,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <vector>
 
-#include "fi/registry.hpp"
-#include "os/instance.hpp"
 #include "support/stats.hpp"
 #include "support/table_printer.hpp"
-#include "workload/suite.hpp"
 #include "workload/unixbench.hpp"
 
 using namespace osiris;
@@ -31,50 +29,22 @@ using namespace osiris::workload;
 
 namespace {
 
-/// PM's busiest fault site (its request-loop entry probe): the site whose
-/// hit counter advances once per PM message.
-fi::Site* pm_entry_site() {
-  // Profile with a tiny run so every PM site has registered itself.
-  fi::Registry::instance().disarm();
-  fi::Registry::instance().reset_counts();
-  {
-    os::OsConfig cfg;
-    os::OsInstance inst(cfg);
-    register_ub_programs(inst.programs());
-    inst.boot();
-    inst.run([](os::ISys& sys) {
-      for (int i = 0; i < 50; ++i) sys.getpid();
-    });
-  }
-  fi::Site* best = nullptr;
-  for (fi::Site* s : fi::Registry::instance().sites()) {
-    if (std::strcmp(s->tag, "pm") == 0 && (best == nullptr || s->hits() > best->hits())) best = s;
-  }
-  OSIRIS_ASSERT(best != nullptr);
-  return best;
-}
-
-double run_with_influx(const UbWorkload& w, std::uint64_t iters, fi::Site* site,
-                       std::uint64_t interval) {
-  fi::Registry::instance().disarm();
-  fi::Registry::instance().reset_counts();
-  os::OsConfig cfg;
-  cfg.policy = seep::Policy::kEnhanced;
-  cfg.max_recoveries = 1u << 30;  // Figure 3 sustains recovery indefinitely
-  os::OsInstance inst(cfg);
-  register_ub_programs(inst.programs());
-  inst.boot();
-  if (interval > 0) fi::Registry::instance().arm_periodic_window_crash(site, interval);
-  ub_reset_completed();
-  const auto body = w.body;
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto outcome = inst.run([&body, iters](os::ISys& sys) { body(sys, iters); });
-  const auto t1 = std::chrono::steady_clock::now();
-  fi::Registry::instance().disarm();
-  OSIRIS_ASSERT(outcome == os::OsInstance::Outcome::kCompleted);
-  // Score completed work units: an iteration whose fork never succeeded
-  // under the fault influx contributes nothing (no silent work-shrinkage).
-  return ub_score(ub_last_completed(), std::chrono::duration<double>(t1 - t0).count());
+/// Score of one cell: completed work units per host second spent in the
+/// workload body (boot and teardown excluded).
+double run_with_influx(const UbWorkload& w, fi::Site* site, std::uint64_t interval,
+                       double scale) {
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point t0;
+  Clock::time_point t1;
+  UbWorkload timed = w;
+  timed.body = [&w, &t0, &t1](os::ISys& sys, std::uint64_t n) {
+    t0 = Clock::now();
+    w.body(sys, n);
+    t1 = Clock::now();
+  };
+  const Fig3Cell cell = run_fig3_cell(timed, site, interval, scale);
+  OSIRIS_ASSERT(cell.outcome == os::OsInstance::Outcome::kCompleted);
+  return ub_score(cell.completed, std::chrono::duration<double>(t1 - t0).count());
 }
 
 }  // namespace
@@ -89,21 +59,19 @@ int main() {
   std::printf("(fail-stop faults injected into PM's recovery window every N PM requests;\n"
               " scores normalized to the fault-free run = 100)\n\n");
 
-  const std::vector<std::uint64_t> intervals = {0, 10000, 1000, 100, 30, 10, 3, 1};
+  std::vector<std::uint64_t> intervals = {0};
+  intervals.insert(intervals.end(), kFig3Intervals.begin(), kFig3Intervals.end());
   std::vector<std::string> headers = {"Benchmark"};
   for (std::uint64_t i : intervals) headers.push_back(i == 0 ? "no faults" : std::to_string(i));
   TablePrinter table(headers);
 
   for (const UbWorkload& w : ub_workloads()) {
-    const auto iters = static_cast<std::uint64_t>(static_cast<double>(w.default_iters) * scale / 2);
-    (void)run_with_influx(w, std::max<std::uint64_t>(iters, 1), site, 0);  // warm-up
+    (void)run_with_influx(w, site, 0, scale);  // warm-up
     std::vector<std::string> row = {w.name};
     double base_score = 0;
     for (std::uint64_t interval : intervals) {
       std::vector<double> scores;
-      for (int r = 0; r < runs; ++r) {
-        scores.push_back(run_with_influx(w, std::max<std::uint64_t>(iters, 1), site, interval));
-      }
+      for (int r = 0; r < runs; ++r) scores.push_back(run_with_influx(w, site, interval, scale));
       const double med = stats::median(scores);
       if (interval == 0) {
         base_score = med;

@@ -3,9 +3,11 @@
 //
 // Unlike Table II's one-shot faults, each injection here models a
 // deterministic bug: the fault re-fires after every recovery, so flat
-// restart policies crash-loop. The escalation ladder (transient retry ->
-// stateless restart with backoff -> quarantine) is what turns those loops
-// into degraded-but-alive outcomes. Buckets per run:
+// restart policies crash-loop. The escalation ladder is what turns those
+// loops into degraded-but-alive outcomes: the policy recovers each crash
+// until the component has crashed three times in a row without completing
+// a dispatch, or has spent its recovery budget, and then the component is
+// quarantined. Buckets per run:
 //   Recovered — suite finished clean, no quarantine needed;
 //   Degraded  — machine survived the suite, but a component ended up
 //               quarantined (or residual suite failures remain);
@@ -54,9 +56,10 @@ int main(int argc, char** argv) {
   }
   table.print();
   std::printf(
-      "\nshape: every policy should have a near-empty Wedged column — the\n"
-      "ladder quarantines crash-looping components instead of letting them\n"
-      "wedge the machine; windowed policies shut down consistently more\n"
-      "often, stateless survives degraded more often\n");
+      "\nshape: the windowed policies wedge least and shut down consistently\n"
+      "in 40-54%% of runs; naive survives degraded in most runs, but wedges\n"
+      "when its restarts use up VFS's worker threads; stateless wedges in\n"
+      "almost every run, because its restarts never answer the request in\n"
+      "flight\n");
   return 0;
 }

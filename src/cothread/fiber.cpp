@@ -1,6 +1,7 @@
 #include "cothread/fiber.hpp"
 
 #include <cstring>
+#include <utility>
 
 #include "support/common.hpp"
 
@@ -24,6 +25,16 @@
 
 #if defined(OSIRIS_ASAN_FIBERS)
 #include <sanitizer/common_interface_defs.h>
+#endif
+
+// TSan likewise keeps one shadow call stack per thread: unannotated, the
+// full campaign plans needed more than 10 GB under TSan. Each fiber gets a
+// TSan context, which TSan counts as a thread (about 8,000 at once), so a
+// fiber holds one only from its first switch until it finishes; a failed
+// fork's fiber is never resumed. Nothing of this is compiled without TSan.
+#if defined(__SANITIZE_THREAD__)
+#define OSIRIS_TSAN_FIBERS 1
+#include <sanitizer/tsan_interface.h>
 #endif
 
 #if defined(OSIRIS_ASAN_FIBERS)
@@ -127,6 +138,9 @@ Fiber::~Fiber() {
 #if defined(OSIRIS_ASAN_FIBERS)
   if (state_ == State::kSuspended) bury_abandoned_stack(std::move(stack_));
 #endif
+#if defined(OSIRIS_TSAN_FIBERS)
+  if (tsan_fiber_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
+#endif
 }
 
 Fiber* Fiber::current() noexcept { return g_current; }
@@ -148,6 +162,9 @@ void Fiber::trampoline() {
   // nullptr fake-stack save: this fiber's stack is dead, let ASan free its
   // fake frames instead of keeping them for a resume that never comes.
   __sanitizer_start_switch_fiber(nullptr, self->return_bottom_, self->return_size_);
+#endif
+#if defined(OSIRIS_TSAN_FIBERS)
+  __tsan_switch_to_fiber(self->tsan_resumer_, 0);
 #endif
   // Return to the resumer for the last time.
   osiris_fiber_switch(&self->sp_, self->resumer_sp_);
@@ -180,10 +197,18 @@ void Fiber::resume() {
   void* resumer_fake_stack = nullptr;
   __sanitizer_start_switch_fiber(&resumer_fake_stack, stack_.get(), stack_size_);
 #endif
+#if defined(OSIRIS_TSAN_FIBERS)
+  if (tsan_fiber_ == nullptr) tsan_fiber_ = __tsan_create_fiber(0);
+  tsan_resumer_ = __tsan_get_current_fiber();  // the resumer may be a fiber too
+  __tsan_switch_to_fiber(tsan_fiber_, 0);
+#endif
   osiris_fiber_switch(&resumer_sp_, sp_);
 #if defined(OSIRIS_ASAN_FIBERS)
   // Back on the resumer's stack (the fiber suspended or finished).
   __sanitizer_finish_switch_fiber(resumer_fake_stack, nullptr, nullptr);
+#endif
+#if defined(OSIRIS_TSAN_FIBERS)
+  if (state_ == State::kFinished) __tsan_destroy_fiber(std::exchange(tsan_fiber_, nullptr));
 #endif
   g_current = prev;
   if (state_ == State::kRunning) state_ = State::kSuspended;
@@ -195,6 +220,9 @@ void Fiber::suspend() {
   self->state_ = State::kSuspended;
 #if defined(OSIRIS_ASAN_FIBERS)
   __sanitizer_start_switch_fiber(&self->fake_stack_, self->return_bottom_, self->return_size_);
+#endif
+#if defined(OSIRIS_TSAN_FIBERS)
+  __tsan_switch_to_fiber(self->tsan_resumer_, 0);
 #endif
   osiris_fiber_switch(&self->sp_, self->resumer_sp_);
 #if defined(OSIRIS_ASAN_FIBERS)

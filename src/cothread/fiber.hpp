@@ -81,6 +81,8 @@ class Fiber {
   void* fake_stack_ = nullptr;
   const void* return_bottom_ = nullptr;
   std::size_t return_size_ = 0;
+  void* tsan_fiber_ = nullptr;    // this fiber's TSan context (see fiber.cpp)
+  void* tsan_resumer_ = nullptr;  // the TSan context of whoever resumed it
 };
 
 }  // namespace osiris::cothread

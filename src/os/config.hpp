@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "ckpt/context.hpp"
-#include "recovery/ladder.hpp"
 #include "seep/policy.hpp"
 #include "support/clock.hpp"
 
@@ -32,9 +31,10 @@ struct OsConfig {
   /// of wedging the system.
   std::uint32_t max_recoveries = 8;
 
-  /// Escalation-ladder tuning: rung-1 backoff base and quarantine cooldown
-  /// (see recovery::LadderConfig; the rest of the ladder is constant).
-  recovery::LadderConfig ladder;
+  /// How long a quarantined component stays parked before readmission, for
+  /// crash loops and storms alike. Settable because scenarios shorten it to
+  /// fit the readmission into their run.
+  Tick quarantine_cooldown_ticks = 4000;
 
   // Disk geometry (latencies: BlockDevice's 40/60-tick defaults).
   std::size_t disk_blocks = 4096;

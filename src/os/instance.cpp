@@ -172,7 +172,7 @@ void OsInstance::boot() {
   components_ = {pm_.get(), vm_.get(), vfs_.get(), ds_.get(), rs_.get()};
   if (cfg_.recovery_enabled) {
     engine_ = std::make_unique<recovery::Engine>(*kernel_, cfg_.policy, cfg_.max_recoveries,
-                                                 cfg_.ladder);
+                                                 cfg_.quarantine_cooldown_ticks);
     for (recovery::Recoverable* c : components_) engine_->register_component(c);
     rs_->attach_engine(engine_.get());
     // Fever decisions route into the ladder's storm rung, and installing the

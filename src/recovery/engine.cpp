@@ -1,6 +1,5 @@
 #include "recovery/engine.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 #include "fi/registry.hpp"
@@ -17,11 +16,11 @@ using kernel::CrashDecision;
 using kernel::Endpoint;
 
 Engine::Engine(kernel::Kernel& kernel, seep::Policy policy,
-               std::uint32_t max_recoveries_per_component, LadderConfig ladder)
+               std::uint32_t max_recoveries_per_component, Tick quarantine_cooldown_ticks)
     : kernel_(kernel),
       policy_(policy),
       max_recoveries_(max_recoveries_per_component),
-      ladder_(ladder) {
+      quarantine_cooldown_(quarantine_cooldown_ticks) {
   kernel_.set_crash_handler([this](const CrashContext& ctx) { return on_crash(ctx); });
 }
 
@@ -34,7 +33,7 @@ void Engine::register_component(Recoverable* comp) {
   // obtained dynamically (paper SIV-C restart phase, Table VI "+clone"). The
   // image layout is [data section | recovery arena].
   slot.clone_image.resize(ds + comp->recovery_arena_bytes());
-  // Capture the pristine boot state for the stateless-restart baseline.
+  // Capture the pristine boot state for stateless restarts and quarantine.
   slot.boot_image.assign(comp->data_section(), comp->data_section() + ds);
   slots_[comp->endpoint().value] = std::move(slot);
 }
@@ -55,8 +54,7 @@ bool Engine::is_parked(Endpoint ep) const {
 }
 
 std::uint32_t Engine::rung_of(Endpoint ep) const {
-  auto it = slots_.find(ep.value);
-  return it == slots_.end() ? 0 : it->second.rung;
+  return is_parked(ep) ? kQuarantineRung : 0;
 }
 
 CrashDecision Engine::error_reply(const CrashContext& ctx) {
@@ -71,20 +69,6 @@ bool Engine::replyable(const CrashContext& ctx) const {
   return servers::msg_replyable(ctx.inflight.type);
 }
 
-void Engine::record_crash(Slot& slot, Tick now, bool was_hang) {
-  slot.history[slot.history_head] = CrashRecord{now, was_hang};
-  slot.history_head = (slot.history_head + 1) % kHistoryLen;
-  slot.history_len = std::min(slot.history_len + 1, kHistoryLen);
-}
-
-std::uint32_t Engine::crashes_in_window(const Slot& slot, Tick now) const {
-  std::uint32_t n = 0;
-  for (std::size_t i = 0; i < slot.history_len; ++i) {
-    if (now - slot.history[i].when <= kCrashWindowTicks) ++n;
-  }
-  return n;
-}
-
 CrashDecision Engine::on_crash(const CrashContext& ctx) {
   ++stats_.crashes_seen;
   auto it = slots_.find(ctx.crashed.value);
@@ -94,17 +78,18 @@ CrashDecision Engine::on_crash(const CrashContext& ctx) {
     return CrashDecision{CrashAction::kGiveUp, {}};
   }
   Slot& slot = it->second;
-  const Tick now = kernel_.clock().now();
-  record_crash(slot, now, ctx.was_hang);
   ++slot.recoveries;
 
-  // Transient vs recurring: the sliding crash-rate window, the probation
-  // period after an earlier escalation, and the recovery budget all feed the
-  // classifier. A crash while parked (only possible when the kernel is not
-  // enforcing the quarantine, e.g. in unit harnesses) is recurring trivially.
+  // Transient vs recurring, by progress: the streak counts the crashes since
+  // the component last completed a dispatch, across readmissions. A crash
+  // while parked (only possible when the kernel is not enforcing the
+  // quarantine, e.g. in unit harnesses) is recurring trivially.
+  const std::uint64_t done = slot.comp->completed_dispatches();
+  slot.crash_streak = done == slot.dispatches_at_crash ? slot.crash_streak + 1 : 1;
+  slot.dispatches_at_crash = done;
   const bool over_budget = slot.recoveries > max_recoveries_;
-  const bool recurring = slot.parked || over_budget || now < slot.probation_until ||
-                         crashes_in_window(slot, now) >= kRecurringThreshold;
+  const bool recurring =
+      slot.parked || over_budget || slot.crash_streak >= kRecurringThreshold;
 
   OSIRIS_INFO("recovery", "component %s crashed (%s): policy=%s window=%s class=%s",
               std::string(slot.comp->name()).c_str(), ctx.what.c_str(),
@@ -112,19 +97,9 @@ CrashDecision Engine::on_crash(const CrashContext& ctx) {
               recurring ? "recurring" : "transient");
   OSIRIS_TRACE_EVENT(kCrash, ctx.crashed.value, ctx.was_hang ? 1 : 0, recurring ? 1 : 0);
 
-  if (recurring) {
-    ++stats_.recurring_crashes;
-    return escalate(slot, ctx, now);
-  }
+  if (recurring) return escalate(slot, ctx, over_budget);
 
   ++stats_.transient_crashes;
-  // A genuinely transient crash de-escalates: the ladder position and the
-  // backoff reset, so an isolated fault months of virtual time later starts
-  // from the policy-preferred rung again.
-  slot.rung = 0;
-  slot.stateless_tries = 0;
-  slot.backoff = 0;
-
   switch (policy_) {
     case seep::Policy::kStateless:
       return recover_stateless(slot, ctx);
@@ -137,47 +112,17 @@ CrashDecision Engine::on_crash(const CrashContext& ctx) {
   OSIRIS_PANIC("unknown policy");
 }
 
-CrashDecision Engine::escalate(Slot& slot, const CrashContext& ctx, Tick now) {
-  Recoverable& comp = *slot.comp;
-  const bool over_budget = slot.recoveries > max_recoveries_;
-
-  if (!over_budget && slot.stateless_tries < kStatelessAttempts) {
-    // Rung 1: microreboot the component, then park it with exponential
-    // backoff so a persistent fault cannot re-fire immediately.
-    slot.rung = 1;
-    ++slot.stateless_tries;
-    ++stats_.ladder_stateless;
-    slot.backoff = slot.backoff == 0
-                       ? ladder_.backoff_base_ticks
-                       : std::min(slot.backoff * 2, kBackoffCapTicks);
-    OSIRIS_TRACE_EVENT(kRecoveryStateless, comp.endpoint().value, slot.backoff, slot.rung);
-  } else {
-    // Rung 2: quarantine. The cooldown keeps doubling but never drops below
-    // the configured quarantine floor. Budget exhaustion lands here directly:
-    // the component degrades instead of wedging the whole system.
-    slot.rung = 2;
-    ++stats_.quarantines;
-    if (over_budget) ++stats_.budget_quarantines;
-    slot.backoff = std::max(ladder_.quarantine_cooldown_ticks,
-                            std::min(slot.backoff * 2, kBackoffCapTicks));
-    OSIRIS_TRACE_EVENT(kRecoveryQuarantine, comp.endpoint().value, slot.backoff,
-                       over_budget ? 1 : 0);
-  }
-  OSIRIS_INFO("recovery", "%s crash loop: escalating to rung %u (park %llu ticks, try %u/%u)",
-              std::string(comp.name()).c_str(), slot.rung,
-              static_cast<unsigned long long>(slot.backoff), slot.stateless_tries,
-              kStatelessAttempts);
-
-  // Both rungs discard the possibly fault-damaged state: the component comes
-  // back from its pristine boot image once readmitted.
-  reset_to_boot_image(slot);
-  slot.parked = true;
-  // The probation deadline outlives the park: crashes shortly after
-  // readmission stay classified as recurring even though the sliding window
-  // has slid past the pre-park crash burst.
-  slot.probation_until = now + slot.backoff + kCrashWindowTicks;
-  kernel_.quarantine(comp.endpoint());
-  announce_park(comp.endpoint(), slot.backoff, slot.rung);
+CrashDecision Engine::escalate(Slot& slot, const CrashContext& ctx, bool over_budget) {
+  // Quarantine. Budget exhaustion lands here too: the component degrades
+  // instead of wedging the whole system.
+  ++stats_.quarantines;
+  if (over_budget) ++stats_.budget_quarantines;
+  OSIRIS_INFO("recovery", "%s crash loop: quarantined for %llu ticks (%s)",
+              std::string(slot.comp->name()).c_str(),
+              static_cast<unsigned long long>(quarantine_cooldown_),
+              over_budget ? "budget spent" : "no progress between crashes");
+  enter_quarantine(slot, over_budget);
+  announce_park(slot.comp->endpoint());
 
   if (replyable(ctx)) return error_reply(ctx);
   return CrashDecision{CrashAction::kNoReply, {}};
@@ -217,22 +162,25 @@ void Engine::on_storm(Endpoint ep) {
   // stay armed (recurring-crash campaigns depend on them surviving).
   ++stats_.storm_quarantines;
   if (fi::Registry::instance().disarm_storms_for(ep.value)) ++stats_.storm_disarms;
-  slot.rung = 2;
-  slot.backoff = std::max(kStormCooldownTicks,
-                          std::min(slot.backoff * 2, kBackoffCapTicks));
-  OSIRIS_TRACE_EVENT(kRecoveryQuarantine, ep.value, slot.backoff, /*budget=*/0);
   OSIRIS_INFO("recovery", "%s storm persists under throttle: quarantining for %llu ticks",
               std::string(slot.comp->name()).c_str(),
-              static_cast<unsigned long long>(slot.backoff));
-  reset_to_boot_image(slot);
-  slot.parked = true;
-  slot.probation_until = now + slot.backoff + kCrashWindowTicks;
-  kernel_.quarantine(ep);
+              static_cast<unsigned long long>(quarantine_cooldown_));
+  enter_quarantine(slot, /*over_budget=*/false);
   kernel_.unthrottle(ep);  // quarantine supersedes the throttle
-  announce_park(ep, slot.backoff, slot.rung);
+  announce_park(ep);
 }
 
-void Engine::announce_park(Endpoint ep, Tick cooldown, std::uint32_t rung) {
+void Engine::enter_quarantine(Slot& slot, [[maybe_unused]] bool over_budget) {
+  const Endpoint ep = slot.comp->endpoint();
+  OSIRIS_TRACE_EVENT(kRecoveryQuarantine, ep.value, quarantine_cooldown_, over_budget ? 1 : 0);
+  // The possibly fault-damaged state is discarded: the component comes back
+  // from its pristine boot image once readmitted.
+  reset_to_boot_image(slot);
+  slot.parked = true;
+  kernel_.quarantine(ep);
+}
+
+void Engine::announce_park(Endpoint ep) {
   const bool rs_reachable =
       kernel_.is_server(kernel::kRsEp) && !kernel_.is_quarantined(kernel::kRsEp);
   if (rs_reachable) {
@@ -240,12 +188,12 @@ void Engine::announce_park(Endpoint ep, Tick cooldown, std::uint32_t rung) {
     // slot as "quarantined" until the cooldown expires.
     kernel_.send(kernel::kKernelEp, kernel::kRsEp,
                  kernel::make_msg(servers::RS_PARK, static_cast<std::uint64_t>(ep.value),
-                                  cooldown, rung));
+                                  quarantine_cooldown_, kQuarantineRung));
     return;
   }
   // RS is absent or is itself the parked component: the RCB arms the
   // cooldown timer directly so the quarantine cannot become permanent.
-  kernel_.clock().call_after(cooldown, [this, ep] { readmit(ep); });
+  kernel_.clock().call_after(quarantine_cooldown_, [this, ep] { readmit(ep); });
 }
 
 void Engine::readmit(Endpoint ep) {
@@ -255,9 +203,9 @@ void Engine::readmit(Endpoint ep) {
   ++stats_.readmissions;
   kernel_.lift_quarantine(ep);
   kernel_.unthrottle(ep);  // a readmitted component starts with a clean bill
-  OSIRIS_TRACE_EVENT(kRecoveryReadmit, ep.value, it->second.rung);
-  OSIRIS_INFO("recovery", "%s readmitted after cooldown (rung %u)",
-              std::string(it->second.comp->name()).c_str(), it->second.rung);
+  OSIRIS_TRACE_EVENT(kRecoveryReadmit, ep.value, kQuarantineRung);
+  OSIRIS_INFO("recovery", "%s readmitted after cooldown",
+              std::string(it->second.comp->name()).c_str());
   if (ep != kernel::kRsEp && kernel_.is_server(kernel::kRsEp) &&
       !kernel_.is_quarantined(kernel::kRsEp)) {
     kernel_.send(kernel::kKernelEp, kernel::kRsEp,
@@ -337,11 +285,9 @@ CrashDecision Engine::recover_windowed(Slot& slot, const CrashContext& ctx) {
   return error_reply(ctx);
 }
 
-CrashDecision Engine::recover_stateless(Slot& slot, const CrashContext& ctx) {
-  (void)ctx;
+CrashDecision Engine::recover_stateless(Slot& slot, const CrashContext& /*ctx*/) {
   ++stats_.stateless_restarts;
-  // Rung 0: the policy-preferred microreboot (no park, no escalation).
-  OSIRIS_TRACE_EVENT(kRecoveryStateless, slot.comp->endpoint().value, /*park=*/0, slot.rung);
+  OSIRIS_TRACE_EVENT(kRecoveryStateless, slot.comp->endpoint().value);
   reset_to_boot_image(slot);
   // Microreboot systems restart the component but have no reconciliation
   // protocol: the in-flight requester is simply never answered. (This is

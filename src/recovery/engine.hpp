@@ -21,17 +21,19 @@
 //
 // Error virtualization "also handles persistent faults" only in the sense
 // that the buggy *request* is discarded; a persistent fault in a hot path
-// re-fires on the next request and produces a crash loop. The engine
-// therefore keeps a per-component crash history (virtual-clock timestamps)
-// and classifies every crash as transient or recurring with a sliding-window
-// rate. Recurring crashes walk an escalation ladder instead of repeating the
-// policy-preferred recovery forever:
+// re-fires on the next request and produces a crash loop: crashes with no
+// completed work between them. A crash is therefore recurring when the
+// component is parked, when its recovery budget is spent, or when it is the
+// kRecurringThreshold-th crash in a row with no completed dispatch of the
+// component between them (Recoverable::completed_dispatches); virtual time,
+// which does not advance during CPU work, plays no part. Recurring crashes
+// skip the policy and go straight to quarantine (DESIGN.md §10):
 //
 //   rung 0  policy-preferred recovery (transient crashes only)
-//   rung 1  stateless restart + exponential-backoff park
-//   rung 2  quarantine: the component is parked for a long cooldown while
-//           the kernel error-virtualizes every send to it — graceful
-//           degradation, not shutdown; unrelated workloads keep running.
+//   rung 2  quarantine: the component restarts from its boot image and is
+//           parked for a cooldown while the kernel error-virtualizes every
+//           send to it — graceful degradation, not shutdown; unrelated
+//           workloads keep running. (There is no rung 1.)
 //
 // Parked components are readmitted after their cooldown, normally scheduled
 // on the virtual clock by RS (which also reports the slot as quarantined in
@@ -43,18 +45,20 @@
 // excluded by the single-failure assumption.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "kernel/kernel.hpp"
-#include "recovery/ladder.hpp"
 #include "recovery/recoverable.hpp"
 #include "seep/policy.hpp"
 
 namespace osiris::recovery {
+
+/// Crashes in a row, with no completed dispatch of the component between
+/// them, that make a crash loop.
+inline constexpr std::uint32_t kRecurringThreshold = 3;
 
 struct EngineStats {
   std::uint64_t crashes_seen = 0;
@@ -67,10 +71,8 @@ struct EngineStats {
   std::uint64_t naive_restarts = 0;
   std::uint64_t fom_reconciles = 0;  // windowed recoveries reconciled by the FOM executor
   // --- escalation ladder -------------------------------------------------
-  std::uint64_t transient_crashes = 0;  // classified below the recurrence rate
-  std::uint64_t recurring_crashes = 0;  // classified as a crash loop
-  std::uint64_t ladder_stateless = 0;   // rung-1 restarts (with backoff park)
-  std::uint64_t quarantines = 0;        // rung-2 escalations
+  std::uint64_t transient_crashes = 0;  // handed to the policy's recovery
+  std::uint64_t quarantines = 0;        // crashes classified recurring (rung 2)
   std::uint64_t budget_quarantines = 0;  // recovery budget exhausted -> rung 2
   std::uint64_t readmissions = 0;        // parked components re-admitted
   // --- storm rung (liveness faults, DESIGN.md §15) -----------------------
@@ -89,9 +91,10 @@ class Engine {
  public:
   /// `max_recoveries_per_component` bounds crash storms: a component that
   /// exhausts its budget is forced onto the ladder's quarantine rung (the
-  /// system degrades instead of wedging).
+  /// system degrades instead of wedging). Every quarantine, of a crash loop
+  /// or of a storm, parks the component for `quarantine_cooldown_ticks`.
   Engine(kernel::Kernel& kernel, seep::Policy policy,
-         std::uint32_t max_recoveries_per_component = 8, LadderConfig ladder = {});
+         std::uint32_t max_recoveries_per_component = 8, Tick quarantine_cooldown_ticks = 4000);
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -103,12 +106,11 @@ class Engine {
   kernel::CrashDecision on_crash(const kernel::CrashContext& ctx);
 
   /// Kernel storm-handler entry point (health-monitor fever decisions): the
-  /// ladder's storm rung, slotted between rung 1's backoff restart and rung
-  /// 2's quarantine. First fever onset throttles the component (its sends
-  /// are error-virtualized past an allowance, so victims unblock while it
-  /// stays live); a fever that persists under the throttle escalates to
-  /// quarantine and disarms the storm fault so readmission is clean.
-  /// Existing rung numbering is untouched — golden traces embed rungs.
+  /// ladder's storm rung, in front of quarantine. First fever onset
+  /// throttles the component (its sends are error-virtualized past an
+  /// allowance, so victims unblock while it stays live); a fever that
+  /// persists under the throttle escalates to quarantine and disarms the
+  /// storm fault so readmission is clean.
   void on_storm(kernel::Endpoint ep);
 
   /// Lift a parked component's quarantine after its cooldown expired.
@@ -125,48 +127,38 @@ class Engine {
   /// Recovery count per component (for diagnostics and tests).
   [[nodiscard]] std::uint32_t recoveries_of(kernel::Endpoint ep) const;
 
-  /// Ladder position per component (for RS status reporting and tests).
+  /// Ladder position per component (for tests): parked in quarantine, which
+  /// rung_of() reports as rung 2, or not (rung 0).
   [[nodiscard]] bool is_parked(kernel::Endpoint ep) const;
   [[nodiscard]] std::uint32_t rung_of(kernel::Endpoint ep) const;
 
  private:
-  /// One entry of the per-component crash history ring.
-  struct CrashRecord {
-    Tick when = 0;
-    bool was_hang = false;
-  };
-  static constexpr std::size_t kHistoryLen = 8;
+  /// The number RS_PARK, RecoveryReadmit and rung_of() report for quarantine.
+  static constexpr std::uint32_t kQuarantineRung = 2;
 
   struct Slot {
     Recoverable* comp = nullptr;
     /// Spare clone image, pre-allocated at registration (restart phase).
     std::vector<std::byte> clone_image;
-    /// Pristine boot-time state for stateless restarts.
+    /// Pristine boot-time state for stateless restarts and quarantine.
     std::vector<std::byte> boot_image;
     std::uint32_t recoveries = 0;
-    // --- crash history and ladder position -------------------------------
-    std::array<CrashRecord, kHistoryLen> history{};
-    std::size_t history_head = 0;  // next write position in the ring
-    std::size_t history_len = 0;
-    std::uint32_t stateless_tries = 0;  // rung-1 restarts consumed
-    std::uint32_t rung = 0;             // last ladder rung taken (0/1/2)
-    Tick backoff = 0;                   // current exponential park duration
+    // --- crash-loop detection and ladder position ------------------------
+    std::uint32_t crash_streak = 0;         // crashes since the last completed dispatch
+    std::uint64_t dispatches_at_crash = 0;  // completed_dispatches() at the last crash
     bool parked = false;
-    /// A crash before this deadline counts as recurring even if the sliding
-    /// window has slid past the old crashes — long parks must not launder a
-    /// crash loop back into "transient".
-    Tick probation_until = 0;
   };
 
   kernel::CrashDecision recover_windowed(Slot& slot, const kernel::CrashContext& ctx);
   kernel::CrashDecision recover_stateless(Slot& slot, const kernel::CrashContext& ctx);
   kernel::CrashDecision recover_naive(Slot& slot, const kernel::CrashContext& ctx);
-  kernel::CrashDecision escalate(Slot& slot, const kernel::CrashContext& ctx, Tick now);
+  kernel::CrashDecision escalate(Slot& slot, const kernel::CrashContext& ctx, bool over_budget);
   void restart_phase(Slot& slot);
   void reset_to_boot_image(Slot& slot);
-  void record_crash(Slot& slot, Tick now, bool was_hang);
-  [[nodiscard]] std::uint32_t crashes_in_window(const Slot& slot, Tick now) const;
-  void announce_park(kernel::Endpoint ep, Tick cooldown, std::uint32_t rung);
+  /// Rung 2: trace the quarantine, reset the component to its boot image and
+  /// have the kernel reject every send to it.
+  void enter_quarantine(Slot& slot, bool over_budget);
+  void announce_park(kernel::Endpoint ep);
   [[nodiscard]] bool replyable(const kernel::CrashContext& ctx) const;
   /// Reconciliation by error virtualization: answer the in-flight request
   /// with kernel::make_crash_reply and count it.
@@ -175,7 +167,7 @@ class Engine {
   kernel::Kernel& kernel_;
   seep::Policy policy_;
   std::uint32_t max_recoveries_;
-  LadderConfig ladder_;
+  Tick quarantine_cooldown_;
   std::unordered_map<std::int32_t, Slot> slots_;
   EngineStats stats_;
 };

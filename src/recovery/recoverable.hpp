@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string_view>
 
 #include "ckpt/context.hpp"
@@ -38,6 +39,10 @@ class Recoverable {
   /// paper describes for the multithreaded VFS (SIV-E). `rolled_back` tells
   /// the component whether the undo log was applied.
   virtual void on_restored(bool rolled_back) = 0;
+
+  /// Dispatches that returned without a fault, heartbeat pings excluded: the
+  /// progress the crash-loop classifier reads. Outside the data section.
+  [[nodiscard]] virtual std::uint64_t completed_dispatches() const = 0;
 
   /// True when the component can reconcile an unreplyable in-flight message
   /// itself after a windowed recovery. The FOM executor returns true: a crash

@@ -20,6 +20,8 @@
 //     attribution for the duration of the dispatch, including across nested
 //     calls into other servers;
 //   - answers heartbeat pings from the Recovery Server;
+//   - counts the dispatches that return without a fault: the progress by
+//     which the recovery engine tells a crash loop from transient crashes;
 //   - implements the recovery::Recoverable interface over State.
 //
 // Defensive checks in handlers use SRV_CHECK, which converts would-be
@@ -165,6 +167,7 @@ class ServerCommon : public kernel::IServer, public recovery::Recoverable {
     } else if (storm.type != fi::FaultType::kNone) {
       activate_storm(storm);
     }
+    ++completed_dispatches_;
     return reply;
   }
 
@@ -196,6 +199,7 @@ class ServerCommon : public kernel::IServer, public recovery::Recoverable {
 
   // --- Recoverable ------------------------------------------------------
   [[nodiscard]] kernel::Endpoint endpoint() const final { return ep_; }
+  [[nodiscard]] std::uint64_t completed_dispatches() const final { return completed_dispatches_; }
   ckpt::Context& ckpt_context() final { return ctx_; }
   seep::Window& window() final { return window_; }
   void reinitialize() override { init_state(); }
@@ -347,6 +351,7 @@ class ServerCommon : public kernel::IServer, public recovery::Recoverable {
   ckpt::Context ctx_;
   seep::Window window_;
   std::uint64_t deferred_replies_ = 0;
+  std::uint64_t completed_dispatches_ = 0;
   bool flood_pump_active_ = false;
   std::array<HandlerSlot, kMsgSpecCount> handlers_{};
 };

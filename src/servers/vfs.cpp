@@ -109,7 +109,7 @@ void Vfs::on_restored(bool rolled_back) {
     return;
   }
 
-  // Restart from the boot image (stateless rung, quarantine, storm rung):
+  // Restart from the boot image (stateless policy, quarantine):
   // every live FOM dies with the state it was parked against. The one that
   // crashed mid-dispatch (if any) is answered by the engine's own
   // reconciliation; the rest get E_CRASH from the executor so no requester
@@ -619,6 +619,15 @@ std::optional<Message> Vfs::do_pm_exit(const Message& m) {
       st().procs.mutate(tbl).fds[fd] = -1;
       close_file(static_cast<std::size_t>(fidx));
     }
+  }
+  // Blocked pipe reads and writes die with the process, or the next write
+  // (read) would hand its bytes (space) to a dead endpoint.
+  const std::int32_t ep = st().procs.at(tbl).ep;
+  for (std::size_t i = 0; i < kMaxPipes; ++i) {
+    if (!st().pipes.in_use(i)) continue;
+    const VfsPipe& p = st().pipes.at(i);
+    if (p.rwait.blocked && p.rwait.requester_ep == ep) st().pipes.mutate(i).rwait = {};
+    if (p.wwait.blocked && p.wwait.requester_ep == ep) st().pipes.mutate(i).wwait = {};
   }
   st().procs.free(tbl);
   return make_reply(m.type, OK);

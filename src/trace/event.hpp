@@ -40,7 +40,7 @@ enum class EventKind : std::uint8_t {
   kCrash,               // a0=1 if hang-detected, a1=1 if classified recurring
   kRecoveryRestart,     // clone transfer (restart phase); no args
   kRecoveryRollback,    // undo-log replay; no args
-  kRecoveryStateless,   // a0=park ticks (0 = policy stateless), a1=ladder rung
+  kRecoveryStateless,   // stateless-policy microreboot; no args
   kRecoveryQuarantine,  // a0=cooldown ticks, a1=1 if budget exhaustion
   kRecoveryReadmit,     // a0=rung the component was parked at
 

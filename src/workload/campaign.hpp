@@ -117,12 +117,12 @@ CampaignTotals run_campaign(seep::Policy policy, const std::vector<Injection>& p
 // --- recurring-fault campaigns (escalation ladder / quarantine) -----------
 //
 // Persistent injections model deterministic bugs: the fault re-fires after
-// every recovery, so the interesting outcome is not pass/fail but how far
-// the escalation ladder had to climb. Survivability buckets:
+// every recovery, so the interesting outcome is not pass/fail but whether
+// the machine outlives the crash loop, and at what cost. Buckets:
 //   recovered — suite finished clean and nothing was quarantined;
 //   degraded  — the system survived to the end of the suite, but only by
 //               quarantining a component (or with residual suite failures);
-//   shutdown  — the ladder (or policy) shut the machine down consistently;
+//   shutdown  — the policy shut the machine down consistently;
 //   wedged    — the run crashed or hung: the worst bucket, the one the
 //               ladder exists to empty.
 enum class RecurringClass : std::uint8_t { kRecovered, kDegraded, kShutdown, kWedged };

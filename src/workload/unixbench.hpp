@@ -12,12 +12,15 @@
 // shape as unixbench's index values.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "fi/registry.hpp"
 #include "os/config.hpp"
+#include "os/instance.hpp"
 #include "os/isys.hpp"
 #include "os/programs.hpp"
 
@@ -32,14 +35,6 @@ struct UbWorkload {
 const std::vector<UbWorkload>& ub_workloads();
 const UbWorkload& ub_workload(std::string_view name);
 
-/// Work units actually completed by the most recent workload run (failed
-/// units — e.g. forks that never succeeded under fault influx — do not
-/// count). Reset by run_ub_microkernel / run_ub_mono.
-std::uint64_t ub_last_completed();
-
-/// Reset the completed-work counter (custom harnesses like fig3).
-void ub_reset_completed();
-
 /// Register the programs the shell workloads exec.
 void register_ub_programs(os::ProgramRegistry& registry);
 
@@ -49,6 +44,25 @@ double run_ub_microkernel(const os::OsConfig& cfg, const UbWorkload& w, std::uin
 
 /// Same workload on the monolithic baseline.
 double run_ub_mono(const UbWorkload& w, std::uint64_t iters);
+
+/// Figure 3's fault intervals, in PM requests per injected fault.
+inline constexpr std::array<std::uint64_t, 7> kFig3Intervals = {10000, 1000, 100, 30, 10, 3, 1};
+
+/// PM's busiest fault site (its request-loop entry probe), whose hit counter
+/// advances once per PM message.
+fi::Site* pm_entry_site();
+
+struct Fig3Cell {
+  os::OsInstance::Outcome outcome = os::OsInstance::Outcome::kCompleted;
+  std::uint64_t completed = 0;  // work units; a unit that failed does not count
+};
+
+/// One Figure 3 cell: half of `w`'s default units, times `scale`, on a fresh
+/// (enhanced-policy) machine that gets a fail-stop fault in PM's open
+/// recovery window every `interval` hits of `site` (0 = no faults). It takes
+/// no host time, so the cell is deterministic.
+Fig3Cell run_fig3_cell(const UbWorkload& w, fi::Site* site, std::uint64_t interval,
+                       double scale = 1.0);
 
 /// iterations/second score.
 inline double ub_score(std::uint64_t iters, double seconds) {

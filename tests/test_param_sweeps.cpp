@@ -93,6 +93,11 @@ struct FsGeometry {
   std::size_t blocks;
   std::uint32_t inodes;
 };
+// gtest's default printer would dump the struct's bytes, padding included,
+// into the ctest names, which would then differ from one build to the next.
+void PrintTo(const FsGeometry& g, std::ostream* os) {
+  *os << g.blocks << " blocks, " << g.inodes << " inodes";
+}
 class FsGeometryP : public ::testing::TestWithParam<FsGeometry> {};
 }  // namespace
 

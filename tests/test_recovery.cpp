@@ -29,6 +29,7 @@ class FakeComponent final : public recovery::Recoverable {
 
   [[nodiscard]] std::string_view name() const override { return "fake"; }
   [[nodiscard]] kernel::Endpoint endpoint() const override { return ep_; }
+  [[nodiscard]] std::uint64_t completed_dispatches() const override { return dispatches_; }
   std::byte* data_section() override { return reinterpret_cast<std::byte*>(&state_); }
   [[nodiscard]] std::size_t data_section_size() const override { return sizeof(state_); }
   ckpt::Context& ckpt_context() override { return ctx_; }
@@ -51,6 +52,9 @@ class FakeComponent final : public recovery::Recoverable {
     state_.value = new_value;
   }
 
+  /// Simulate a dispatch that returns without a fault: progress.
+  void complete_dispatch() { ++dispatches_; }
+
   [[nodiscard]] int value() const { return state_.value; }
   [[nodiscard]] int initialized() const { return state_.initialized; }
 
@@ -60,6 +64,7 @@ class FakeComponent final : public recovery::Recoverable {
 
  private:
   kernel::Endpoint ep_;
+  std::uint64_t dispatches_ = 0;
   FakeState state_{};
   ckpt::Context ctx_;
   seep::Window window_;
@@ -145,7 +150,8 @@ TEST(Classification, UnknownTypeFallsToConservativeDefault) {
   }
 
   // The ladder's park rung answers it the same way: crashes 1-2 are
-  // transient, crash 3 in the same tick parks the component.
+  // transient, crash 3 with no completed dispatch between them quarantines
+  // the component.
   VirtualClock clock;
   kernel::Kernel kern{clock};
   FakeComponent comp(seep::Policy::kEnhanced, kernel::kPmEp);
@@ -157,9 +163,9 @@ TEST(Classification, UnknownTypeFallsToConservativeDefault) {
     EXPECT_EQ(d.action, CrashAction::kErrorReply) << "crash " << i;
     EXPECT_EQ(d.reply.sarg(0), kernel::E_CRASH) << "crash " << i;
   }
-  EXPECT_EQ(engine.rung_of(kernel::kPmEp), 1u);
+  EXPECT_EQ(engine.rung_of(kernel::kPmEp), 2u);
   EXPECT_TRUE(engine.is_parked(kernel::kPmEp));
-  EXPECT_EQ(engine.stats().recurring_crashes, 1u);
+  EXPECT_EQ(engine.stats().quarantines, 1u);
   EXPECT_EQ(engine.stats().error_replies, 3u);
 }
 
@@ -222,11 +228,11 @@ TEST_F(EngineFixture, SpacedTransientCrashesStayOnPolicyRung) {
     comp.begin_request_and_mutate(i + 1);
     EXPECT_EQ(engine.on_crash(crash_ctx(kernel::kPmEp)).action, CrashAction::kErrorReply);
     EXPECT_EQ(engine.rung_of(kernel::kPmEp), 0u);
-    // Isolated faults, far apart in virtual time: always below the rate.
-    clock.spin(recovery::kCrashWindowTicks + 1);
+    // One completed dispatch between crashes, and no virtual time at all:
+    // the component made progress, so no crash is part of a loop.
+    comp.complete_dispatch();
   }
   EXPECT_EQ(engine.stats().transient_crashes, 5u);
-  EXPECT_EQ(engine.stats().recurring_crashes, 0u);
   EXPECT_EQ(engine.stats().quarantines, 0u);
   EXPECT_FALSE(engine.is_parked(kernel::kPmEp));
 }
@@ -236,33 +242,27 @@ TEST_F(EngineFixture, CrashBurstClimbsLadderToQuarantine) {
   recovery::Engine engine(kern, seep::Policy::kEnhanced);
   engine.register_component(&comp);
 
-  // Same-tick burst: crashes 1-2 are transient, crash 3 trips the rate.
+  // Three crashes with no completed dispatch between them: crashes 1-2 are
+  // transient, crash 3 is a crash loop. The virtual time between them does
+  // not matter, however long it is.
   for (int i = 0; i < 2; ++i) {
     comp.begin_request_and_mutate(i + 1);
     engine.on_crash(crash_ctx(kernel::kPmEp));
     EXPECT_EQ(engine.rung_of(kernel::kPmEp), 0u);
+    EXPECT_EQ(comp.value(), 0);  // rolled back
+    clock.spin(100000);
   }
-  comp.begin_request_and_mutate(41);
-  engine.on_crash(crash_ctx(kernel::kPmEp));  // rung 1, attempt 1
-  EXPECT_EQ(engine.rung_of(kernel::kPmEp), 1u);
-  EXPECT_TRUE(engine.is_parked(kernel::kPmEp));
-  EXPECT_EQ(comp.value(), 0);  // rung 1 is a microreboot: boot image restored
-
-  comp.begin_request_and_mutate(42);
-  engine.on_crash(crash_ctx(kernel::kPmEp));  // rung 1, attempt 2
-  EXPECT_EQ(engine.rung_of(kernel::kPmEp), 1u);
-
   comp.begin_request_and_mutate(43);
-  engine.on_crash(crash_ctx(kernel::kPmEp));  // attempts exhausted: rung 2
+  engine.on_crash(crash_ctx(kernel::kPmEp));  // straight to quarantine
   EXPECT_EQ(engine.rung_of(kernel::kPmEp), 2u);
   EXPECT_TRUE(engine.is_parked(kernel::kPmEp));
-  EXPECT_EQ(comp.value(), 0);
+  EXPECT_EQ(comp.value(), 0);  // quarantine restarts from the boot image
+  EXPECT_EQ(comp.restored_calls, 3);
+  EXPECT_FALSE(comp.last_rolled_back);
 
   EXPECT_EQ(engine.stats().transient_crashes, 2u);
-  EXPECT_EQ(engine.stats().recurring_crashes, 3u);
-  EXPECT_EQ(engine.stats().ladder_stateless, 2u);
   EXPECT_EQ(engine.stats().quarantines, 1u);
-  EXPECT_EQ(engine.stats().budget_quarantines, 0u);  // rate-driven, not budget
+  EXPECT_EQ(engine.stats().budget_quarantines, 0u);  // loop-driven, not budget
 }
 
 TEST_F(EngineFixture, ReadmitLiftsParkOnceAndIsIdempotent) {
@@ -303,33 +303,38 @@ TEST_F(EngineFixture, ParkWithoutRsIsReadmittedByClockFallback) {
 }
 
 TEST_F(EngineFixture, ProbationKeepsPostReadmitCrashesRecurring) {
-  // Long parks must not launder a crash loop back into "transient": a
-  // backoff longer than the rate window would otherwise forget the pre-park
-  // burst entirely.
-  recovery::LadderConfig ladder;
-  ladder.backoff_base_ticks = recovery::kCrashWindowTicks + 1000;
+  // A readmitted component is on probation until it completes a dispatch:
+  // readmission does not reset the crash streak, so however long the park
+  // was, a crash before any progress is still part of the loop.
   FakeComponent comp(seep::Policy::kEnhanced, kernel::kPmEp);
   recovery::Engine engine(kern, seep::Policy::kEnhanced,
-                          /*max_recoveries_per_component=*/32, ladder);
+                          /*max_recoveries_per_component=*/32);
   engine.register_component(&comp);
   for (int i = 0; i < 3; ++i) {
     comp.begin_request_and_mutate(i + 1);
     engine.on_crash(crash_ctx(kernel::kPmEp));
   }
-  ASSERT_EQ(engine.rung_of(kernel::kPmEp), 1u);
-  const auto recurring_before = engine.stats().recurring_crashes;
-  const auto transient_before = engine.stats().transient_crashes;
+  ASSERT_TRUE(engine.is_parked(kernel::kPmEp));
+  ASSERT_EQ(engine.stats().quarantines, 1u);
 
-  // Serve the cooldown, readmit, and crash again: the burst has slid out of
-  // the rate window, but probation still classifies the crash as recurring.
-  clock.spin(ladder.backoff_base_ticks);
+  clock.spin(1000000);
   engine.readmit(kernel::kPmEp);
   comp.begin_request_and_mutate(9);
   engine.on_crash(crash_ctx(kernel::kPmEp));
-  EXPECT_EQ(engine.stats().recurring_crashes, recurring_before + 1);
-  EXPECT_EQ(engine.stats().transient_crashes, transient_before);
-  EXPECT_EQ(engine.rung_of(kernel::kPmEp), 1u);  // second rung-1 attempt
+  EXPECT_EQ(engine.stats().transient_crashes, 2u);
+  EXPECT_EQ(engine.stats().quarantines, 2u);
   EXPECT_TRUE(engine.is_parked(kernel::kPmEp));
+
+  // Once readmitted, one completed dispatch ends the probation: the next
+  // crash is transient and recovered by the policy.
+  engine.readmit(kernel::kPmEp);
+  comp.complete_dispatch();
+  comp.begin_request_and_mutate(10);
+  EXPECT_EQ(engine.on_crash(crash_ctx(kernel::kPmEp)).action, CrashAction::kErrorReply);
+  EXPECT_EQ(engine.stats().transient_crashes, 3u);
+  EXPECT_EQ(engine.rung_of(kernel::kPmEp), 0u);
+  EXPECT_FALSE(engine.is_parked(kernel::kPmEp));
+  EXPECT_TRUE(comp.last_rolled_back);
 }
 
 TEST_F(EngineFixture, QuarantineOfOneComponentDoesNotStallAnother) {

@@ -198,8 +198,9 @@ TEST(RecoveryIntegration, MonitorTableOverflowFailsLoudlyNotSilently) {
 TEST(RecoveryIntegration, PersistentFaultClimbsLadderToQuarantineAndSystemSurvives) {
   // The tentpole end-to-end: a deterministic bug in DS re-fires after every
   // recovery. The flat policy would either crash-loop forever or wedge; the
-  // ladder retries, backs off, and finally quarantines DS — while the
-  // workload (and unrelated VFS service) runs to completion.
+  // ladder recovers the first crashes, sees DS complete no dispatch between
+  // them, and quarantines it — while the workload (and unrelated VFS
+  // service) runs to completion.
   FiGuard guard;
   const auto workload = [](ISys& sys) {
     for (int i = 0; i < 30; ++i) sys.ds_publish("ladder.key", 1);
@@ -209,8 +210,7 @@ TEST(RecoveryIntegration, PersistentFaultClimbsLadderToQuarantineAndSystemSurviv
 
   fi::Registry::instance().reset_counts();
   os::OsConfig cfg;
-  cfg.ladder.backoff_base_ticks = 50;  // short parks keep the test quick
-  cfg.ladder.quarantine_cooldown_ticks = 100000;  // stays quarantined to the end
+  cfg.quarantine_cooldown_ticks = 100000;  // stays quarantined to the end
   os::OsInstance inst(cfg);
   workload::register_suite_programs(inst.programs());
   inst.boot();
@@ -232,9 +232,8 @@ TEST(RecoveryIntegration, PersistentFaultClimbsLadderToQuarantineAndSystemSurviv
   });
   EXPECT_EQ(outcome, OsInstance::Outcome::kCompleted);
   const auto& stats = inst.engine().stats();
-  EXPECT_GE(stats.recurring_crashes, 1u);
-  EXPECT_GE(stats.ladder_stateless, 1u);  // rung 1 was tried first...
-  EXPECT_GE(stats.quarantines, 1u);       // ...then rung 2 took over
+  EXPECT_GE(stats.transient_crashes, 1u);  // the policy recovered first...
+  EXPECT_GE(stats.quarantines, 1u);        // ...then quarantine took over
   EXPECT_EQ(stats.giveups, 0u);
   EXPECT_TRUE(inst.engine().is_parked(kernel::kDsEp));
   EXPECT_TRUE(inst.kern().is_quarantined(kernel::kDsEp));
@@ -393,10 +392,10 @@ TEST(RecoveryIntegration, RsItselfIsRecoverable) {
 #if OSIRIS_TRACE_ENABLED
 // With tracing compiled in, the ladder climb is also checkable as an event
 // *sequence*, not just as end-state counters: the trace must show the climb
-// in order — recurring classification, rung-1 stateless parks, quarantine —
-// and agree with the engine's statistics event-for-event. The byte-exact
-// golden-trace versions of the five rungs live in the osiris_trace_tests
-// binary (ctest -L trace); this cross-check keeps the tier-1 suite robust to
+// in order — transient crashes, recurring classification, quarantine — and
+// agree with the engine's statistics event-for-event. The byte-exact
+// golden-trace versions of the rungs live in the osiris_trace_tests binary
+// (ctest -L trace); this cross-check keeps the tier-1 suite robust to
 // formatting while still pinning the ladder's observable order.
 TEST(RecoveryIntegration, LadderClimbIsVisibleInTraceAndMatchesStats) {
   using trace::EventKind;
@@ -412,8 +411,7 @@ TEST(RecoveryIntegration, LadderClimbIsVisibleInTraceAndMatchesStats) {
   os::OsConfig cfg;
   cfg.trace_enabled = true;
   cfg.trace_ring_capacity = 1u << 16;  // retain the whole climb, drop nothing
-  cfg.ladder.backoff_base_ticks = 50;
-  cfg.ladder.quarantine_cooldown_ticks = 100000;  // parked to the end
+  cfg.quarantine_cooldown_ticks = 100000;  // parked to the end
   os::OsInstance inst(cfg);
   workload::register_suite_programs(inst.programs());
   inst.boot();
@@ -431,12 +429,10 @@ TEST(RecoveryIntegration, LadderClimbIsVisibleInTraceAndMatchesStats) {
   EXPECT_TRUE(trace_test::expect_subsequence(events, {
                   Pat{EventKind::kCrash, ds}.with_a1(0),           // first crash: transient
                   Pat{EventKind::kCrash, ds}.with_a1(1),           // then classified recurring
-                  Pat{EventKind::kRecoveryStateless, ds}.with_a1(1),  // rung 1: parked restart
-                  Pat{EventKind::kRecoveryQuarantine, ds},            // rung 2: parked for good
+                  Pat{EventKind::kRecoveryQuarantine, ds}.with_a1(0),  // rung 2, not budget
               }));
-  // Rung-1 parks readmit once their backoff expires, but the long cooldown
-  // means the final quarantine is never lifted inside this run.
-  EXPECT_TRUE(trace_test::expect_absent(events, Pat{EventKind::kRecoveryReadmit, ds}.with_a0(2)));
+  // The long cooldown means the quarantine is never lifted inside this run.
+  EXPECT_TRUE(trace_test::expect_absent(events, Pat{EventKind::kRecoveryReadmit, ds}));
 
   // Trace and engine statistics are two views of the same history.
   const auto& stats = inst.engine().stats();
@@ -447,8 +443,8 @@ TEST(RecoveryIntegration, LadderClimbIsVisibleInTraceAndMatchesStats) {
     }
     return n;
   };
-  EXPECT_EQ(count(Pat{EventKind::kCrash, ds}.with_a1(1)), stats.recurring_crashes);
-  EXPECT_EQ(count(Pat{EventKind::kRecoveryStateless, ds}.with_a1(1)), stats.ladder_stateless);
+  EXPECT_EQ(count(Pat{EventKind::kCrash, ds}.with_a1(0)), stats.transient_crashes);
+  EXPECT_EQ(count(Pat{EventKind::kCrash, ds}.with_a1(1)), stats.quarantines);
   EXPECT_EQ(count(Pat{EventKind::kRecoveryQuarantine, ds}), stats.quarantines);
 }
 #endif  // OSIRIS_TRACE_ENABLED

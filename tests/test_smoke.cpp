@@ -75,6 +75,34 @@ TEST(Smoke, PipeParentChild) {
   EXPECT_EQ(outcome, OsInstance::Outcome::kCompleted);
 }
 
+TEST(Smoke, KilledPipeReaderLeavesNoWaiterBehind) {
+  // A child blocked reading a pipe is killed and reaped. Its waiter must go
+  // with it: the next byte written belongs to the parent's own read, not to
+  // the dead reader, which would leave the parent's read blocked forever.
+  auto outcome = run_os([](ISys& sys) {
+    std::int64_t fds[2];
+    ASSERT_EQ(sys.pipe(fds), kernel::OK);
+    const std::int64_t pid = sys.fork([&](ISys& child) {
+      char b = 0;
+      child.read(fds[0], std::as_writable_bytes(std::span<char>(&b, 1)));
+      child.exit(1);  // not reached: killed while blocked in the read
+    });
+    ASSERT_GT(pid, 1);
+    // Processes run round-robin, one turn per syscall: these give the child
+    // its turns to reach the read and block in VFS.
+    for (int i = 0; i < 3; ++i) sys.getpid();
+    EXPECT_EQ(sys.kill(pid, servers::kSigKill), kernel::OK);
+    std::int64_t status = 0;
+    EXPECT_EQ(sys.wait_pid(pid, &status), pid);
+    EXPECT_EQ(status, -9);
+    EXPECT_EQ(sys.write_str(fds[1], "x"), 1);
+    char got = 0;
+    EXPECT_EQ(sys.read(fds[0], std::as_writable_bytes(std::span<char>(&got, 1))), 1);
+    EXPECT_EQ(got, 'x');
+  });
+  EXPECT_EQ(outcome, OsInstance::Outcome::kCompleted);
+}
+
 TEST(Smoke, ExecRunsRegisteredProgram) {
   os::OsConfig cfg;
   OsInstance inst(cfg);

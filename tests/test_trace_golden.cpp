@@ -1,4 +1,5 @@
-// Golden-trace tests: one per escalation-ladder rung, plus trace determinism.
+// Golden-trace tests: one per recovery path and ladder rung, plus trace
+// determinism.
 //
 // Each test drives a fault scenario through the full OS stack with tracing
 // enabled, filters the merged timeline down to the recovery landmarks
@@ -120,7 +121,7 @@ TEST(TraceGolden, TransientStatelessRestart) {
   EXPECT_TRUE(expect_subsequence(r.landmarks, {
                   Pat{EventKind::kFaultFire, kDs},
                   Pat{EventKind::kCrash, kDs, 0, 0},  // not a hang, not recurring
-                  Pat{EventKind::kRecoveryStateless, kDs}.with_a0(0).with_a1(0),  // rung 0
+                  Pat{EventKind::kRecoveryStateless, kDs},  // the policy's microreboot
                   Pat{EventKind::kRecoveryRestart, kDs},
               }));
   // The stateless policy never uses windows, and rung 0 never quarantines.
@@ -160,36 +161,8 @@ TEST(TraceGolden, TransientRollbackAndErrorVirtualization) {
   EXPECT_TRUE(trace_test::check_golden("transient_rollback.trace", r.landmarks_text));
 }
 
-// --- Rung 1: recurring crashes -> stateless restart with exponential backoff
-TEST(TraceGolden, LadderStatelessBackoffAndReadmit) {
-  FiGuard guard;
-  const auto profile = [](ISys& sys) {
-    for (int i = 0; i < 30; ++i) sys.ds_publish("g.key", 1);
-  };
-  fi::Site* site = busiest_site("ds", profile);
-  ASSERT_NE(site, nullptr);
-
-  const TraceRun r = run_traced(
-      [](os::OsConfig& cfg) {
-        cfg.ladder.backoff_base_ticks = 50;
-        cfg.ladder.quarantine_cooldown_ticks = 400;
-      },
-      [&](fi::Registry& reg) { reg.arm_persistent(site, fi::FaultType::kNullDeref, 2); },
-      [](ISys& sys) {
-        for (int i = 0; i < 120; ++i) sys.ds_publish("g.key", static_cast<std::uint64_t>(i));
-      });
-
-  EXPECT_EQ(r.outcome, OsInstance::Outcome::kCompleted);
-  EXPECT_TRUE(expect_subsequence(r.landmarks, {
-                  Pat{EventKind::kCrash, kDs}.with_a1(1),  // classified recurring
-                  Pat{EventKind::kRecoveryStateless, kDs}.with_a0(50).with_a1(1),  // base park
-                  Pat{EventKind::kRecoveryReadmit, kDs}.with_a0(1),   // back from rung 1
-                  Pat{EventKind::kRecoveryStateless, kDs}.with_a0(100).with_a1(1),  // doubled
-              }));
-  EXPECT_TRUE(trace_test::check_golden("ladder_stateless_backoff.trace", r.landmarks_text));
-}
-
-// --- Rung 2: backoff exhausted -> quarantine, then readmission after cooldown
+// --- Rung 2: crashes with no progress between them -> quarantine, then
+// readmission after the cooldown
 TEST(TraceGolden, LadderQuarantineParkAndReadmit) {
   FiGuard guard;
   const auto profile = [](ISys& sys) {
@@ -200,8 +173,7 @@ TEST(TraceGolden, LadderQuarantineParkAndReadmit) {
 
   const TraceRun r = run_traced(
       [](os::OsConfig& cfg) {
-        cfg.ladder.backoff_base_ticks = 50;
-        cfg.ladder.quarantine_cooldown_ticks = 400;  // short: readmission is observable
+        cfg.quarantine_cooldown_ticks = 400;  // short: readmission is observable
       },
       [&](fi::Registry& reg) { reg.arm_persistent(site, fi::FaultType::kNullDeref, 2); },
       [](ISys& sys) {
@@ -210,10 +182,14 @@ TEST(TraceGolden, LadderQuarantineParkAndReadmit) {
 
   EXPECT_EQ(r.outcome, OsInstance::Outcome::kCompleted);
   EXPECT_TRUE(expect_subsequence(r.landmarks, {
-                  Pat{EventKind::kRecoveryStateless, kDs}.with_a1(1),        // rung 1 first
-                  Pat{EventKind::kRecoveryQuarantine, kDs}.with_a1(0),       // then rung 2
-                  Pat{EventKind::kRecoveryReadmit, kDs}.with_a0(2),          // park ended
+                  Pat{EventKind::kCrash, kDs}.with_a1(0),                  // transient
+                  Pat{EventKind::kRecoveryRollback, kDs},                  // policy recovery
+                  Pat{EventKind::kCrash, kDs}.with_a1(1),                  // third in a row
+                  Pat{EventKind::kRecoveryQuarantine, kDs}.with_a0(400).with_a1(0),  // rung 2
+                  Pat{EventKind::kRecoveryReadmit, kDs}.with_a0(2),        // park ended
               }));
+  // There is no rung between the policy and quarantine.
+  EXPECT_TRUE(expect_absent(r.landmarks, Pat{EventKind::kRecoveryStateless}));
   EXPECT_TRUE(trace_test::check_golden("ladder_quarantine_readmit.trace", r.landmarks_text));
 }
 
@@ -229,7 +205,7 @@ TEST(TraceGolden, BudgetExhaustionSkipsStraightToQuarantine) {
   const TraceRun r = run_traced(
       [](os::OsConfig& cfg) {
         cfg.max_recoveries = 1;  // one free recovery, then the budget is gone
-        cfg.ladder.quarantine_cooldown_ticks = 100000;  // parked to the end
+        cfg.quarantine_cooldown_ticks = 100000;  // parked to the end
       },
       [&](fi::Registry& reg) { reg.arm_persistent(site, fi::FaultType::kNullDeref, 2); },
       [](ISys& sys) {
@@ -241,8 +217,9 @@ TEST(TraceGolden, BudgetExhaustionSkipsStraightToQuarantine) {
                   Pat{EventKind::kCrash, kDs},
                   Pat{EventKind::kRecoveryQuarantine, kDs}.with_a1(1),  // budget exhaustion
               }));
-  // Over budget, the ladder must NOT spend time on rung-1 stateless parks.
-  EXPECT_TRUE(expect_absent(r.landmarks, Pat{EventKind::kRecoveryStateless, kDs}.with_a1(1)));
+  // Over budget, the ladder quarantines at the second crash, before any
+  // streak of crashes could.
+  EXPECT_TRUE(expect_absent(r.landmarks, Pat{EventKind::kRecoveryQuarantine, kDs}.with_a1(0)));
   EXPECT_TRUE(expect_absent(r.landmarks, Pat{EventKind::kRecoveryReadmit, kDs}));
   EXPECT_TRUE(trace_test::check_golden("ladder_budget_quarantine.trace", r.landmarks_text));
 }
@@ -274,14 +251,14 @@ TEST(TraceGolden, StormDetectionFeverThrottleQuarantine) {
                   Pat{EventKind::kFaultFire, kDs},
                   Pat{EventKind::kFeverOnset}.with_a0(static_cast<std::uint64_t>(kDs))
                       .with_a2(0),                          // onset, not escalation
-                  Pat{EventKind::kRecoveryThrottle, kDs},   // rung 1.5: throttle
+                  Pat{EventKind::kRecoveryThrottle, kDs},   // storm rung: throttle
                   Pat{EventKind::kFeverOnset}.with_a0(static_cast<std::uint64_t>(kDs))
                       .with_a2(1),                          // still hot under throttle
                   Pat{EventKind::kRecoveryQuarantine, kDs}, // rung 2 + fault disarm
                   Pat{EventKind::kRecoveryRestart, kDs},    // reset to boot image
               }));
   // The storm is invisible to the crash/hang rungs: no crash landmark and no
-  // stateless backoff park anywhere in the run.
+  // stateless restart anywhere in the run.
   EXPECT_TRUE(expect_absent(r.landmarks, Pat{EventKind::kCrash}));
   EXPECT_TRUE(expect_absent(r.landmarks, Pat{EventKind::kRecoveryStateless}));
   EXPECT_TRUE(trace_test::check_golden("storm_detect.trace", r.landmarks_text));
@@ -302,10 +279,7 @@ TEST(TraceGolden, HealthMonitorIsSilentThroughLadderScenario) {
   ASSERT_NE(site, nullptr);
 
   const TraceRun r = run_traced(
-      [](os::OsConfig& cfg) {
-        cfg.ladder.backoff_base_ticks = 50;
-        cfg.ladder.quarantine_cooldown_ticks = 400;
-      },
+      [](os::OsConfig& cfg) { cfg.quarantine_cooldown_ticks = 400; },
       [&](fi::Registry& reg) { reg.arm_persistent(site, fi::FaultType::kNullDeref, 2); },
       [](ISys& sys) {
         for (int i = 0; i < 200; ++i) sys.ds_publish("g.key", static_cast<std::uint64_t>(i));

@@ -36,8 +36,8 @@ int usage(const char* argv0) {
             << "  --scenario S  fault scenario to trace (default: transient)\n"
             << "                  transient: one in-window PM crash, rolled back and\n"
             << "                             error-virtualized\n"
-            << "                  ladder:    persistent DS bug climbing the escalation\n"
-            << "                             ladder into quarantine and back\n"
+            << "                  ladder:    persistent DS bug crash-looping into\n"
+            << "                             quarantine and back\n"
             << "                  hang:      injected DS hang caught by RS heartbeats\n"
             << "                  storm:     DS handler-spin storm caught by the health\n"
             << "                             monitor (fever -> throttle -> quarantine)\n"
@@ -92,8 +92,7 @@ ScenarioResult run_scenario(const std::string& name, std::size_t ring_capacity) 
     site = busiest_site("ds", [](ISys& sys) {
       for (int i = 0; i < 30; ++i) sys.ds_publish("trace.key", 1);
     });
-    cfg.ladder.backoff_base_ticks = 50;
-    cfg.ladder.quarantine_cooldown_ticks = 400;  // short: the readmission shows up too
+    cfg.quarantine_cooldown_ticks = 400;  // short: the readmission shows up too
     body = [](ISys& sys) {
       for (int i = 0; i < 120; ++i) sys.ds_publish("trace.key", static_cast<std::uint64_t>(i));
     };
