@@ -124,9 +124,7 @@ void bury_abandoned_stack(std::unique_ptr<std::byte[]> stack) {
 }  // namespace
 
 Fiber::Fiber(std::function<void()> fn, std::size_t stack_size)
-    : fn_(std::move(fn)),
-      stack_size_(stack_size),
-      stack_(new std::byte[stack_size]) {  // default-init: no zeroing cost
+    : fn_(std::move(fn)), stack_size_(stack_size) {
   OSIRIS_ASSERT(fn_ != nullptr);
   OSIRIS_ASSERT(stack_size >= 16 * 1024);
   require_no_shadow_stack();
@@ -174,6 +172,9 @@ void Fiber::trampoline() {
 void Fiber::resume() {
   OSIRIS_ASSERT(state_ == State::kReady || state_ == State::kSuspended);
   if (state_ == State::kReady) {
+    // The stack is allocated here, not at construction, so a fiber that
+    // never runs (a refused fork's child) holds none.
+    stack_.reset(new std::byte[stack_size_]);  // default-init: no zeroing cost
     // The first switch pops this frame and returns into trampoline(), which
     // sees a call frame at the 16-byte-aligned top whose return address is
     // null, so unwinders and backtraces stop there. The fiber starts with

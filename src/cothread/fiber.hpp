@@ -17,6 +17,11 @@
 // the first fiber panics if one is active (run with
 // GLIBC_TUNABLES=glibc.cpu.x86_shstk=off).
 //
+// A fiber allocates its stack at its first resume(), so a fiber that never
+// runs holds none, and frees it when it is destroyed: the owner of a finished
+// fiber gives its stack back by destroying it, once nothing can still write
+// into that stack.
+//
 // Exceptions never propagate across a context switch: anything escaping the
 // fiber body is captured as std::exception_ptr and handed to the resumer,
 // which decides whether to rethrow on its own stack (this is how a fail-stop
@@ -55,6 +60,8 @@ class Fiber {
 
   [[nodiscard]] State state() const noexcept { return state_; }
   [[nodiscard]] bool finished() const noexcept { return state_ == State::kFinished; }
+  /// Whether the fiber holds a stack: from its first resume() on.
+  [[nodiscard]] bool has_stack() const noexcept { return stack_ != nullptr; }
 
   /// Exception that escaped the fiber body during the last resume(), if any.
   /// Fetching it clears it.
@@ -69,7 +76,7 @@ class Fiber {
 
   std::function<void()> fn_;
   std::size_t stack_size_;
-  std::unique_ptr<std::byte[]> stack_;  // intentionally uninitialized
+  std::unique_ptr<std::byte[]> stack_;  // allocated, uninitialized, at the first resume()
   void* sp_ = nullptr;         // this fiber's saved stack pointer while it is switched out
   void* resumer_sp_ = nullptr;  // the resumer's saved stack pointer while this fiber runs
   State state_ = State::kReady;

@@ -109,6 +109,8 @@ class Kernel {
   Endpoint register_client(IClient* cli);
   /// Forget a user process, and drop every grant it still owns.
   void unregister_client(Endpoint ep);
+  /// Registered user processes.
+  [[nodiscard]] std::size_t client_count() const noexcept { return clients_.size(); }
 
   [[nodiscard]] bool is_server(Endpoint ep) const;
 

@@ -243,12 +243,6 @@ void OsInstance::resume_proc(UserProc* p) {
   }
 }
 
-void OsInstance::reap_done() {
-  std::erase_if(procs_, [this](const std::unique_ptr<UserProc>& p) {
-    return p->run_state_ == UserProc::RunState::kDone && !p->in_ready_queue_;
-  });
-}
-
 OsInstance::Outcome OsInstance::run(ISys::ProcBody init_body) {
   OSIRIS_ASSERT(booted_);
   UserProc* init = create_proc("init", std::move(init_body));
@@ -267,13 +261,26 @@ OsInstance::Outcome OsInstance::run(ISys::ProcBody init_body) {
       if (kernel_->dispatch_pending()) progress = true;
       if (UserProc* p = pop_ready()) {
         resume_proc(p);
+        if (p->run_state_ == UserProc::RunState::kDone) {
+          if (p == init) break;
+          // Destroy the finished process now, fiber and all, so host memory
+          // follows live processes, not every process ever forked. It was
+          // just popped, and nothing queues a finished process. A killed
+          // process stays until the instance goes: it can die with a request
+          // in flight, and a VFS worker waiting on the disk for that request
+          // still writes through a grant span into its stack.
+          OSIRIS_ASSERT(!p->in_ready_queue_);
+          if (!p->killed_) {
+            std::erase_if(procs_,
+                          [p](const std::unique_ptr<UserProc>& q) { return q.get() == p; });
+          }
+        }
         progress = true;
         idle_iters = 0;  // only *user-process* progress counts: background
                          // heartbeat chatter must not mask a hung workload
       } else {
         ++idle_iters;
       }
-      if (init->run_state_ == UserProc::RunState::kDone) break;
       if (!progress && !clock_.advance_to_next()) {
         hung = true;  // deadlock: nothing runnable, nothing pending
         break;
@@ -286,7 +293,6 @@ OsInstance::Outcome OsInstance::run(ISys::ProcBody init_body) {
   } catch (const kernel::ControlledShutdown&) {
     // Unwound from deep inside a dispatch chain; kernel state is kShutdown.
   }
-  reap_done();
 
   switch (kernel_->state()) {
     case kernel::SystemState::kShutdown:

@@ -1,8 +1,8 @@
 // OsInstance: one booted OSIRIS machine.
 //
 // Owns the virtual clock, the simulated microkernel, the five system servers
-// plus the SYS task, the recovery engine, the block device, and the user
-// processes (fibers). `run()` executes an init program to completion and
+// plus the SYS task, the recovery engine, the block device, and the live
+// user processes (fibers). `run()` executes an init program to completion and
 // classifies the machine's fate — the outcome classes of the survivability
 // experiments (completed / controlled shutdown / crash / hang).
 #pragma once
@@ -92,6 +92,10 @@ class OsInstance {
   void boot();
 
   /// Run `init_body` as pid 1 to completion. Returns the machine's fate.
+  /// A process is destroyed as soon as its fiber finishes, and a child that
+  /// PM refuses at fork as soon as the refusal arrives. Init, killed
+  /// processes and processes still blocked when the machine halts go with
+  /// the instance.
   Outcome run(ISys::ProcBody init_body);
 
   // --- accessors for tests and benches ---------------------------------
@@ -115,6 +119,9 @@ class OsInstance {
 #endif
   [[nodiscard]] const OsConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] std::uint64_t steps() const noexcept { return steps_; }
+  /// User processes the instance holds: the live ones, the killed ones, and
+  /// init.
+  [[nodiscard]] std::size_t user_procs() const noexcept { return procs_.size(); }
   [[nodiscard]] const std::string& halt_reason() const { return kernel_->halt_reason(); }
 
   /// The five recoverable servers (PM, VM, VFS, DS, RS), with or without
@@ -133,7 +140,6 @@ class OsInstance {
   void mark_ready(UserProc* p);
   UserProc* pop_ready();
   void resume_proc(UserProc* p);
-  void reap_done();
 
   OsConfig cfg_;
   VirtualClock clock_;

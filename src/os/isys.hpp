@@ -48,8 +48,9 @@ class ISys {
 
   // --- processes --------------------------------------------------------
   /// fork + the child's program: the child runs `body` in a new process
-  /// (closure capture stands in for address-space duplication). Returns the
-  /// child pid, or a negative error.
+  /// (closure capture stands in for address-space duplication, so capture
+  /// the parent's locals by value: a process's stack is freed when it
+  /// exits). Returns the child pid, or a negative error.
   virtual std::int64_t fork(ProcBody body) = 0;
   /// Replace this process's program with /bin/<leaf> of `path`. On success
   /// the new program runs and this call never returns; on failure an error

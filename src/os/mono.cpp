@@ -645,7 +645,11 @@ std::int64_t MonoOs::run(ISys::ProcBody init_body) {
     if (p->done || (p->zombie && !p->killed)) continue;
     p->fiber->resume();
     if (auto e = p->fiber->take_exception()) std::rethrow_exception(e);
-    if (p->fiber->finished()) p->done = true;
+    if (p->fiber->finished()) {
+      // The process stays in the table for wait(); its stack goes now.
+      p->done = true;
+      p->fiber.reset();
+    }
     if (init->zombie || init->done) break;
   }
   return init->exit_status;

@@ -57,8 +57,11 @@ std::int64_t Sys::fork(ProcBody body) {
   Message r = sendrec(kernel::kPmEp, encode(PM_FORK, child->ep().value));
   const std::int64_t pid = r.sarg(0);
   if (pid < 0) {
-    // fork failed: the child never existed.
-    child->run_state_ = UserProc::RunState::kDone;
+    // fork failed: the child never existed, so nothing of it is kept. It
+    // never ran, so it is in no ready queue and owns no grant.
+    os_.kern().unregister_client(child->ep_);
+    std::erase_if(os_.procs_,
+                  [child](const std::unique_ptr<UserProc>& p) { return p.get() == child; });
     return pid;
   }
   child->pid_ = static_cast<std::int32_t>(pid);

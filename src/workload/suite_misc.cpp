@@ -278,7 +278,7 @@ std::int64_t t_kill_blocked_reader(ISys& sys) {
   // SIGKILL must terminate a child blocked inside a pipe read.
   std::int64_t fds[2];
   REQ_EQ(sys.pipe(fds), OK);
-  const std::int64_t pid = sys.fork([&](ISys& c) {
+  const std::int64_t pid = sys.fork([fds](ISys& c) {
     char b;
     rd(c, fds[0], &b, 1);  // blocks forever
     c.exit(0);

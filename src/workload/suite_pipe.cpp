@@ -58,7 +58,7 @@ std::int64_t t_pipe_epipe_on_reader_close(ISys& sys) {
 std::int64_t t_pipe_blocking_read(ISys& sys) {
   std::int64_t fds[2];
   REQ_EQ(sys.pipe(fds), OK);
-  const std::int64_t pid = sys.fork([&](ISys& c) {
+  const std::int64_t pid = sys.fork([fds](ISys& c) {
     char buf[8] = {};
     const std::int64_t n = rd(c, fds[0], buf, 4);  // blocks until data
     c.exit(n == 4 && std::string_view(buf, 4) == "late" ? 0 : 1);
@@ -81,7 +81,7 @@ std::int64_t t_pipe_blocking_write(ISys& sys) {
   // Fill the pipe to capacity (4096 bytes).
   std::string chunk(1024, 'F');
   for (int i = 0; i < 4; ++i) REQ_EQ(wr(sys, fds[1], chunk), 1024);
-  const std::int64_t pid = sys.fork([&](ISys& c) {
+  const std::int64_t pid = sys.fork([fds](ISys& c) {
     // This write must block until the parent drains.
     const std::int64_t n = wr(c, fds[1], "over");
     c.exit(n == 4 ? 0 : 1);
@@ -102,7 +102,7 @@ std::int64_t t_pipe_pingpong(ISys& sys) {
   std::int64_t up[2], down[2];
   REQ_EQ(sys.pipe(up), OK);
   REQ_EQ(sys.pipe(down), OK);
-  const std::int64_t pid = sys.fork([&](ISys& c) {
+  const std::int64_t pid = sys.fork([up, down](ISys& c) {
     for (int i = 0; i < 10; ++i) {
       char b = 0;
       if (rd(c, up[0], &b, 1) != 1) c.exit(1);
@@ -129,7 +129,7 @@ std::int64_t t_pipe_pingpong(ISys& sys) {
 std::int64_t t_pipe_fd_inherited(ISys& sys) {
   std::int64_t fds[2];
   REQ_EQ(sys.pipe(fds), OK);
-  const std::int64_t pid = sys.fork([&](ISys& c) {
+  const std::int64_t pid = sys.fork([fds](ISys& c) {
     c.close(fds[0]);
     const std::int64_t n = wr(c, fds[1], "inherit");
     c.close(fds[1]);
@@ -152,7 +152,7 @@ std::int64_t t_pipe_eof_via_child_exit(ISys& sys) {
   // The child never closes explicitly: exit() must release its pipe ends.
   std::int64_t fds[2];
   REQ_EQ(sys.pipe(fds), OK);
-  const std::int64_t pid = sys.fork([&](ISys& c) {
+  const std::int64_t pid = sys.fork([fds](ISys& c) {
     wr(c, fds[1], "bye");
     c.exit(0);
   });

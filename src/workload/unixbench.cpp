@@ -117,7 +117,7 @@ void ub_context1(ISys& sys, std::uint64_t iters) {
   if (sys.pipe(up) != kernel::OK || sys.pipe(down) != kernel::OK) return;
   std::int64_t pid = -1;
   for (int attempt = 0; attempt < 64 && pid <= 0; ++attempt)
-    pid = sys.fork([&](ISys& c) {
+    pid = sys.fork([up, down](ISys& c) {
     // Each side closes the ends it does not use, or EOF never arrives.
     c.close(up[1]);
     c.close(down[0]);

@@ -199,6 +199,22 @@ TEST(Fiber, ExceptionIsCapturedNotPropagated) {
   EXPECT_EQ(f.take_exception(), nullptr);  // fetching clears
 }
 
+TEST(Fiber, AllocatesStackAtFirstResume) {
+  // A fiber that never runs (a refused fork's child) holds no stack.
+  cothread::Fiber never([] {});
+  EXPECT_FALSE(never.has_stack());
+  cothread::Fiber f([&] {
+    EXPECT_TRUE(f.has_stack());
+    cothread::Fiber::suspend();
+  });
+  EXPECT_FALSE(f.has_stack());
+  f.resume();
+  EXPECT_EQ(f.state(), cothread::Fiber::State::kSuspended);
+  EXPECT_TRUE(f.has_stack());
+  f.resume();
+  EXPECT_TRUE(f.finished());
+}
+
 TEST(Fiber, ManyFibersInterleave) {
   constexpr int kN = 16;
   std::vector<std::unique_ptr<cothread::Fiber>> fibers;

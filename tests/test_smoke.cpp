@@ -2,6 +2,10 @@
 // the core syscall surface, and verify a clean completion.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "os/instance.hpp"
 #include "os/mono.hpp"
 #include "servers/protocol.hpp"
@@ -210,4 +214,103 @@ TEST(Smoke, MonoOsRunsSamePrograms) {
     sys.exit(0);
   });
   EXPECT_EQ(status, 0);
+}
+
+TEST(ProcLifecycle, ExitedProcessIsDestroyedAtOnce) {
+  // A process is destroyed, fiber stack and all, as soon as it finishes: over
+  // a thousand fork+exit+wait rounds the instance never holds more than init
+  // and one child.
+  OsInstance inst;
+  inst.boot();
+  std::size_t most = 0;
+  const auto outcome = inst.run([&](ISys& sys) {
+    for (int round = 0; round < 1000; ++round) {
+      const std::int64_t pid = sys.fork([](ISys& child) { child.exit(0); });
+      most = std::max(most, inst.user_procs());
+      std::int64_t status = -1;
+      if (sys.wait_pid(pid, &status) != pid || status != 0) sys.exit(1);
+      most = std::max(most, inst.user_procs());
+    }
+  });
+  EXPECT_EQ(outcome, OsInstance::Outcome::kCompleted);
+  EXPECT_EQ(most, 2u);
+}
+
+TEST(ProcLifecycle, RefusedForkLeavesNoProcessBehind) {
+  // Live children fill PM's process table, so the next fork is refused. Its
+  // child never existed: it must leave neither a process nor a kernel client
+  // behind. Once the children have exited, fork works again.
+  OsInstance inst;
+  inst.boot();
+  const auto outcome = inst.run([&](ISys& sys) {
+    std::vector<std::int64_t> children;
+    std::int64_t refused = 0;
+    for (std::size_t i = 0; i < servers::kMaxProcs && refused == 0; ++i) {
+      const std::int64_t pid = sys.fork([](ISys& child) {
+        while (child.ds_retrieve("release", nullptr) != kernel::OK) {
+        }
+        child.exit(0);
+      });
+      if (pid > 0) children.push_back(pid);
+      else refused = pid;
+    }
+    EXPECT_EQ(refused, kernel::E_AGAIN);
+    EXPECT_EQ(children.size(), servers::kMaxProcs - 1);  // init holds the last slot
+    EXPECT_EQ(inst.user_procs(), 1 + children.size());
+    EXPECT_EQ(inst.kern().client_count(), 1 + children.size());
+
+    EXPECT_EQ(sys.ds_publish("release", 1), kernel::OK);
+    for (const std::int64_t pid : children) {
+      std::int64_t status = -1;
+      EXPECT_EQ(sys.wait_pid(pid, &status), pid);
+      EXPECT_EQ(status, 0);
+    }
+    const std::int64_t pid = sys.fork([](ISys& child) { child.exit(7); });
+    ASSERT_GT(pid, 1);
+    std::int64_t status = -1;
+    EXPECT_EQ(sys.wait_pid(pid, &status), pid);
+    EXPECT_EQ(status, 7);
+    EXPECT_EQ(inst.user_procs(), 1u);
+    EXPECT_EQ(inst.kern().client_count(), 1u);
+  });
+  EXPECT_EQ(outcome, OsInstance::Outcome::kCompleted);
+  EXPECT_EQ(inst.kern().stats().fever_onsets, 0u);
+}
+
+TEST(ProcLifecycle, KilledReaderKeepsItsStackForThePendingDiskRead) {
+  // A child blocks in a file read whose block misses the cache and is
+  // SIGKILLed while the VFS worker waits on the disk. When the disk
+  // completes, the worker still writes the block through its grant span into
+  // the child's stack, so a killed process is kept until the instance goes.
+  os::OsConfig cfg;
+  cfg.cache_blocks = 8;
+  OsInstance inst(cfg);
+  inst.boot();
+  const auto outcome = inst.run([&](ISys& sys) {
+    const std::int64_t fd = sys.open("/tmp/big", servers::O_CREAT | servers::O_RDWR);
+    ASSERT_GE(fd, 0);
+    const std::string chunk(512, 'z');
+    for (int i = 0; i < 64; ++i) ASSERT_EQ(sys.write_str(fd, chunk), 512);  // 8x the cache
+    ASSERT_EQ(sys.fsync(), kernel::OK);
+    ASSERT_EQ(sys.lseek(fd, 0, 0), 0);
+    const std::int64_t pid = sys.fork([fd](ISys& child) {
+      char buf[512];
+      child.read(fd, std::as_writable_bytes(std::span<char>(buf, sizeof buf)));
+      child.exit(0);  // not reached: killed while the read waits on the disk
+    });
+    ASSERT_GT(pid, 1);
+    for (int i = 0; i < 4; ++i) sys.getpid();  // turns for the child to block in the read
+    EXPECT_EQ(sys.kill(pid, servers::kSigKill), kernel::OK);
+    std::int64_t status = 0;
+    EXPECT_EQ(sys.wait_pid(pid, &status), pid);
+    EXPECT_EQ(status, -9);
+    EXPECT_EQ(inst.user_procs(), 2u);  // init and the killed child
+    // A cold read of init's own lets virtual time run, so the child's disk
+    // read completes too.
+    char far[512] = {};
+    EXPECT_EQ(sys.lseek(fd, 32 * 512, 0), 32 * 512);
+    EXPECT_EQ(sys.read(fd, std::as_writable_bytes(std::span<char>(far, sizeof far))), 512);
+    EXPECT_EQ(far[0], 'z');
+  });
+  EXPECT_EQ(outcome, OsInstance::Outcome::kCompleted);
 }
