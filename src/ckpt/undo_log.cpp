@@ -92,23 +92,6 @@ void UndoLog::rollback() {
   ++stats_.rollbacks;
 }
 
-void UndoLog::rollback_to(const Mark& m) {
-  OSIRIS_ASSERT(integrity_ok());
-  OSIRIS_ASSERT(m.n_entries <= n_entries_ && m.data_bytes <= data_bytes_);
-  const Entry* es = entries();
-  for (std::size_t i = n_entries_; i-- > m.n_entries;) {
-    std::memcpy(es[i].addr, arena_.get() + cap_ - es[i].end_off, es[i].len);
-  }
-  OSIRIS_TRACE_EVENT(kUndoRollback, trace_id_, n_entries_ - m.n_entries);
-  n_entries_ = m.n_entries;
-  data_bytes_ = m.data_bytes;
-  live_bytes_ = n_entries_ * sizeof(Entry) + data_bytes_;
-  // The filter cannot cheaply forget just the truncated suffix, so drop it
-  // entirely; duplicate re-captures of surviving ranges are first-write-wins.
-  bump_epoch();
-  ++stats_.partial_rollbacks;
-}
-
 void UndoLog::checkpoint() {
   // Discarding an empty log is the steady-state no-op checkpoint; only a
   // truncation that actually drops captured entries is worth a trace event.

@@ -35,7 +35,6 @@ struct UndoLogStats {
   std::uint64_t duplicate_skips = 0;  // records elided by the first-write filter
   std::size_t max_log_bytes = 0;    // high-water mark of live log size (Table VI)
   std::uint64_t rollbacks = 0;
-  std::uint64_t partial_rollbacks = 0;  // rollback_to() calls (FOM park-time sub-rollback)
   std::uint64_t checkpoints = 0;    // reset() calls
 };
 
@@ -54,22 +53,6 @@ class UndoLog {
 
   /// Roll back all recorded writes (newest first), leaving the log empty.
   void rollback();
-
-  /// A position in the log. Taking a mark before a speculative attempt and
-  /// rolling back to it on abort undoes exactly that attempt's stores — the
-  /// FOM executor uses this so a parked request owns zero live entries.
-  struct Mark {
-    std::size_t n_entries = 0;
-    std::size_t data_bytes = 0;
-  };
-
-  [[nodiscard]] Mark mark() const noexcept { return Mark{n_entries_, data_bytes_}; }
-
-  /// Roll back every write recorded after `m` (newest first), truncating the
-  /// log back to the mark. The first-write filter epoch is bumped: stores the
-  /// surviving prefix captured may be re-logged on retry, which is benign
-  /// (rollback replays newest-first, so the oldest capture still wins).
-  void rollback_to(const Mark& m);
 
   /// Discard the log: this *is* checkpoint creation at the top of the loop.
   void checkpoint();

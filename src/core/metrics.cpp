@@ -42,7 +42,6 @@ SystemMetrics collect_metrics(os::OsInstance& inst) {
 
   m.kernel = inst.kern().stats();
   if (engine != nullptr) m.engine = engine->stats();
-  m.fom = inst.vfs().fom_stats();
 
 #if OSIRIS_TRACE_ENABLED
   if (const trace::Tracer* tracer = inst.tracer()) {
@@ -100,16 +99,6 @@ std::string SystemMetrics::report() const {
   out += "engine: " + std::to_string(e.restarts) + " restarts, " + std::to_string(e.rollbacks) +
          " rollbacks, " + std::to_string(e.error_replies) + " error replies, " +
          std::to_string(e.shutdowns) + " shutdowns\n";
-  if (fom.admitted > 0) {
-    out += "fom[vfs]: " + std::to_string(fom.admitted) + " admitted, " +
-           std::to_string(fom.parks) + " parks, " + std::to_string(fom.resumes) +
-           " resumes, " + std::to_string(fom.aborts) + " aborts, " +
-           std::to_string(fom.sync_fallbacks) + " sync fallbacks, high-water " +
-           std::to_string(fom.in_flight_high_water) + ", " +
-           std::to_string(fom.wait_ticks_total) + " wait ticks";
-    if (e.fom_reconciles > 0) out += ", " + std::to_string(e.fom_reconciles) + " reconciles";
-    out += "\n";
-  }
   // Charges alone are routine with recovery on: report fevers, throttles, valve trips.
   if (k.fever_onsets > 0 || e.storm_throttles > 0 || k.dispatch_aborts > 0) {
     out += "health: " + std::to_string(k.health_charges) + " charges, " +

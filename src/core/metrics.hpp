@@ -39,8 +39,6 @@ struct SystemMetrics {
   /// Zero on a machine without recovery, as are the components' clone bytes
   /// and recovery counts.
   recovery::EngineStats engine;
-  /// VFS's FOM executor (DESIGN.md §16): zero unless cfg.vfs_fom is set.
-  servers::FomStats fom;
 
   // event tracing (machine-wide; see ComponentMetrics for the per-ring view)
   bool trace_active = false;          // a tracer was attached to the run

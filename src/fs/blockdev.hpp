@@ -20,17 +20,6 @@ namespace osiris::fs {
 
 inline constexpr std::size_t kBlockSize = 1024;
 
-/// Thrown by the cached store when a block is absent and the caller runs in
-/// FOM mode: the in-progress operation unwinds to the executor, which parks
-/// the request and retries once the asynchronous read lands. MiniFs keeps all
-/// per-operation state on the stack, so unwinding mid-operation is safe — the
-/// executor rolls the attempt's undo entries back before parking, leaving no
-/// half-applied stores behind.
-struct BlockMiss {
-  std::uint32_t bno;
-  explicit BlockMiss(std::uint32_t b) : bno(b) {}
-};
-
 struct BlockDevStats {
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;

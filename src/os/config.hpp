@@ -48,13 +48,6 @@ struct OsConfig {
   /// default keeps the busiest ring cache-resident; raise it for analyses
   /// that must retain a full run.
   std::size_t trace_ring_capacity = 1024;
-
-  /// FOM request executor for VFS (DESIGN.md §16): cache misses park the
-  /// request as a resumable state machine instead of suspending a worker
-  /// fiber, so the SEEP window machinery stays live across the disk wait.
-  /// Off by default so every pre-existing scenario — and every golden
-  /// trace — is bit-identical.
-  bool vfs_fom = false;
 };
 
 }  // namespace osiris::os

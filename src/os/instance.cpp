@@ -156,7 +156,6 @@ void OsInstance::boot() {
   pm_ = std::make_unique<servers::Pm>(*kernel_, cfg_.policy, mode);
   vm_ = std::make_unique<servers::Vm>(*kernel_, cfg_.policy, mode);
   vfs_ = std::make_unique<servers::Vfs>(*kernel_, cfg_.policy, mode, *disk_, cfg_.cache_blocks);
-  vfs_->set_fom_enabled(cfg_.vfs_fom);
   ds_ = std::make_unique<servers::Ds>(*kernel_, cfg_.policy, mode);
   rs_ = std::make_unique<servers::Rs>(*kernel_, cfg_.policy, mode);
 

@@ -241,16 +241,8 @@ CrashDecision Engine::recover_windowed(Slot& slot, const CrashContext& ctx) {
 
   // Reconciliation is only consistent when the recovery window is still open
   // AND the triggering request can be answered with an error. In every other
-  // case the paper performs a controlled shutdown (SIV-C) — unless the
-  // component runs a FOM executor: a crash during a *resumed* attempt arrives
-  // via the disk-completion notification (unreplyable here), but the executor
-  // knows the parked request's real requester and reconciles it itself from
-  // on_restored(). The window-open requirement is unchanged.
-  const bool window_open = comp.window().is_open();
-  const bool can_reply = replyable(ctx);
-  const bool self_reconcile = !can_reply && comp.can_reconcile_inflight();
-
-  if (!window_open || (!can_reply && !self_reconcile)) {
+  // case the paper performs a controlled shutdown (SIV-C).
+  if (!comp.window().is_open() || !replyable(ctx)) {
     ++stats_.shutdowns;
     comp.window().end_of_request();
     return CrashDecision{CrashAction::kShutdown, {}};
@@ -271,13 +263,6 @@ CrashDecision Engine::recover_windowed(Slot& slot, const CrashContext& ctx) {
   // (e.g. the cooperative thread library, SIV-E).
   comp.window().end_of_request();
   comp.on_restored(/*rolled_back=*/true);
-
-  if (self_reconcile) {
-    // The executor sent the E_CRASH reply during on_restored(); nothing to
-    // answer here.
-    ++stats_.fom_reconciles;
-    return CrashDecision{CrashAction::kNoReply, {}};
-  }
 
   // Phase 3: reconciliation — error virtualization. The requester receives
   // E_CRASH and handles it like any other failed call; the original request

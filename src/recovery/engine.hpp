@@ -69,7 +69,6 @@ struct EngineStats {
   std::uint64_t giveups = 0;
   std::uint64_t stateless_restarts = 0;
   std::uint64_t naive_restarts = 0;
-  std::uint64_t fom_reconciles = 0;  // windowed recoveries reconciled by the FOM executor
   // --- escalation ladder -------------------------------------------------
   std::uint64_t transient_crashes = 0;  // handed to the policy's recovery
   std::uint64_t quarantines = 0;        // crashes classified recurring (rung 2)

@@ -44,13 +44,6 @@ class Recoverable {
   /// progress the crash-loop classifier reads. Outside the data section.
   [[nodiscard]] virtual std::uint64_t completed_dispatches() const = 0;
 
-  /// True when the component can reconcile an unreplyable in-flight message
-  /// itself after a windowed recovery. The FOM executor returns true: a crash
-  /// during a resumed attempt arrives via a kernel notification (no replyable
-  /// sender), but the executor knows the parked request's real requester and
-  /// sends the E_CRASH reconciliation reply on its own.
-  [[nodiscard]] virtual bool can_reconcile_inflight() const { return false; }
-
   /// Extra memory the spare clone must pre-allocate beyond the data section.
   /// The Virtual Memory Manager needs a substantial recovery arena so that
   /// the fresh VM never depends on the defunct VM for allocations during

@@ -29,21 +29,17 @@ namespace osiris::seep {
 inline constexpr std::uint64_t kCloseCauseSeep = 0;
 inline constexpr std::uint64_t kCloseCauseYield = 1;
 inline constexpr std::uint64_t kCloseCauseEndOfRequest = 2;
-inline constexpr std::uint64_t kCloseCauseFomPark = 3;
 #if OSIRIS_TRACE_ENABLED
 static_assert(kCloseCauseSeep == static_cast<std::uint64_t>(trace::CloseCause::kSeep) &&
               kCloseCauseYield == static_cast<std::uint64_t>(trace::CloseCause::kYield) &&
               kCloseCauseEndOfRequest ==
-                  static_cast<std::uint64_t>(trace::CloseCause::kEndOfRequest) &&
-              kCloseCauseFomPark == static_cast<std::uint64_t>(trace::CloseCause::kFomPark));
+                  static_cast<std::uint64_t>(trace::CloseCause::kEndOfRequest));
 #endif
 
 struct WindowStats {
   std::uint64_t opened = 0;
   std::uint64_t closed_by_seep = 0;
   std::uint64_t closed_by_yield = 0;
-  std::uint64_t fom_parks = 0;    // windows suspended by an executor park
-  std::uint64_t fom_resumes = 0;  // windows reopened by an executor resume
   std::uint64_t probe_hits_inside = 0;
   std::uint64_t probe_hits_outside = 0;
 
@@ -60,8 +56,6 @@ struct MsgWindowStats {
   std::uint64_t opened = 0;
   std::uint64_t closed_by_seep = 0;
   std::uint64_t closed_by_yield = 0;
-  std::uint64_t fom_parks = 0;
-  std::uint64_t fom_resumes = 0;
 };
 
 class Window {
@@ -106,35 +100,6 @@ class Window {
       ++stats_.closed_by_yield;
       if (current_msg_ != 0) ++per_msg_[current_msg_].closed_by_yield;
     }
-  }
-
-  /// FOM park: the executor suspends the current request on a declared
-  /// blocking point. The window goes dormant — unlike on_yield() this does
-  /// NOT discard the undo log (the executor already rolled the attempt back
-  /// to its mark, so the surviving log still matches the checkpoint) and is
-  /// not a coverage failure: the request resumes with a fresh window.
-  void fom_park() {
-    if (!open_) return;
-    OSIRIS_TRACE_EVENT(kWindowClose, ctx_.trace_id(), kCloseCauseFomPark);
-    open_ = false;
-    ctx_.set_window_open(false);
-    ++stats_.fom_parks;
-    if (current_msg_ != 0) ++per_msg_[current_msg_].fom_parks;
-  }
-
-  /// FOM resume: reopen the window for a parked request's re-run. Takes the
-  /// checkpoint like open() but does not count as a new window in `opened`
-  /// (a parked+resumed request is still one request — useful_work() and the
-  /// health monitor keep their one-window-per-request meaning).
-  void fom_resume(std::uint32_t msg_type) {
-    if (!policy_uses_windows(policy_)) return;
-    ctx_.log().checkpoint();
-    open_ = true;
-    current_msg_ = msg_type;
-    ctx_.set_window_open(true);
-    ++stats_.fom_resumes;
-    if (msg_type != 0) ++per_msg_[msg_type].fom_resumes;
-    OSIRIS_TRACE_EVENT(kWindowOpen, ctx_.trace_id(), 1);  // a0=1: resume reopen
   }
 
   /// End of request processing: the window simply ends (no statistics —

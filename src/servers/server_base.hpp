@@ -172,13 +172,10 @@ class ServerCommon : public kernel::IServer, public recovery::Recoverable {
   }
 
   /// Useful-work counter for the kernel's health monitor: recovery windows
-  /// opened or reopened by a FOM executor resume, plus deferred replies
-  /// sent. A resume re-runs a parked request from the server's own
-  /// completion notification, so it is work, not storm traffic. Storm
-  /// traffic (FI_SPIN/FI_FLOOD notes) moves none of the three, which is what
-  /// makes it read as fever.
+  /// opened plus deferred replies sent. Storm traffic (FI_SPIN/FI_FLOOD
+  /// notes) moves neither, which is what makes it read as fever.
   [[nodiscard]] std::uint64_t useful_work() const final {
-    return window_.stats().opened + window_.stats().fom_resumes + deferred_replies_;
+    return window_.stats().opened + deferred_replies_;
   }
 
   /// True when this server registered a handler for the given type's natural

@@ -23,7 +23,6 @@
 
 #include <array>
 #include <deque>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -32,7 +31,6 @@
 #include "fs/blockdev.hpp"
 #include "fs/cache.hpp"
 #include "fs/minifs.hpp"
-#include "servers/fom.hpp"
 #include "servers/server_base.hpp"
 
 namespace osiris::servers {
@@ -42,11 +40,6 @@ inline constexpr std::size_t kMaxFiles = 128;
 inline constexpr std::size_t kMaxPipes = 16;
 inline constexpr std::size_t kPipeBuf = 4096;
 inline constexpr std::size_t kVfsWorkers = 4;
-/// FOM livelock guard: after this many parks a single request's remaining
-/// misses are served synchronously through the device backdoor, with no
-/// latency (cache churn can otherwise evict a warmed block before the retry
-/// reaches it).
-inline constexpr std::uint32_t kVfsFomMaxRetries = 64;
 
 enum class FileKind : std::uint8_t { kRegular = 1, kPipeRead = 2, kPipeWrite = 3 };
 
@@ -106,17 +99,9 @@ class Vfs final : public ServerBase<VfsState> {
   /// Boot: create the init process's fd table.
   void register_boot_proc(std::int32_t pid, kernel::Endpoint ep);
 
-  void on_restored(bool rolled_back) override;
+  void on_restored(bool /*rolled_back*/) override;
 
   [[nodiscard]] const fs::CacheStats& cache_stats() const { return cache_.stats(); }
-
-  /// Enable the FOM request executor (OsConfig::vfs_fom). Off by default so
-  /// every pre-existing scenario — and every golden trace — is bit-identical.
-  /// Call once at boot, before dispatch begins.
-  void set_fom_enabled(bool on) noexcept { fom_enabled_ = on; }
-  [[nodiscard]] bool can_reconcile_inflight() const override { return fom_enabled_; }
-  [[nodiscard]] const FomStats& fom_stats() const noexcept { return fom_.stats(); }
-  [[nodiscard]] const FomCore& fom_core() const noexcept { return fom_; }
 
  protected:
   void on_message(const kernel::Message& m) override;
@@ -150,27 +135,9 @@ class Vfs final : public ServerBase<VfsState> {
     Vfs& vfs_;
   };
 
-  /// One disk read in flight on behalf of parked FOMs. `staging` is null for
-  /// resume-chain entries whose block is already cached.
-  struct PendingRead {
-    std::uint32_t bno = 0;
-    std::shared_ptr<std::array<std::byte, fs::kBlockSize>> staging;
-    std::vector<std::uint64_t> waiters;  // FOM ids, park order
-  };
-
   // --- dispatch plumbing -------------------------------------------------
   /// Disk-completion notification (the simulated interrupt).
   std::optional<kernel::Message> do_dev_done(const kernel::Message& m);
-  /// Route a disk-touching request to a worker fiber or the FOM executor.
-  std::optional<kernel::Message> start_request(const kernel::Message& m);
-  // --- FOM executor ------------------------------------------------------
-  std::optional<kernel::Message> fom_execute(const kernel::Message& m);
-  /// Run (or re-run) FOM `id`'s handler; parks it on a BlockMiss.
-  std::optional<kernel::Message> fom_run(std::uint64_t id, bool initial);
-  void fom_submit_read(std::uint32_t bno, std::uint64_t id);
-  /// Handle a disk completion owned by the executor; false if `token` is
-  /// unknown (stale or worker-owned).
-  bool fom_dev_done(std::uint64_t token);
   /// READ/WRITE/FSTAT route per fd kind: pipe ends inline, files to a worker.
   std::optional<kernel::Message> do_rw(const kernel::Message& m);
   /// Path/disk operations always run on a worker thread.
@@ -226,14 +193,6 @@ class Vfs final : public ServerBase<VfsState> {
   Worker* current_worker_ = nullptr;  // the "current thread variable" (SIV-E)
   std::deque<kernel::Message> backlog_;
   std::uint64_t next_token_ = 1;
-  // --- FOM executor state (outside the recoverable data section, like the
-  // worker pool: rollback restores VfsState, the executor repairs itself in
-  // on_restored) ---------------------------------------------------------
-  bool fom_enabled_ = false;
-  FomCore fom_;
-  std::map<std::uint64_t, PendingRead> pending_reads_;  // token -> read
-  std::uint64_t current_fom_ = 0;   // FOM executing right now, 0 = none
-  bool current_initial_ = true;     // is the current run a first attempt?
 };
 
 }  // namespace osiris::servers

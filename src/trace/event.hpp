@@ -52,11 +52,6 @@ enum class EventKind : std::uint8_t {
   // for fever events, the storming server for the rung) -------------------
   kFeverOnset,        // a0=fevered ep, a1=EWMA temperature, a2=1 if escalation
   kRecoveryThrottle,  // a0=detection latency (ticks since storm onset)
-
-  // --- FOM executor (appended; component = owning server) ----------------
-  kFomPark,    // a0=fom id, a1=missing block number, a2=retry count
-  kFomResume,  // a0=fom id, a1=message type being re-run
-  kFomAbort,   // a0=fom id, a1=1 if E_CRASH reconciliation was sent
 };
 
 /// Why a recovery window closed (kWindowClose a0).
@@ -64,7 +59,6 @@ enum class CloseCause : std::uint8_t {
   kSeep = 0,          // an outbound SEEP the policy forbids
   kYield = 1,         // cooperative thread yield (SIV-E)
   kEndOfRequest = 2,  // request completed with the window still open
-  kFomPark = 3,       // FOM parked on a declared blocking point (resumable)
 };
 
 [[nodiscard]] constexpr const char* kind_name(EventKind k) {
@@ -90,9 +84,6 @@ enum class CloseCause : std::uint8_t {
     case EventKind::kHeartbeatPong: return "HeartbeatPong";
     case EventKind::kFeverOnset: return "FeverOnset";
     case EventKind::kRecoveryThrottle: return "RecoveryThrottle";
-    case EventKind::kFomPark: return "FomPark";
-    case EventKind::kFomResume: return "FomResume";
-    case EventKind::kFomAbort: return "FomAbort";
   }
   return "?";
 }
@@ -102,7 +93,6 @@ enum class CloseCause : std::uint8_t {
     case CloseCause::kSeep: return "seep";
     case CloseCause::kYield: return "yield";
     case CloseCause::kEndOfRequest: return "end";
-    case CloseCause::kFomPark: return "fom-park";
   }
   return "?";
 }

@@ -113,11 +113,8 @@ std::vector<Injection> plan_edfi(std::uint64_t seed, int injections_per_site) {
   return plan;
 }
 
-RunClass run_one_injection(seep::Policy policy, const Injection& inj, std::string* trace_out,
-                           const CampaignOptions& opts) {
+RunClass run_one_injection(seep::Policy policy, const Injection& inj, std::string* trace_out) {
   os::OsConfig cfg = config_for(policy);
-  cfg.vfs_fom = opts.vfs_fom;
-  if (opts.cache_blocks != 0) cfg.cache_blocks = opts.cache_blocks;
 #if OSIRIS_TRACE_ENABLED
   cfg.trace_enabled = trace_out != nullptr;
 #endif
@@ -154,7 +151,7 @@ std::vector<RunClass> run_plan(seep::Policy policy, const std::vector<Injection>
   if (opts.traces != nullptr) opts.traces->assign(plan.size(), std::string());
   return run_sharded<RunClass>(plan.size(), opts, [&](std::size_t i) {
     std::string* trace_out = opts.traces != nullptr ? &(*opts.traces)[i] : nullptr;
-    return run_one_injection(policy, plan[i], trace_out, opts);
+    return run_one_injection(policy, plan[i], trace_out);
   });
 }
 

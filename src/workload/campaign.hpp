@@ -82,24 +82,15 @@ struct CampaignOptions {
   /// byte-identical across jobs settings. Requires an OSIRIS_TRACE=ON build;
   /// otherwise the strings come back empty.
   std::vector<std::string>* traces = nullptr;
-  /// Run every injection with the VFS FOM executor (DESIGN.md §16): the
-  /// multi-request rollback path is then what the campaign recovers through.
-  bool vfs_fom = false;
-  /// Block-cache size override for every run; 0 keeps the OsConfig default.
-  /// Campaigns exercising the FOM park/resume path shrink it so the suite's
-  /// file traffic actually misses.
-  std::size_t cache_blocks = 0;
 };
 
 /// Run one injection under a policy; returns its classification. Touches
 /// only thread-scoped simulator state, so calls may run concurrently on
 /// distinct threads. When `trace_out` is non-null (and the build has
 /// OSIRIS_TRACE=ON), the run executes with event tracing enabled and the
-/// merged, sequence-ordered text trace is stored there. `opts` carries the
-/// per-run OsConfig knobs (FOM executor, cache size); its jobs and traces
-/// fields are ignored here.
+/// merged, sequence-ordered text trace is stored there.
 RunClass run_one_injection(seep::Policy policy, const Injection& inj,
-                           std::string* trace_out = nullptr, const CampaignOptions& opts = {});
+                           std::string* trace_out = nullptr);
 
 /// Number of workers a campaign uses for `requested` jobs (0 resolves to
 /// hardware_concurrency) — exposed for benches that print it.

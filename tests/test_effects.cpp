@@ -280,29 +280,30 @@ TEST(Effects, HandlerPredictionsConsistentWithRuntimePerMsgWindowStats) {
 
 // --- artifact + loader hardening ---------------------------------------------
 
-TEST(Effects, HandlerEffectsJsonCarriesV2Schema) {
+TEST(Effects, HandlerEffectsJsonCarriesV3Schema) {
   const std::string doc = analyze::handler_effects_to_json(clean_report(), OSIRIS_SOURCE_ROOT);
   for (const char* key :
-       {"\"schema_version\": 2", "\"policies\"", "\"handlers\"", "\"blocking_points\"",
+       {"\"schema_version\": 3", "\"policies\"", "\"handlers\"", "\"blocking_points\"",
         "\"opens_window\"", "\"mutations_after_close\"", "\"may_close_by_yield\"",
-        "\"may_park\"", "\"suppressed\"", "\"predictions\"", "\"pessimistic\"",
-        "\"enhanced\"", "\"may_close_by_seep\"", "\"effects\""}) {
+        "\"suppressed\"", "\"predictions\"", "\"pessimistic\"", "\"enhanced\"",
+        "\"may_close_by_seep\"", "\"effects\""}) {
     EXPECT_NE(doc.find(key), std::string::npos) << key;
   }
-  // The blocking-point inventory is non-empty on the real tree (the legacy
-  // fiber suspend at minimum) and the FOM park points surface as fom-yield.
+  EXPECT_EQ(doc.find("\"may_park\""), std::string::npos);
+  // The blocking-point inventory is non-empty on the real tree: the worker
+  // fiber's disk wait at minimum.
   EXPECT_NE(doc.find("fiber-suspend"), std::string::npos);
-  EXPECT_NE(doc.find("fom-yield"), std::string::npos);
 }
 
-// --- FOM conversion acceptance: the static inventory after ROADMAP item 2 ----
+// --- the blocking-point inventory on the clean tree ---------------------------
 
-TEST(Effects, FomConversionLeavesNoUnsuppressedBlockingPoints) {
+TEST(Effects, BlockingPointsOnCleanTreeAreAllSuppressed) {
   const analyze::Report& r = clean_report();
   // Every residual blocking point on the clean tree is a reviewed
-  // analyze-suppress site (boot path, FOM retry-cap sync fallback, the
-  // legacy fiber path kept behind vfs_fom=false). The points stay in the
-  // inventory — this pins that none of them is an open finding.
+  // analyze-suppress site: the boot-path synchronous read and the worker
+  // fiber's suspend on a disk read, which force-closes the window first
+  // (SIV-E). The points stay in the inventory — this pins that none of them
+  // is an open finding.
   int total = 0;
   for (const auto& h : r.handler_effects) {
     for (const auto& e : h.effects) {
@@ -315,29 +316,6 @@ TEST(Effects, FomConversionLeavesNoUnsuppressedBlockingPoints) {
   EXPECT_GT(total, 0);
   for (const auto& f : r.findings) {
     EXPECT_NE(f.detector, analyze::kDetBlockingInHandler) << f.file << ":" << f.line;
-  }
-}
-
-TEST(Effects, VfsWorkerHandlersMayParkUnderFomExecutor) {
-  const analyze::Report& r = clean_report();
-  // The BlockMiss unwind (kFomYield) marks every VFS fs-op request handler
-  // as parkable: under vfs_fom the request checkpoints mid-flight and
-  // resumes after the disk wait instead of force-closing at the suspend.
-  for (const char* msg : {"VFS_OPEN", "VFS_READ", "VFS_WRITE", "VFS_STAT", "VFS_FSTAT",
-                          "VFS_UNLINK", "VFS_MKDIR", "VFS_RMDIR", "VFS_RENAME", "VFS_READDIR",
-                          "VFS_TRUNC", "VFS_SYNC", "VFS_ACCESS"}) {
-    const analyze::HandlerEffects* h = r.effects_for("vfs", msg, "request");
-    ASSERT_NE(h, nullptr) << msg;
-    EXPECT_TRUE(h->may_park) << msg;
-    EXPECT_TRUE(has_effect(*h, analyze::EffectKind::kFomYield)) << msg;
-  }
-  // Parking is a window property: only window-opening VFS requests qualify.
-  // Notifications (VFS_DEV_DONE) and other servers' handlers never park.
-  for (const auto& h : r.handler_effects) {
-    if (h.may_park) {
-      EXPECT_EQ(h.server, "vfs") << h.msg;
-      EXPECT_TRUE(h.opens_window) << h.server << "/" << h.msg;
-    }
   }
 }
 

@@ -325,7 +325,7 @@ std::string handler_effects_to_json(const Report& report, const std::string& roo
   Json j;
   j.open('{');
   j.key("schema_version");
-  j.num(2);
+  j.num(3);
   j.key("root");
   j.str(root);
   j.key("policies");
@@ -369,8 +369,6 @@ std::string handler_effects_to_json(const Report& report, const std::string& roo
     j.num(h.mutations_after_close);
     j.key("may_close_by_yield");
     j.boolean(h.may_close_by_yield);
-    j.key("may_park");
-    j.boolean(h.may_park);
     j.key("predictions");
     j.open('{');
     for (int pi = 0; pi < kNumPolicies; ++pi) {
@@ -413,8 +411,8 @@ std::string handler_effects_to_json(const Report& report, const std::string& roo
   }
   j.close(']');
 
-  // The FOM worklist (ROADMAP item 2): every distinct blocking point with
-  // the handler rows it is reachable from.
+  // The blocking-point inventory: every distinct blocking point with the
+  // handler rows it is reachable from.
   struct Point {
     std::string detail;
     bool suppressed = false;

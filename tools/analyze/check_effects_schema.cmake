@@ -1,7 +1,7 @@
 # Schema-stability check for handler_effects.json.
 #
 # Runs the analyzer with --effects and asserts the artifact still carries the
-# v2 key set that downstream tooling (the FOM-refactor worklist, CI trend
+# v3 key set that downstream tooling (the blocking-point inventory, CI trend
 # scripts) relies on. Growing the schema is fine; renaming or dropping a key,
 # or bumping schema_version without updating this check, fails the gate.
 #
@@ -24,12 +24,12 @@ endif()
 file(READ ${OUT} doc)
 
 # Version pin: bumping it must be a deliberate act that also updates this file.
-string(FIND "${doc}" "\"schema_version\": 2" pos)
+string(FIND "${doc}" "\"schema_version\": 3" pos)
 if(pos EQUAL -1)
-  message(FATAL_ERROR "check_effects_schema: schema_version != 2")
+  message(FATAL_ERROR "check_effects_schema: schema_version != 3")
 endif()
 
-# Top-level and per-handler keys of the v2 schema.
+# Top-level and per-handler keys of the v3 schema.
 set(required_keys
   "\"root\""
   "\"policies\""
@@ -53,7 +53,6 @@ set(required_keys
   "\"pessimistic\""
   "\"enhanced\""
   "\"may_close_by_seep\""
-  "\"may_park\""
   "\"suppressed\""
   "\"effects\""
   "\"detail\""
@@ -65,4 +64,4 @@ foreach(key IN LISTS required_keys)
   endif()
 endforeach()
 
-message(STATUS "check_effects_schema: handler_effects.json schema v2 intact")
+message(STATUS "check_effects_schema: handler_effects.json schema v3 intact")

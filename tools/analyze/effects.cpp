@@ -283,19 +283,6 @@ std::vector<LocalEvent> extract_local_events(const FuncDef& d, const SiteIndex& 
       ++i;
       continue;
     }
-    if (name == "BlockMiss") {
-      // `throw fs::BlockMiss(bno)`: the FOM executor's resumable park point.
-      // The dispatch returns (no fiber is held), the request re-runs when the
-      // disk completion arrives — a state transition, not a blocking wait.
-      LocalEvent ev;
-      ev.eff.kind = EffectKind::kFomYield;
-      ev.eff.detail = "fom-miss";
-      ev.eff.file = d.file->path;
-      ev.eff.line = tok.line;
-      out.push_back(std::move(ev));
-      ++i;
-      continue;
-    }
     if (is_deferred_intrinsic(name)) {
       const std::size_t close = cg_match_forward(t, i + 1, "(", ")");
       i = close >= t.size() ? i + 1 : close + 1;
@@ -467,7 +454,6 @@ const char* effect_kind_name(EffectKind k) {
     case EffectKind::kMutation: return "mutation";
     case EffectKind::kSend: return "send";
     case EffectKind::kBlocking: return "blocking";
-    case EffectKind::kFomYield: return "fom-yield";
     case EffectKind::kYield: return "yield";
     case EffectKind::kUnboundedLoop: return "unbounded-loop";
     case EffectKind::kRecursiveCall: return "recursive-call";
@@ -591,14 +577,8 @@ void run_effects_pass(const std::vector<LexedFile>& files, const CallGraph& grap
                 Finding{kDetBlockingInHandler, e.file, e.line,
                         "blocking operation (" + e.detail + ") reachable from handler " +
                             he.server + "/" + he.msg +
-                            ": the server cannot dispatch until it completes (FOM worklist)"});
+                            ": the server cannot dispatch until it completes"});
           }
-          break;
-        case EffectKind::kFomYield:
-          // A resumable park point: no finding (the executor keeps the
-          // server dispatching) and no forced close — the window survives
-          // the disk wait as per-request park/resume accounting.
-          if (he.opens_window) he.may_park = true;
           break;
         case EffectKind::kYield:
           if (he.opens_window) he.may_close_by_yield = true;

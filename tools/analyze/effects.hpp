@@ -13,7 +13,8 @@
 //   * the flow-sensitive detectors `mutate-after-send` (a ckpt mutation
 //     ordered after the first window-closing send under the enhanced policy
 //     — state dirtied past the point where rollback can cover it),
-//     `blocking-in-handler` (the FOM-refactor worklist for ROADMAP item 2)
+//     `blocking-in-handler` (a disk wait or fiber suspend no reviewed
+//     suppression covers)
 //     and `unsummarized-callee` (a reachable call the analyzer has no
 //     definition or intrinsic model for — a soundness escape);
 //   * the machine-readable handler_effects.json artifact (see DESIGN.md §13

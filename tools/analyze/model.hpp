@@ -152,8 +152,6 @@ enum class EffectKind : std::uint8_t {
   kMutation,       // ckpt store mutation through a st()-rooted wrapper chain
   kSend,           // outbound SEEP (seep_* wrapper or explicit on_outbound)
   kBlocking,       // fiber suspend or synchronous blockdev wait
-  kFomYield,       // resumable FOM park point (BlockMiss unwind): the request
-                   // re-runs after the disk wait instead of blocking a fiber
   kYield,          // explicit window().on_yield() force-close marker
   kUnboundedLoop,  // `for (;;)` / `while (true)` in the flow
   kRecursiveCall,  // summarization hit a call cycle and cut it here
@@ -171,7 +169,7 @@ struct Effect {
   bool classified = false;                     // kSend: class statically known
   bool sync = false;                           // kSend: seep_call (blocks for reply)
   /// kBlocking only: an analyze-suppress(blocking-in-handler) comment covers
-  /// the site (boot path, FOM sync fallback, …) — the point stays in the
+  /// the site (boot path, the worker fiber's disk wait) — the point stays in the
   /// inventory but is not an open finding.
   bool suppressed = false;
   std::string file;
@@ -204,10 +202,6 @@ struct HandlerEffects {
   /// sequence — sound against branches skipping any prefix).
   bool may_close_by_seep[kNumPolicies] = {false, false};
   bool may_close_by_yield = false;  // any blocking/yield effect in the flow
-  /// Any resumable FOM park point (kFomYield) in the flow: under the FOM
-  /// executor this handler can checkpoint mid-flight and resume after the
-  /// disk wait instead of closing the window for good.
-  bool may_park = false;
 };
 
 struct Report {
