@@ -29,6 +29,21 @@ std::byte* BlockCache::peek(std::uint32_t bno) {
 
 std::byte* BlockCache::insert(std::uint32_t bno, std::span<const std::byte, kBlockSize> data,
                               std::optional<DirtyBlock>* evicted_dirty, bool dirty) {
+  const std::uint32_t s = place(bno, evicted_dirty).first;
+  slots_[s].dirty = slots_[s].dirty || dirty;
+  std::memcpy(block(s), data.data(), kBlockSize);
+  return block(s);
+}
+
+std::byte* BlockCache::fill(std::uint32_t bno, std::span<const std::byte, kBlockSize> data,
+                            std::optional<DirtyBlock>* evicted_dirty) {
+  const auto [s, fresh] = place(bno, evicted_dirty);
+  if (fresh) std::memcpy(block(s), data.data(), kBlockSize);
+  return block(s);
+}
+
+std::pair<std::uint32_t, bool> BlockCache::place(std::uint32_t bno,
+                                                 std::optional<DirtyBlock>* evicted_dirty) {
   if (evicted_dirty) evicted_dirty->reset();
   const auto [it, fresh] = index_.try_emplace(bno, kNil);
   std::uint32_t s = it->second;
@@ -56,9 +71,7 @@ std::byte* BlockCache::insert(std::uint32_t bno, std::span<const std::byte, kBlo
     touch(s);
   }
   it->second = s;
-  slots_[s].dirty = slots_[s].dirty || dirty;
-  std::memcpy(block(s), data.data(), kBlockSize);
-  return block(s);
+  return {s, fresh};
 }
 
 void BlockCache::mark_dirty(std::uint32_t bno) {

@@ -55,6 +55,13 @@ class BlockCache {
   std::byte* insert(std::uint32_t bno, std::span<const std::byte, kBlockSize> data,
                     std::optional<DirtyBlock>* evicted_dirty, bool dirty = false);
 
+  /// Insert a block just fetched from the device, unless it is cached
+  /// already: a copy cached while the read was in flight (and perhaps
+  /// dirtied since) is newer than the device's, so it is kept. Returns the
+  /// cached data pointer either way; evictions behave as in insert().
+  std::byte* fill(std::uint32_t bno, std::span<const std::byte, kBlockSize> data,
+                  std::optional<DirtyBlock>* evicted_dirty);
+
   void mark_dirty(std::uint32_t bno);
   [[nodiscard]] bool is_dirty(std::uint32_t bno) const;
 
@@ -82,6 +89,11 @@ class BlockCache {
   void unlink(std::uint32_t s) noexcept;
   void push_front(std::uint32_t s) noexcept;
   void touch(std::uint32_t s) noexcept;
+  /// The slot holding `bno`, made most recently used, and whether it was
+  /// newly taken for it (a free slot or the LRU victim's; a dirty victim is
+  /// reported through `evicted_dirty`).
+  std::pair<std::uint32_t, bool> place(std::uint32_t bno,
+                                       std::optional<DirtyBlock>* evicted_dirty);
 
   std::size_t capacity_;
   std::unique_ptr<std::byte[]> slab_;  // capacity_ blocks; slot s at s * kBlockSize
