@@ -35,10 +35,11 @@
 //           send to it — graceful degradation, not shutdown; unrelated
 //           workloads keep running. (There is no rung 1.)
 //
-// Parked components are readmitted after their cooldown, normally scheduled
-// on the virtual clock by RS (which also reports the slot as quarantined in
-// heartbeat/status terms); the engine schedules the readmission itself when
-// RS cannot be reached (RS absent, or RS is the parked component).
+// The engine alone owns a quarantine: entering it arms the readmission
+// timer on the virtual clock, and the timer lifts it after the cooldown. RS
+// keeps no copy of the park: it reads the kernel's quarantine flag to skip
+// the parked slot in its heartbeat sweep and to answer RS_STATUS. The engine
+// sends no message to anyone.
 //
 // NO fault-injection probes are placed in this module: the paper's fault
 // model assumes the RCB is fault-free, and faults during recovery are
@@ -113,8 +114,8 @@ class Engine {
   void on_storm(kernel::Endpoint ep);
 
   /// Lift a parked component's quarantine after its cooldown expired.
-  /// Invoked from a virtual-clock callback (scheduled by RS, or by the
-  /// engine itself when RS is unreachable); idempotent.
+  /// Invoked from the virtual-clock callback that entering quarantine
+  /// armed; idempotent.
   void readmit(kernel::Endpoint ep);
 
   [[nodiscard]] seep::Policy policy() const noexcept { return policy_; }
@@ -126,13 +127,11 @@ class Engine {
   /// Recovery count per component (for diagnostics and tests).
   [[nodiscard]] std::uint32_t recoveries_of(kernel::Endpoint ep) const;
 
-  /// Ladder position per component (for tests): parked in quarantine, which
-  /// rung_of() reports as rung 2, or not (rung 0).
+  /// Ladder position per component (for tests): parked in quarantine or not.
   [[nodiscard]] bool is_parked(kernel::Endpoint ep) const;
-  [[nodiscard]] std::uint32_t rung_of(kernel::Endpoint ep) const;
 
  private:
-  /// The number RS_PARK, RecoveryReadmit and rung_of() report for quarantine.
+  /// The rung the RecoveryReadmit trace event reports for quarantine.
   static constexpr std::uint32_t kQuarantineRung = 2;
 
   struct Slot {
@@ -154,10 +153,9 @@ class Engine {
   kernel::CrashDecision escalate(Slot& slot, const kernel::CrashContext& ctx, bool over_budget);
   void restart_phase(Slot& slot);
   void reset_to_boot_image(Slot& slot);
-  /// Rung 2: trace the quarantine, reset the component to its boot image and
-  /// have the kernel reject every send to it.
+  /// Rung 2: trace the quarantine, reset the component to its boot image,
+  /// have the kernel reject every send to it and arm the readmission timer.
   void enter_quarantine(Slot& slot, bool over_budget);
-  void announce_park(kernel::Endpoint ep);
   [[nodiscard]] bool replyable(const kernel::CrashContext& ctx) const;
   /// Reconciliation by error virtualization: answer the in-flight request
   /// with kernel::make_crash_reply and count it.

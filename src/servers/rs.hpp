@@ -22,7 +22,6 @@ struct RsCompInfo {
   std::int32_t ep = -1;
   std::uint64_t last_pong_tick = 0;
   std::uint32_t pings_outstanding = 0;
-  std::uint32_t parked = 0;  // quarantined by the engine's escalation ladder
 };
 
 struct RsState {
@@ -30,7 +29,6 @@ struct RsState {
   ckpt::Cell<std::uint64_t> sweeps;
   ckpt::Cell<std::uint64_t> pings_sent;
   ckpt::Cell<std::uint64_t> hangs_detected;
-  ckpt::Cell<std::uint64_t> parks_seen;
 };
 
 class Rs final : public ServerBase<RsState> {
@@ -51,13 +49,11 @@ class Rs final : public ServerBase<RsState> {
   /// the virtual clock).
   void start_heartbeats(Tick interval);
 
-  /// Wire the engine for RS_STATUS reporting and readmission scheduling
-  /// (set once at boot). Non-const: RS drives readmit() after cooldowns.
-  void attach_engine(recovery::Engine* engine) { engine_ = engine; }
+  /// Wire the engine for RS_STATUS's recovery count (set once at boot).
+  void attach_engine(const recovery::Engine* engine) { engine_ = engine; }
 
   [[nodiscard]] std::uint64_t sweeps() const { return st().sweeps; }
   [[nodiscard]] std::uint64_t pings_sent() const { return st().pings_sent; }
-  [[nodiscard]] std::uint64_t parks_seen() const { return st().parks_seen; }
 
   /// Sum of unanswered pings across all monitored slots (tests: heartbeat
   /// shutdown must not leak outstanding pings).
@@ -76,12 +72,10 @@ class Rs final : public ServerBase<RsState> {
   std::optional<kernel::Message> do_sweep(const kernel::Message& m);
   std::optional<kernel::Message> do_pong(const kernel::Message& m);
   std::optional<kernel::Message> do_status(const kernel::Message& m);
-  std::optional<kernel::Message> do_park(const kernel::Message& m);
-  std::optional<kernel::Message> do_readmit(const kernel::Message& m);
   std::optional<kernel::Message> ignore_ds_note(const kernel::Message& m);
   std::optional<kernel::Message> ignore_publish_ack(const kernel::Message& m);
 
-  recovery::Engine* engine_ = nullptr;
+  const recovery::Engine* engine_ = nullptr;
   Tick sweep_interval_ = 0;
 };
 

@@ -197,21 +197,6 @@ TEST(Analyze, ChannelGraphContainsKnownEdges) {
   EXPECT_TRUE(has_edge("pm", "ds"));
   EXPECT_TRUE(has_edge("rs", "ds"));
   EXPECT_TRUE(has_edge("vm", "sys"));
-  // RCB channels: the engine's park/readmit announcements to RS are raw
-  // kernel sends (the RCB has no window) but still appear as graph edges.
-  EXPECT_TRUE(has_edge("rcb", "rs"));
-}
-
-TEST(Analyze, RcbSitesAreClassifiedButExcludedFromPredictions) {
-  const analyze::Report& r = clean_report();
-  int rcb_sites = 0;
-  for (const auto& s : r.sites) {
-    if (s.server != "rcb") continue;
-    ++rcb_sites;
-    EXPECT_TRUE(s.classified) << s.file << ":" << s.line << " uses " << s.msg;
-  }
-  EXPECT_GE(rcb_sites, 2);  // RS_PARK + RS_READMIT announcements
-  EXPECT_EQ(r.prediction_for("rcb"), nullptr);  // no window to predict
 }
 
 TEST(Analyze, StaticPredictionsMatchHandAnalysis) {

@@ -170,14 +170,6 @@ Report analyze_tree(const std::string& root) {
       auto regs = extract_handler_regs(f, server);
       report.handlers.insert(report.handlers.end(), regs.begin(), regs.end());
     }
-    // The recovery engine is RCB code: it legitimately uses raw kernel IPC
-    // (no seep_* wrappers, no window — the RCB is assumed fault-free), but
-    // its channels to RS (park/readmit announcements) still belong in the
-    // channel graph and must resolve against the classification.
-    if (server == nullptr && f.path.find("src/recovery/") != std::string::npos) {
-      auto sites = extract_rcb_send_sites(f);
-      report.sites.insert(report.sites.end(), sites.begin(), sites.end());
-    }
 
     // Pass 4 (determinism lint) — file-local, so it runs in the per-file
     // loop. src/support (where rng.hpp lives) is outside the scanned dirs,

@@ -34,13 +34,6 @@ std::vector<ClassEntry> parse_classification(const LexedFile& f, std::vector<Fin
 /// Extract outbound SEEP sites from one server implementation file.
 std::vector<SendSite> extract_send_sites(const LexedFile& f, const std::string& server);
 
-/// Extract raw kernel IPC sites (`kernel_.send(...)` / `kernel_.notify(...)`)
-/// from RCB code (the recovery engine). These are sanctioned raw sends — the
-/// RCB has no recovery window — but their message types must still resolve
-/// against the classification, and their channels (e.g. engine -> RS park
-/// announcements) belong in the channel graph under server "rcb".
-std::vector<SendSite> extract_rcb_send_sites(const LexedFile& f);
-
 /// Parse the rows of the declarative OSIRIS_MSG_SPEC X-macro table:
 /// `X(NAME, value, owner, CLS, KIND, nargs, TXT|NOTEXT, "doc")`. The lexer
 /// exposes the macro body specifically for this pass.
