@@ -20,11 +20,10 @@
 //  - Sender attribution, not receiver attribution. A flood victim's
 //    dispatch rate spikes exactly like a spinning handler's; charging the
 //    sender lands detection (and the rung) on the storming component.
-//  - Quanta that span a long stretch of virtual time are "idle": their
-//    sample decays the EWMA instead of charging it. Heartbeat pings/pongs
-//    open no windows by design, so an idle phase is wall-to-wall
-//    non-useful traffic — but it is *sparse in time*, which is precisely
-//    what distinguishes it from a storm.
+//  - The heartbeat protocol is never charged (Kernel::set_health_exempt).
+//    Pings, pongs and RS's sweep notes open no windows by design, so an
+//    idle phase would otherwise be wall-to-wall non-useful traffic, and RS
+//    would fever on its own sweeps.
 //  - All state lives in a std::map keyed by endpoint: deterministic
 //    iteration order is what keeps storm campaigns byte-identical across
 //    --jobs=1 and --jobs=4. An exiting client's entry is erased
@@ -53,9 +52,6 @@ inline constexpr std::uint32_t kEscalateQuanta = 4;
 /// Deliveries a throttled sender still gets per quantum — a trickle, so a
 /// persistent fault keeps surfacing and the ladder can escalate on it.
 inline constexpr std::uint32_t kThrottleAllowance = 2;
-/// Quanta spanning more virtual time than this are idle (heartbeat-paced)
-/// and decay the EWMA instead of sampling the charge counter.
-inline constexpr std::uint64_t kIdleQuantumTicks = 1000;
 
 /// One fever decision the kernel surfaces to the recovery layer.
 struct FeverEvent {
@@ -112,14 +108,11 @@ class HealthMonitor {
 
   /// Close the quantum: fold each endpoint's charge counter into its EWMA,
   /// run the fever edge/escalation logic, zero the per-quantum counters.
-  QuantumResult close_quantum(std::uint64_t now_tick) {
+  QuantumResult close_quantum() {
     QuantumResult out;
-    const bool idle = last_close_tick_ != 0 &&
-                      now_tick - last_close_tick_ > kIdleQuantumTicks;
     std::uint64_t charged_total = 0;
     for (auto& [ep, h] : state_) {
-      const std::int64_t sample =
-          idle ? 0 : static_cast<std::int64_t>(h.charged);
+      const std::int64_t sample = static_cast<std::int64_t>(h.charged);
       charged_total += h.charged;
       h.ewma += (sample - h.ewma) >> kEwmaShift;
       h.charged = 0;
@@ -144,7 +137,6 @@ class HealthMonitor {
     }
     out.starved = charged_total * 2 > kQuantumDispatches;
     fill_ = 0;
-    last_close_tick_ = now_tick;
     return out;
   }
 
@@ -172,7 +164,6 @@ class HealthMonitor {
   std::map<std::int32_t, EpHealth> state_;  // ordered: deterministic sweeps
   std::size_t throttled_ = 0;               // entries with throttled set
   std::uint32_t fill_ = 0;                  // deliveries in the open quantum
-  std::uint64_t last_close_tick_ = 0;
 };
 
 }  // namespace osiris::kernel

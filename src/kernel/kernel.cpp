@@ -286,18 +286,20 @@ void Kernel::deliver_to_server(ServerSlot& slot, Endpoint dst, const Message& m)
     if (health_on) health_quantum_tick();
     return;
   }
-  if (health_on && m.sender.valid() && m.sender != kKernelEp &&
-      !(throttle_exempt_ != nullptr &&
-        throttle_exempt_(m.type & ~(kNotifyBit | kReplyBit))) &&
-      !health_.admit(m.sender.value)) {
+  // Whether this delivery counts toward its sender's health. Kernel-sent
+  // traffic and the heartbeat protocol (set_health_exempt) do not: they
+  // bypass the gate, its allowance bookkeeping and the charge. Self-sends
+  // do count, or a spinning handler's self-notes would be invisible.
+  const bool chargeable = health_on && m.sender.valid() && m.sender != kKernelEp &&
+                          !(health_exempt_ != nullptr &&
+                            health_exempt_(m.type & ~(kNotifyBit | kReplyBit)));
+  if (chargeable && !health_.admit(m.sender.value)) {
     // Storm-throttle gate: the sender's fever engaged the ladder's throttle
     // rung, so deliveries beyond its per-quantum allowance are dropped — the
     // victim's queue unclogs while the storming component stays live. The
     // drop still charges the sender: sustained pressure under an active
     // throttle is exactly what escalates to quarantine. Replyable requests
     // are error-virtualized like quarantined ones so callers unblock.
-    // Exempt types (heartbeat protocol) bypass the gate — and its allowance
-    // bookkeeping — entirely: see set_throttle_exempt.
     ++stats_.throttled_drops;
     health_.charge(m.sender.value);
     ++stats_.health_charges;
@@ -315,19 +317,17 @@ void Kernel::deliver_to_server(ServerSlot& slot, Endpoint dst, const Message& m)
   ++stats_.server_dispatches;
   OSIRIS_TRACE_EVENT(kIpcDeliver, kTraceKernel, static_cast<std::uint64_t>(m.sender.value),
                      static_cast<std::uint64_t>(dst.value), m.type);
-  const std::uint64_t useful_before = health_on ? slot.srv->useful_work() : 0;
+  const std::uint64_t useful_before = chargeable ? slot.srv->useful_work() : 0;
   try {
     std::optional<Message> reply = slot.srv->dispatch(m);
     slot.in_dispatch = false;
-    if (health_on) {
+    if (chargeable) {
       // Physiological sample: a delivery that opened no recovery window,
       // produced no reply and sent no deferred reply did no useful work —
       // charge the *sender* (flood victims spike too; the attribution must
-      // land on the storming component). Kernel-originated traffic is
-      // exempt; self-sends are not, or a spinning handler's self-notes
-      // would be invisible.
+      // land on the storming component).
       const bool useful = reply.has_value() || slot.srv->useful_work() > useful_before;
-      if (!useful && m.sender.valid() && m.sender != kKernelEp) {
+      if (!useful) {
         health_.charge(m.sender.value);
         ++stats_.health_charges;
       }
@@ -353,7 +353,7 @@ void Kernel::deliver_to_server(ServerSlot& slot, Endpoint dst, const Message& m)
 
 void Kernel::health_quantum_tick() {
   if (!health_.quantum_due()) return;
-  const QuantumResult q = health_.close_quantum(clock_.now());
+  const QuantumResult q = health_.close_quantum();
   if (q.starved) ++stats_.starved_quanta;
   for (const FeverEvent& f : q.fevers) {
     if (!f.escalation) ++stats_.fever_onsets;

@@ -218,11 +218,12 @@ class Kernel {
     return health_.is_throttled(ep.value);
   }
 
-  /// Hook exempting message types from the throttle gate; set by the OS
-  /// layer (heartbeat protocol traffic — the liveness substrate must stay
-  /// truthful even while its sender is throttled, or dropping pongs would
-  /// convert every throttle into a phantom hang). Unset means no exemption.
-  void set_throttle_exempt(MsgTypePredicate fn) noexcept { throttle_exempt_ = fn; }
+  /// Hook exempting message types from the health monitor's charge and
+  /// throttle gate; set by the OS layer to the heartbeat protocol. Liveness
+  /// checks open no window by design, so charging them would fever RS on
+  /// its own sweeps, and dropping a throttled component's pongs would turn
+  /// every throttle into a phantom hang. Unset means no exemption.
+  void set_health_exempt(MsgTypePredicate fn) noexcept { health_exempt_ = fn; }
 
   // --- system lifecycle ---------------------------------------------------
 
@@ -269,7 +270,7 @@ class Kernel {
   std::unordered_map<std::int32_t, IClient*> clients_;
   std::deque<Queued> queue_;
   std::uint64_t burst_cap_ = 0;
-  MsgTypePredicate throttle_exempt_ = nullptr;
+  MsgTypePredicate health_exempt_ = nullptr;
   std::unordered_map<GrantId, Grant> grants_;
   GrantId next_grant_ = 1;
   std::int32_t next_client_ep_ = kFirstUserEndpoint;
