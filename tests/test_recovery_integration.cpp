@@ -44,6 +44,19 @@ fi::Site* busiest_site(const char* tag, const ISys::ProcBody& body) {
   return best;
 }
 
+/// Park `ep` the way a storm that persists under its throttle does (two
+/// fever decisions; the second resets it to its boot image), then run the
+/// clock until the engine readmits it. False if either step failed.
+bool park_and_readmit(OsInstance& inst, kernel::Endpoint ep) {
+  inst.engine().on_storm(ep);
+  inst.engine().on_storm(ep);
+  if (!inst.engine().is_parked(ep)) return false;
+  while (inst.engine().is_parked(ep) && inst.clock().advance_to_next()) {
+    inst.kern().dispatch_pending();
+  }
+  return !inst.engine().is_parked(ep);
+}
+
 }  // namespace
 
 TEST(RecoveryIntegration, InWindowPmCrashIsErrorVirtualized) {
@@ -240,6 +253,45 @@ TEST(RecoveryIntegration, PersistentFaultClimbsLadderToQuarantineAndSystemSurviv
   EXPECT_GT(inst.kern().stats().quarantine_rejects, 0u);
   EXPECT_GT(ds_failures, 0);  // degraded: DS calls fail fast with E_CRASH
   EXPECT_EQ(vfs_ok, 10);      // alive: everything else is fully served
+}
+
+TEST(RecoveryIntegration, QuarantinedDsComesBackWithItsBootFacts) {
+  // Quarantine resets DS to its boot image, which must hold what boot put
+  // into DS, such as the sys.release fact.
+  FiGuard guard;
+  os::OsConfig cfg;
+  os::OsInstance inst(cfg);
+  workload::register_suite_programs(inst.programs());
+  inst.boot();
+  ASSERT_TRUE(park_and_readmit(inst, kernel::kDsEp));
+  std::int64_t rc = -1;
+  std::uint64_t release = 0;
+  const auto outcome =
+      inst.run([&](ISys& sys) { rc = sys.ds_retrieve("sys.release", &release); });
+  EXPECT_EQ(outcome, OsInstance::Outcome::kCompleted);
+  EXPECT_EQ(rc, kernel::OK);
+  EXPECT_EQ(release, 316u);
+}
+
+TEST(RecoveryIntegration, QuarantinedRsComesBackSweeping) {
+  // Quarantine resets RS to its boot image, which must hold its heartbeat
+  // table; and while RS is parked the quarantine gate drops its sweep note,
+  // so the sweep timer must outlive the park. After readmission RS pings
+  // all four boot servers once per interval again.
+  FiGuard guard;
+  os::OsConfig cfg;
+  os::OsInstance inst(cfg);
+  inst.boot();
+  ASSERT_TRUE(park_and_readmit(inst, kernel::kRsEp));
+  const std::uint64_t sweeps = inst.rs().sweeps();
+  const std::uint64_t pings = inst.rs().pings_sent();
+  const Tick until = inst.clock().now() + 10 * cfg.heartbeat_interval;
+  while (inst.clock().now() < until && inst.clock().advance_to_next()) {
+    inst.kern().dispatch_pending();
+  }
+  EXPECT_GE(inst.rs().sweeps() - sweeps, 9u);
+  EXPECT_GE(inst.rs().pings_sent() - pings, 4u * 9u);
+  EXPECT_EQ(inst.kern().stats().hangs, 0u);
 }
 
 TEST(RecoveryIntegration, VfsWorkerCrashGetsThreadFixup) {
