@@ -326,7 +326,14 @@ class MonoSys final : public ISys {
                                       static_cast<std::int32_t>(pidx)};
     const std::int64_t rfd = alloc_fd(static_cast<std::int32_t>(rf));
     const std::int64_t wfd = alloc_fd(static_cast<std::int32_t>(wf));
-    if (rfd < 0 || wfd < 0) return E_MFILE;
+    if (rfd < 0 || wfd < 0) {
+      // Give back what was taken, as VFS does.
+      if (rfd >= 0) p_.fds[rfd] = -1;
+      os_.files_[rf].used = false;
+      os_.files_[wf].used = false;
+      pp.used = false;
+      return E_MFILE;
+    }
     fds[0] = rfd;
     fds[1] = wfd;
     return OK;

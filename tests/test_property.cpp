@@ -15,6 +15,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <string>
+#include <utility>
 
 #include "ckpt/cell.hpp"
 #include "fi/registry.hpp"
@@ -117,13 +120,32 @@ void random_scenario(ISys& sys, std::uint64_t seed, std::string* trace) {
   for (std::int64_t fd : fds) sys.close(fd);
 }
 
-class DifferentialP : public ::testing::TestWithParam<std::uint64_t> {};
+/// Fill the fd table, free one slot, then ask for a pipe, which needs two:
+/// the failed pipe must give back the slot its read end took, so the open
+/// after it gets that slot.
+void pipe_at_fd_limit(ISys& sys, std::string* trace) {
+  std::vector<std::int64_t> fds;
+  std::int64_t fd = 0;
+  for (int i = 0; i < 1024 && fd >= 0; ++i) {
+    fd = sys.open("/tmp/fdlimit", servers::O_CREAT | servers::O_RDWR);
+    if (fd >= 0) fds.push_back(fd);
+  }
+  *trace += "full=" + std::to_string(fd) + ";";
+  if (fds.empty()) return;
+  sys.close(fds.back());
+  fds.pop_back();
+  std::int64_t p[2];
+  *trace += "pipe=" + std::to_string(sys.pipe(p)) + ";";
+  fd = sys.open("/tmp/fdlimit", servers::O_RDWR);
+  *trace += "open=" + std::to_string(fd) + ";";
+  if (fd >= 0) fds.push_back(fd);
+  for (const std::int64_t f : fds) sys.close(f);
+}
 
-}  // namespace
-
-TEST_P(DifferentialP, MicrokernelAndMonoProduceSameTrace) {
-  const std::uint64_t seed = GetParam();
-
+/// The observable traces `scenario` leaves on the multiserver system and
+/// on the monolithic baseline, in that order.
+std::pair<std::string, std::string> both_traces(
+    const std::function<void(ISys&, std::string*)>& scenario) {
   std::string micro_trace;
   {
     fi::Registry::instance().disarm();
@@ -131,9 +153,8 @@ TEST_P(DifferentialP, MicrokernelAndMonoProduceSameTrace) {
     os::OsInstance inst(cfg);
     workload::register_suite_programs(inst.programs());
     inst.boot();
-    const auto outcome =
-        inst.run([&](ISys& sys) { random_scenario(sys, seed, &micro_trace); });
-    ASSERT_EQ(outcome, os::OsInstance::Outcome::kCompleted);
+    const auto outcome = inst.run([&](ISys& sys) { scenario(sys, &micro_trace); });
+    EXPECT_EQ(outcome, os::OsInstance::Outcome::kCompleted);
   }
 
   std::string mono_trace;
@@ -142,16 +163,35 @@ TEST_P(DifferentialP, MicrokernelAndMonoProduceSameTrace) {
     workload::register_suite_programs(mono.programs());
     mono.boot();
     mono.run([&](ISys& sys) {
-      random_scenario(sys, seed, &mono_trace);
+      scenario(sys, &mono_trace);
       sys.exit(0);
     });
   }
+  return {micro_trace, mono_trace};
+}
 
+class DifferentialP : public ::testing::TestWithParam<std::uint64_t> {};
+
+}  // namespace
+
+TEST_P(DifferentialP, MicrokernelAndMonoProduceSameTrace) {
+  const std::uint64_t seed = GetParam();
+  const auto [micro_trace, mono_trace] =
+      both_traces([seed](ISys& sys, std::string* trace) { random_scenario(sys, seed, trace); });
   EXPECT_EQ(micro_trace, mono_trace) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialP,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233));
+
+TEST(Differential, PipeAtTheFdLimitReleasesWhatItTook) {
+  const auto [micro_trace, mono_trace] = both_traces(pipe_at_fd_limit);
+  EXPECT_NE(micro_trace.find("pipe=" + std::to_string(kernel::E_MFILE) + ";open="),
+            std::string::npos)
+      << micro_trace;
+  EXPECT_EQ(micro_trace.find("open=-"), std::string::npos) << micro_trace;
+  EXPECT_EQ(micro_trace, mono_trace);
+}
 
 // --- recovery transparency -----------------------------------------------
 
