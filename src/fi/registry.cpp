@@ -101,8 +101,7 @@ void Registry::arm(const Site* site, FaultType type, std::uint64_t trigger_hit,
   delayed_pending_ = false;
 }
 
-void Registry::arm_persistent(const Site* site, FaultType type, std::uint64_t trigger_hit,
-                              std::uint64_t shots) {
+void Registry::arm_persistent(const Site* site, FaultType type, std::uint64_t trigger_hit) {
   OSIRIS_ASSERT(site != nullptr && type != FaultType::kNone && trigger_hit >= 1);
   OSIRIS_ASSERT(type != FaultType::kDelayedCrash);  // no delay bookkeeping here
   OSIRIS_ASSERT(applicable(site->kind, type));
@@ -110,7 +109,6 @@ void Registry::arm_persistent(const Site* site, FaultType type, std::uint64_t tr
   armed_type_ = type;
   trigger_hit_ = trigger_hit;
   persistent_ = true;
-  shots_ = shots;
   delayed_pending_ = false;
 }
 
@@ -126,7 +124,6 @@ void Registry::disarm() {
   armed_type_ = FaultType::kNone;
   delayed_pending_ = false;
   persistent_ = false;
-  shots_ = 0;
   periodic_site_ = nullptr;
   periodic_interval_ = 0;
   storm_victim_ = -1;
@@ -145,7 +142,6 @@ bool Registry::disarm_storms_for(int endpoint) {
   armed_site_ = nullptr;
   armed_type_ = FaultType::kNone;
   persistent_ = false;
-  shots_ = 0;
   pending_storm_ = StormPlan{};
   return true;
 }
@@ -181,19 +177,8 @@ FaultType Registry::on_hit(Site* site) {
 
   if (persistent_) {
     // Deterministic-bug model: the fault stays in the code path across
-    // recoveries, so it re-fires on every execution from trigger_hit on
-    // (until the optional shot budget drains).
+    // recoveries, so it re-fires on every execution from trigger_hit on.
     if (hits < trigger_hit_) return FaultType::kNone;
-    if (shots_ > 0 && --shots_ == 0) {
-      // N-shot budget drained: this firing is the last one.
-      const FaultType last = armed_type_;
-      armed_site_ = nullptr;
-      armed_type_ = FaultType::kNone;
-      persistent_ = false;
-      ++fired_;
-      trace_fire(active_.endpoint, site, last);
-      return deliver(last);
-    }
     ++fired_;
     trace_fire(active_.endpoint, site, armed_type_);
     return deliver(armed_type_);

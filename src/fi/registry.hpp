@@ -117,10 +117,7 @@ class Registry {
   /// Persistent-bug model (escalation-ladder campaigns): the fault re-fires
   /// on *every* execution of `site` at or after `trigger_hit` — recovery
   /// does not clear it, exactly like a deterministic bug in a hot path.
-  /// `shots` = 0 means unlimited; N > 0 fires at most N times (the N-shot
-  /// variant, modelling a bug whose triggering input eventually drains).
-  void arm_persistent(const Site* site, FaultType type, std::uint64_t trigger_hit,
-                      std::uint64_t shots = 0);
+  void arm_persistent(const Site* site, FaultType type, std::uint64_t trigger_hit);
   /// Figure 3 driver: realize a fail-stop fault at `site` every
   /// `hit_interval` executions, but only while the active component's
   /// recovery window is OPEN (the paper injects only inside the window so
@@ -218,7 +215,6 @@ class Registry {
   std::uint64_t delay_ = 0;
   bool delayed_pending_ = false;
   bool persistent_ = false;     // re-fire on every hit >= trigger (deterministic bug)
-  std::uint64_t shots_ = 0;     // persistent shot budget remaining; 0 = unlimited
   const Site* periodic_site_ = nullptr;
   std::uint64_t periodic_interval_ = 0;
   std::uint64_t periodic_last_fire_ = 0;

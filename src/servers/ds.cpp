@@ -1,7 +1,6 @@
 #include "servers/ds.hpp"
 
 #include <array>
-#include <span>
 
 namespace osiris::servers {
 
@@ -29,22 +28,19 @@ std::size_t Ds::entry_of(std::string_view key) const {
 }
 
 void Ds::notify_subscribers(std::string_view key) {
-  // Batched fan-out: collect the matching subscribers, then hand the whole
-  // set to one SEEP-classified batch send — one classification lookup and
-  // one window transition instead of one per subscriber. The kernel still
-  // queues and traces each notification, so delivery order matches the old
-  // per-subscriber seep_notify loop exactly. Informational notify:
-  // non-state-modifying SEEP — under the enhanced policy DS's window stays
-  // open across it (Table I's 92.8%).
-  std::array<kernel::Endpoint, decltype(DsState{}.subs)::capacity()> targets;
+  // Collect the matching subscribers first, then notify them: every count
+  // is recorded before the first send, whichever policy's window that send
+  // closes. Informational notify: non-state-modifying SEEP — under the
+  // enhanced policy DS's window stays open across it (Table I's 92.8%).
+  std::array<std::int32_t, decltype(DsState{}.subs)::capacity()> targets;
   std::size_t n = 0;
   st().subs.for_each([&](std::size_t, const DsSub& sub) {
     if (key.substr(0, sub.prefix.size()) == sub.prefix.view()) {
-      targets[n++] = kernel::Endpoint{sub.ep};
+      targets[n++] = sub.ep;
       st().notifications += 1;
     }
   });
-  seep_notify_batch(std::span<const kernel::Endpoint>(targets.data(), n), DS_NOTIFY_SUB);
+  for (std::size_t i = 0; i < n; ++i) seep_notify(kernel::Endpoint{targets[i]}, DS_NOTIFY_SUB);
 }
 
 void Ds::register_handlers() {

@@ -30,7 +30,6 @@
 
 #include <array>
 #include <optional>
-#include <span>
 #include <string>
 #include <type_traits>
 
@@ -266,18 +265,6 @@ class ServerCommon : public kernel::IServer, public recovery::Recoverable {
   void seep_notify(kernel::Endpoint dst, std::uint32_t type) {
     window_.on_outbound(find_msg_spec(type)->seep);
     kernel_.notify(ep_, dst, type);
-  }
-
-  /// Batched notification fan-out through a SEEP: one class lookup and one
-  /// window transition cover the whole batch (every element carries the same
-  /// type, so the per-send on_outbound calls would be no-ops after the first
-  /// — close is idempotent). The kernel still queues and traces each
-  /// notification individually, so delivery order and the event trace are
-  /// identical to a seep_notify loop.
-  void seep_notify_batch(std::span<const kernel::Endpoint> dsts, std::uint32_t type) {
-    if (dsts.empty()) return;
-    window_.on_outbound(find_msg_spec(type)->seep);
-    for (const kernel::Endpoint dst : dsts) kernel_.notify(ep_, dst, type);
   }
 
   /// Deferred reply to a previously postponed request (e.g. PM waking a

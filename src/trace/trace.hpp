@@ -11,7 +11,7 @@
 // not built, and the resulting binaries contain zero osiris::trace symbols
 // (the compile-out guarantee, checked in CI with nm). With tracing compiled
 // in, emission still costs only a thread-local load and a branch until an
-// OsInstance installs an enabled tracer (the runtime enable bit).
+// OsInstance installs its tracer (OsConfig::trace_enabled).
 #pragma once
 
 #ifndef OSIRIS_TRACE_ENABLED

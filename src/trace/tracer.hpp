@@ -1,15 +1,15 @@
 // The Tracer: one deterministic event recorder per simulated machine.
 //
-// A Tracer owns a fixed-capacity EventRing per component, a runtime enable
-// bit, and the machine-wide monotonic sequence counter. Emission goes
+// A Tracer owns a fixed-capacity EventRing per component and the
+// machine-wide monotonic sequence counter. Emission goes
 // through a thread-local active pointer (the same pattern as
 // ckpt::Context::active_ and the per-thread fi::Registry): an OsInstance
 // installs its tracer on construction and restores the previous one on
 // destruction, so every campaign worker records into its own tracer and a
 // run's trace is byte-identical no matter how many workers share the
 // process. Nothing in the emit path allocates once a component's ring
-// reached capacity, and with no tracer installed (or tracing disabled) a
-// probe is one thread-local load and a branch.
+// reached capacity, and with no tracer installed a probe is one
+// thread-local load and a branch.
 //
 // Instrumented code must not include this header directly — it goes through
 // the OSIRIS_TRACE_EVENT macro layer in trace/trace.hpp, which compiles to
@@ -42,17 +42,13 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  // --- runtime enable bit ------------------------------------------------
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-  void set_enabled(bool on) noexcept { enabled_ = on; }
-
   // --- emission ----------------------------------------------------------
   /// Record one event, stamped with the virtual clock and the next sequence
   /// number. Events with a negative component id (unattributed standalone
   /// harness objects) are ignored.
   void emit(EventKind kind, std::int32_t comp, std::uint64_t a0 = 0, std::uint64_t a1 = 0,
             std::uint64_t a2 = 0) {
-    if (!enabled_ || comp < 0) return;
+    if (comp < 0) return;
     ring_for(comp).push(Event{seq_++, clock_.now(), comp, kind, a0, a1, a2});
   }
 
@@ -99,7 +95,6 @@ class Tracer {
 
   const VirtualClock& clock_;
   std::size_t ring_capacity_;
-  bool enabled_ = true;
   std::uint64_t seq_ = 0;
   EventRing* fast_[kFastComps] = {};
   std::vector<std::unique_ptr<EventRing>> rings_;  // indexed by component id

@@ -1,6 +1,5 @@
 // Unit and property tests for the tracing subsystem proper: EventRing
-// flight-recorder semantics, Tracer sequencing/merging, the runtime enable
-// bit, and the exporters.
+// flight-recorder semantics, Tracer sequencing/merging, and the exporters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -128,25 +127,6 @@ TEST(Tracer, MergedInterleavesRingsInEmissionOrder) {
   }
   EXPECT_EQ(events[1].comp, 3);
   EXPECT_EQ(events[2].comp, 0);
-}
-
-TEST(Tracer, DisableMidRunDropsEventsSilently) {
-  VirtualClock clock;
-  Tracer tracer(clock, 16);
-  tracer.emit(EventKind::kIpcSend, 0);
-  tracer.set_enabled(false);
-  tracer.emit(EventKind::kIpcSend, 0);  // swallowed: no seq, no ring write
-  tracer.emit(EventKind::kWindowOpen, 1);
-  tracer.set_enabled(true);
-  tracer.emit(EventKind::kIpcDeliver, 0);
-  const auto events = tracer.merged();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].kind, EventKind::kIpcSend);
-  EXPECT_EQ(events[1].kind, EventKind::kIpcDeliver);
-  // Sequence numbers stay gapless across the disabled span.
-  EXPECT_EQ(events[1].seq, 1u);
-  EXPECT_EQ(tracer.events_emitted(), 2u);
-  EXPECT_EQ(tracer.ring(1), nullptr);  // the disabled emit never made a ring
 }
 
 TEST(Tracer, NegativeComponentIsIgnored) {

@@ -27,7 +27,7 @@ constexpr int kMaxDepth = 64;
 /// per-(file,line) site table, never through their ServerCommon definitions.
 bool is_send_intrinsic(const std::string& s) {
   return s == "seep_call" || s == "seep_send" || s == "seep_notify" ||
-         s == "seep_notify_batch" || s == "seep_deferred_reply" || s == "on_outbound";
+         s == "seep_deferred_reply" || s == "on_outbound";
 }
 
 /// Deferred-execution primitives: their lambda argument runs outside the
