@@ -30,9 +30,8 @@ int main() {
     // Four children each write and re-read their own file; with a 16-block
     // cache the reads miss constantly, so VFS worker threads block on the
     // device and requests interleave.
-    std::int64_t pids[4];
     for (int i = 0; i < 4; ++i) {
-      pids[i] = sys.fork([i](os::ISys& c) {
+      sys.fork([i](os::ISys& c) {
         const std::string path = "/tmp/worker" + std::to_string(i);
         const std::int64_t fd = c.open(path, servers::O_CREAT | servers::O_RDWR);
         if (fd < 0) c.exit(1);

@@ -5,6 +5,25 @@
 
 namespace osiris::fs {
 
+namespace {
+// What every block of a never-written extent reads as.
+constexpr std::array<std::byte, kBlockSize> kZeroBlock{};
+}  // namespace
+
+const std::byte* BlockDevice::block_ptr(std::uint32_t bno) const {
+  OSIRIS_ASSERT(bno < num_blocks());
+  const Extent* ext = extents_[bno / kExtentBlocks].get();
+  if (ext == nullptr) return kZeroBlock.data();
+  return ext->data() + (bno % kExtentBlocks) * kBlockSize;
+}
+
+std::byte* BlockDevice::writable_block_ptr(std::uint32_t bno) {
+  OSIRIS_ASSERT(bno < num_blocks());
+  std::unique_ptr<Extent>& ext = extents_[bno / kExtentBlocks];
+  if (ext == nullptr) ext = std::make_unique<Extent>();  // value-initialized: zeroed
+  return ext->data() + (bno % kExtentBlocks) * kBlockSize;
+}
+
 void BlockDevice::submit_read(std::uint32_t bno, std::span<std::byte, kBlockSize> buf,
                               Completion done) {
   OSIRIS_ASSERT(bno < num_blocks());
@@ -22,7 +41,7 @@ void BlockDevice::submit_write(std::uint32_t bno, std::span<const std::byte, kBl
   // The data lands in the backing store immediately (a posted write): a read
   // submitted afterwards must never observe the pre-write contents. Only the
   // completion notification is delayed by the device latency.
-  std::memcpy(block_ptr(bno), buf.data(), kBlockSize);
+  std::memcpy(writable_block_ptr(bno), buf.data(), kBlockSize);
   clock_.call_after(write_latency_, [done = std::move(done)] { done(); });
 }
 
@@ -31,7 +50,7 @@ void BlockDevice::read_now(std::uint32_t bno, std::span<std::byte, kBlockSize> b
 }
 
 void BlockDevice::write_now(std::uint32_t bno, std::span<const std::byte, kBlockSize> buf) {
-  std::memcpy(block_ptr(bno), buf.data(), kBlockSize);
+  std::memcpy(writable_block_ptr(bno), buf.data(), kBlockSize);
 }
 
 }  // namespace osiris::fs

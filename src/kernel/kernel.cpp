@@ -342,7 +342,7 @@ void Kernel::deliver_to_server(ServerSlot& slot, Endpoint dst, const Message& m)
     ctx.inflight = m;
     ctx.what = f.what();
     ++stats_.crashes;
-    handle_crash(dst, ctx);
+    handle_crash(ctx);
     if (health_on) health_quantum_tick();
   } catch (const HangSuspend&) {
     slot.in_dispatch = false;
@@ -376,7 +376,7 @@ void Kernel::route_reply(Endpoint dst, Message reply) {
   }
 }
 
-void Kernel::handle_crash(Endpoint crashed, const CrashContext& ctx) {
+void Kernel::handle_crash(const CrashContext& ctx) {
   if (!crash_handler_) {
     mark_crashed("no recovery infrastructure: " + ctx.what);
     return;
@@ -425,7 +425,7 @@ void Kernel::recover_hung(Endpoint ep) {
   ctx.what = "heartbeat timeout";
   it->second.hung = false;
   ++stats_.crashes;
-  handle_crash(ep, ctx);
+  handle_crash(ctx);
 }
 
 void Kernel::quarantine(Endpoint ep) {

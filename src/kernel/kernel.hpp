@@ -261,7 +261,7 @@ class Kernel {
   void health_quantum_tick();
   void route_reply(Endpoint dst, Message reply);
   void enqueue(Endpoint dst, const Message& m);
-  void handle_crash(Endpoint crashed, const CrashContext& ctx);
+  void handle_crash(const CrashContext& ctx);
   const Grant* check_grant(Endpoint grantee, GrantId id, std::size_t offset, std::size_t len,
                            Access need, std::int64_t* err) const;
 

@@ -62,7 +62,7 @@ class MonoSys final : public ISys {
     exit(rc);
   }
 
-  void exit(std::int64_t status) override {
+  [[noreturn]] void exit(std::int64_t status) override {
     check_killed();
     os_.terminate(&p_, status);
     throw ProcExit{status};
@@ -142,7 +142,7 @@ class MonoSys final : public ISys {
   }
   std::int64_t mmap(std::uint64_t length) override {
     tick();
-    return length == 0 ? E_INVAL : 1;
+    return length == 0 ? std::int64_t{E_INVAL} : 1;
   }
   std::int64_t munmap(std::int64_t) override { return tick(), OK; }
   std::int64_t getmeminfo(std::uint64_t* free_pages, std::uint64_t* total) override {
@@ -417,7 +417,7 @@ class MonoSys final : public ISys {
     // real kernel reaches — and syscall-bound slowdown ratios would be
     // inflated far beyond the paper's shape.
     volatile std::uint32_t spin = 0;
-    for (int i = 0; i < 24; ++i) spin += static_cast<std::uint32_t>(i) * 2654435761u;
+    for (int i = 0; i < 24; ++i) spin = spin + static_cast<std::uint32_t>(i) * 2654435761u;
   }
 
   void check_killed() {

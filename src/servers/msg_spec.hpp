@@ -21,8 +21,8 @@
 //   owner  the server whose dispatch handles the message ("client" = delivered
 //          to user processes / subscribers, "any" = handled by ServerCommon)
 //   class  NSM = non-state-modifying, SM = state-modifying
-//   kind   REQ = replyable request, SEND = fire-and-forget send,
-//          NOTE = notification (delivered with kNotifyBit)
+//   kind   REQ = replyable request, NOTE = notification (delivered with
+//          kNotifyBit)
 //   nargs  number of meaningful request args (args beyond this must be 0)
 //   text   TXT if the request carries m.text, NOTEXT otherwise
 #pragma once
@@ -141,7 +141,6 @@ enum MsgType : std::uint32_t {
 /// Delivery kind of a message type.
 enum class MsgKind : std::uint8_t {
   kRequest,  // replyable request: sender waits, reconciliation may E_CRASH it
-  kSend,     // fire-and-forget plain send (no reply expected)
   kNotify,   // notification: delivered with kernel::kNotifyBit set
 };
 
@@ -168,7 +167,6 @@ namespace spec_detail {
 inline constexpr seep::SeepClass NSM = seep::SeepClass::kNonStateModifying;
 inline constexpr seep::SeepClass SM = seep::SeepClass::kStateModifying;
 inline constexpr MsgKind REQ = MsgKind::kRequest;
-inline constexpr MsgKind SEND = MsgKind::kSend;
 inline constexpr MsgKind NOTE = MsgKind::kNotify;
 inline constexpr bool TXT = true;
 inline constexpr bool NOTEXT = false;

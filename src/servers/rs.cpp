@@ -38,12 +38,10 @@ void Rs::start_heartbeats(Tick interval) {
 void Rs::schedule_next_sweep() {
   if (sweep_interval_ == 0) return;
   kern().clock().call_after(sweep_interval_, [this] {
-    // While RS is parked the quarantine gate would drop the sweep note, and
-    // with it the only thing that re-arms this timer.
-    if (kern().is_quarantined(endpoint())) {
-      schedule_next_sweep();
-      return;
-    }
+    // Re-arm before the sweep runs: a sweep that crashes, or a parked RS
+    // whose note the quarantine gate would drop, must not end heartbeats.
+    schedule_next_sweep();
+    if (kern().is_quarantined(endpoint())) return;
     // analyze-suppress(raw-kernel-send): self-notify fired from a clock
     // callback, outside any request window; there is no cross-component
     // dependency for the window to observe.
@@ -90,7 +88,6 @@ void Rs::run_sweep() {
     seep_notify(kernel::Endpoint{c.ep}, RS_PING);
     st().pings_sent += 1;
   });
-  schedule_next_sweep();
 }
 
 void Rs::register_handlers() {

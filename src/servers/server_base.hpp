@@ -178,7 +178,7 @@ class ServerCommon : public kernel::IServer, public recovery::Recoverable {
   }
 
   /// True when this server registered a handler for the given type's natural
-  /// delivery kind (requests/sends -> on(), notifications -> on_notify()).
+  /// delivery kind (requests -> on(), notifications -> on_notify()).
   [[nodiscard]] bool has_handler(std::uint32_t type) const {
     const MsgSpec* spec = find_msg_spec(type);
     if (spec == nullptr) return false;
@@ -211,7 +211,7 @@ class ServerCommon : public kernel::IServer, public recovery::Recoverable {
   /// fault-injection block probe and per-request accounting.
   virtual void on_message(const kernel::Message& /*m*/) {}
 
-  /// Register the handler for a request or fire-and-forget send.
+  /// Register the handler for a request (spec kind REQ).
   template <typename ServerT>
   void on(std::uint32_t type,
           std::optional<kernel::Message> (ServerT::*fn)(const kernel::Message&)) {

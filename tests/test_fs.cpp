@@ -1,6 +1,8 @@
 // Unit tests: filesystem substrate — block device, LRU cache, MiniFS.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <cstring>
 #include <iterator>
 #include <list>
@@ -42,6 +44,20 @@ std::vector<std::byte> bytes(std::string_view s) {
   std::memcpy(out.data(), s.data(), s.size());
   return out;
 }
+
+/// This process's resident set in bytes (/proc/self/statm), 0 if unreadable.
+std::size_t resident_bytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long size = 0;
+  unsigned long resident = 0;
+  const int n = std::fscanf(f, "%lu %lu", &size, &resident);
+  std::fclose(f);
+  return n == 2 ? resident * static_cast<std::size_t>(sysconf(_SC_PAGESIZE)) : 0;
+}
+
+// A 64 MiB disk: larger than any machine's, so a dense image would show.
+constexpr std::uint32_t kBigDiskBlocks = 64 * 1024;
 
 }  // namespace
 
@@ -89,6 +105,61 @@ TEST(BlockDevice, CountsOps) {
   dev.submit_write(1, std::span<const std::byte, kBlockSize>(b), [] {});
   EXPECT_EQ(dev.stats().reads, 1u);
   EXPECT_EQ(dev.stats().writes, 1u);
+}
+
+TEST(BlockDevice, UntouchedBlocksCostNoResidentMemory) {
+  // The image holds only the extents a run writes: a 64 MiB device with one
+  // block written at each end, read across its never-written middle, stays
+  // far below its declared size in resident memory.
+  const std::size_t before = resident_bytes();
+  ASSERT_GT(before, 0u) << "/proc/self/statm is unreadable";
+  VirtualClock clock;
+  BlockDevice dev(clock, kBigDiskBlocks);
+  alignas(8) std::byte blk[kBlockSize];
+  std::memset(blk, 0x5a, sizeof blk);
+  dev.write_now(0, std::span<const std::byte, kBlockSize>(blk));
+  dev.write_now(kBigDiskBlocks - 1, std::span<const std::byte, kBlockSize>(blk));
+  for (std::uint32_t i = 0; i < 10000; ++i) {
+    dev.read_now(64 + 6 * i, std::span<std::byte, kBlockSize>(blk));
+  }
+  const std::size_t after = resident_bytes();
+  EXPECT_LT(after, before + (std::size_t{8} << 20))
+      << "resident memory grew by " << (after - before) / 1024 << " KiB";
+}
+
+TEST(BlockDevice, UnwrittenBlocksReadAsZero) {
+  VirtualClock clock;
+  BlockDevice dev(clock, kBigDiskBlocks, 10, 100);
+  const std::byte zeros[kBlockSize] = {};
+  const auto all_zero = [&](const std::byte* b) { return std::memcmp(b, zeros, kBlockSize) == 0; };
+  alignas(8) std::byte rd[kBlockSize];
+  std::memset(rd, 0xff, sizeof rd);
+  dev.read_now(12345, std::span<std::byte, kBlockSize>(rd));
+  EXPECT_TRUE(all_zero(rd));
+
+  std::memset(rd, 0xff, sizeof rd);
+  bool read_done = false;
+  dev.submit_read(kBigDiskBlocks - 2, std::span<std::byte, kBlockSize>(rd),
+                  [&] { read_done = true; });
+  while (clock.advance_to_next()) {
+  }
+  ASSERT_TRUE(read_done);
+  EXPECT_TRUE(all_zero(rd));
+
+  // A posted write in a far extent reads back; its neighbour still reads zero.
+  alignas(8) std::byte wr[kBlockSize];
+  std::memset(wr, 0x3c, sizeof wr);
+  dev.submit_write(50000, std::span<const std::byte, kBlockSize>(wr), [] {});
+  std::memset(rd, 0, sizeof rd);
+  read_done = false;
+  dev.submit_read(50000, std::span<std::byte, kBlockSize>(rd), [&] { read_done = true; });
+  while (clock.advance_to_next()) {
+  }
+  ASSERT_TRUE(read_done);
+  EXPECT_EQ(std::memcmp(rd, wr, kBlockSize), 0);
+  std::memset(rd, 0xff, sizeof rd);
+  dev.read_now(50001, std::span<std::byte, kBlockSize>(rd));
+  EXPECT_TRUE(all_zero(rd));
 }
 
 // --- block cache ---------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string_view>
 
 #include "fi/registry.hpp"
 #include "os/instance.hpp"
@@ -292,6 +293,47 @@ TEST(RecoveryIntegration, QuarantinedRsComesBackSweeping) {
   EXPECT_GE(inst.rs().sweeps() - sweeps, 9u);
   EXPECT_GE(inst.rs().pings_sent() - pings, 4u * 9u);
   EXPECT_EQ(inst.kern().stats().hangs, 0u);
+}
+
+TEST(RecoveryIntegration, CrashInsideTheSweepDoesNotEndHeartbeats) {
+  // Stateless and naive restart a crashed RS without answering anyone (a
+  // sweep note cannot be error-replied), so the sweep timer must already be
+  // armed when the sweep runs: a fail-stop fault at the sweep's first probe
+  // after three sweeps on an idle machine must leave RS sweeping.
+  for (const seep::Policy policy : {seep::Policy::kStateless, seep::Policy::kNaive}) {
+    SCOPED_TRACE(seep::policy_name(policy));
+    FiGuard guard;
+    os::OsConfig cfg;
+    cfg.policy = policy;
+    os::OsInstance inst(cfg);
+    inst.boot();
+    while (inst.rs().sweeps() < 3 && inst.clock().advance_to_next()) {
+      inst.kern().dispatch_pending();
+    }
+    ASSERT_EQ(inst.rs().sweeps(), 3u);
+    // The sweep's first probe: the earliest block probe in rs.cpp that ran
+    // once per sweep.
+    fi::Site* first = nullptr;
+    for (fi::Site* s : fi::Registry::instance().sites()) {
+      if (std::string_view(s->file).ends_with("servers/rs.cpp") &&
+          s->kind == fi::SiteKind::kBlock && s->hits() == 3 &&
+          (first == nullptr || s->line < first->line)) {
+        first = s;
+      }
+    }
+    ASSERT_NE(first, nullptr);
+    const std::uint64_t fired = fi::Registry::instance().injections_fired();
+    fi::Registry::instance().arm(first, fi::FaultType::kNullDeref, 4);
+    const Tick until = inst.clock().now() + 10 * cfg.heartbeat_interval;
+    while (inst.clock().now() < until && inst.clock().advance_to_next()) {
+      inst.kern().dispatch_pending();
+    }
+    EXPECT_EQ(fi::Registry::instance().injections_fired() - fired, 1u);
+    EXPECT_GE(inst.engine().recoveries_of(kernel::kRsEp), 1u);
+    EXPECT_EQ(inst.kern().state(), kernel::SystemState::kRunning);
+    EXPECT_GE(inst.clock().now(), until) << "the clock ran out of events";
+    EXPECT_GE(first->hits(), 4u + 9u) << "no sweeps after the crash";
+  }
 }
 
 TEST(RecoveryIntegration, VfsWorkerCrashGetsThreadFixup) {

@@ -9,7 +9,7 @@
 //              spec-missing-handler finding.
 //   FX_BLOCK / FX_WIDEN / FX_TRACE — ds rows whose handlers (ds.cpp) seed
 //              the Pass 4 effects and determinism detectors.
-//   FX_POKE  — client-delivered SM send: ds.cpp's outbound site, closing
+//   FX_POKE  — client-delivered SM request: ds.cpp's outbound site, closing
 //              FX_WIDEN's window under the enhanced policy.
 #pragma once
 
@@ -20,4 +20,4 @@
   X(FX_BLOCK, 0x013, ds, NSM, REQ,  0, NOTEXT, "blocking handler seed")       \
   X(FX_WIDEN, 0x014, ds, SM,  REQ,  0, NOTEXT, "mutate-after-send seed")      \
   X(FX_TRACE, 0x015, ds, NSM, REQ,  0, NOTEXT, "determinism-lint seed")       \
-  X(FX_POKE,  0x016, client, SM, SEND, 0, NOTEXT, "outbound poke from ds")
+  X(FX_POKE,  0x016, client, SM, REQ,  0, NOTEXT, "outbound poke from ds")

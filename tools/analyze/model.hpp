@@ -98,7 +98,7 @@ struct SpecRow {
   std::uint32_t value = 0;
   std::string owner;  // pm / vm / vfs / ds / rs / sys / client / any
   SeepClass cls = SeepClass::kStateModifying;
-  std::string kind;  // REQ / SEND / NOTE
+  std::string kind;  // REQ / NOTE
   int args = 0;
   bool text = false;
   std::string file;
@@ -186,8 +186,8 @@ struct HandlerEffects {
   std::string file;  // handler definition location (registration site when
   int line = 0;      // the body was not found)
   bool has_body = false;
-  /// REQ-kind requests open the window at dispatch; notifications, replies
-  /// and fire-and-forget sends never do (ServerCommon::dispatch).
+  /// REQ-kind requests open the window at dispatch; notifications and
+  /// replies never do (ServerCommon::dispatch).
   bool opens_window = false;
   std::vector<Effect> effects;  // flattened, in straight-line flow order
   bool recursive = false;

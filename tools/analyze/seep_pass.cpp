@@ -436,11 +436,10 @@ void crosscheck_spec_handlers(Report& report) {
     const SpecRow& r = *it->second;
     handled.insert(h.msg + ":" + h.kind);
     // Kind agreement mirrors the OSIRIS_ASSERTs in ServerCommon::on*():
-    // notifications register via on_notify(), requests and fire-and-forget
-    // sends via on(), and only replyable requests can have on_reply().
+    // notifications register via on_notify(), requests via on() and their
+    // replies via on_reply().
     const bool kind_ok = (h.kind == "notify" && r.kind == "NOTE") ||
-                         (h.kind == "request" && (r.kind == "REQ" || r.kind == "SEND")) ||
-                         (h.kind == "reply" && r.kind == "REQ");
+                         ((h.kind == "request" || h.kind == "reply") && r.kind == "REQ");
     if (!kind_ok) {
       report.findings.push_back(
           Finding{kDetHandlerKindDrift, h.file, h.line,
