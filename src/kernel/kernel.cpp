@@ -1,5 +1,6 @@
 #include "kernel/kernel.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "kernel/faults.hpp"
@@ -46,7 +47,7 @@ void Kernel::unregister_client(Endpoint ep) {
   // A process that dies blocked in a syscall never revokes the grant it
   // made for that call, and a server may still hold its id (a pipe
   // waiter): the memory behind it is gone with the process.
-  std::erase_if(grants_, [ep](const auto& kv) { return kv.second.owner == ep; });
+  std::erase_if(grants_, [ep](const LiveGrant& g) { return g.grant.owner == ep; });
 }
 
 bool Kernel::is_server(Endpoint ep) const { return servers_.count(ep.value) != 0; }
@@ -64,8 +65,17 @@ void Kernel::send(Endpoint src, Endpoint dst, Message m) {
 }
 
 void Kernel::enqueue(Endpoint dst, const Message& m) {
-  queue_.push_back(Queued{dst, m});
-  if (queue_.size() > stats_.queue_high_water) stats_.queue_high_water = queue_.size();
+  if (queue_len_ == queue_.size()) {
+    // Full: put the pending deliveries in order at the front, then double.
+    std::rotate(queue_.begin(), queue_.begin() + queue_head_, queue_.end());
+    queue_.resize(queue_.empty() ? kQueueMinSlots : 2 * queue_.size());
+    queue_head_ = 0;
+  }
+  Queued& slot = queue_[(queue_head_ + queue_len_) & (queue_.size() - 1)];
+  slot.dst = dst;
+  slot.msg = m;
+  ++queue_len_;
+  if (queue_len_ > stats_.queue_high_water) stats_.queue_high_water = queue_len_;
 }
 
 void Kernel::notify(Endpoint src, Endpoint dst, std::uint32_t type) {
@@ -159,21 +169,28 @@ void Kernel::reply_to(Endpoint dst, Message m) {
 GrantId Kernel::make_grant(Endpoint owner, Endpoint grantee, std::byte* base, std::size_t len,
                            Access access) {
   GrantId id = next_grant_++;
-  grants_[id] = Grant{owner, grantee, base, len, access};
+  grants_.push_back(LiveGrant{id, Grant{owner, grantee, base, len, access}});
   ++stats_.grants_created;
   return id;
 }
 
-void Kernel::revoke_grant(GrantId id) { grants_.erase(id); }
+void Kernel::revoke_grant(GrantId id) {
+  auto it = std::find_if(grants_.begin(), grants_.end(),
+                         [id](const LiveGrant& g) { return g.id == id; });
+  if (it == grants_.end()) return;
+  *it = grants_.back();
+  grants_.pop_back();
+}
 
 const Grant* Kernel::check_grant(Endpoint grantee, GrantId id, std::size_t offset,
                                  std::size_t len, Access need, std::int64_t* err) const {
-  auto it = grants_.find(id);
+  auto it = std::find_if(grants_.begin(), grants_.end(),
+                         [id](const LiveGrant& g) { return g.id == id; });
   if (it == grants_.end()) {
     *err = E_INVAL;
     return nullptr;
   }
-  const Grant& g = it->second;
+  const Grant& g = it->grant;
   if (g.grantee != grantee) {
     *err = E_PERM;
     return nullptr;
@@ -223,7 +240,8 @@ std::byte* Kernel::grant_span(Endpoint grantee, GrantId id, std::size_t offset, 
   return g->base + offset;
 }
 
-void Kernel::note_grant_bypass(Endpoint grantee, std::size_t len, int dir) {
+void Kernel::note_grant_bypass([[maybe_unused]] Endpoint grantee, std::size_t len,
+                               [[maybe_unused]] int dir) {
   stats_.grant_bypass_bytes += len;
   OSIRIS_TRACE_EVENT(kGrantCopy, kTraceKernel, static_cast<std::uint64_t>(grantee.value), len,
                      static_cast<std::uint64_t>(dir));
@@ -232,9 +250,12 @@ void Kernel::note_grant_bypass(Endpoint grantee, std::size_t len, int dir) {
 bool Kernel::dispatch_pending() {
   bool any = false;
   std::uint64_t delivered = 0;
-  while (state_ == SystemState::kRunning && !queue_.empty()) {
-    const Queued q = queue_.front();
-    queue_.pop_front();
+  while (state_ == SystemState::kRunning && queue_len_ != 0) {
+    // A copy, not a reference: the handler may enqueue, and growing the
+    // ring moves every slot.
+    const Queued q = queue_[queue_head_];
+    queue_head_ = (queue_head_ + 1) & (queue_.size() - 1);
+    --queue_len_;
     any = true;
     if (burst_cap_ != 0 && ++delivered > burst_cap_) {
       // Livelock valve: a self-sustaining message storm that nothing
@@ -244,7 +265,8 @@ bool Kernel::dispatch_pending() {
       // can fire. Drop the backlog and return; the run loop's step budget
       // then decides the outcome.
       ++stats_.dispatch_aborts;
-      queue_.clear();
+      queue_head_ = 0;
+      queue_len_ = 0;
       break;
     }
     if (auto sit = servers_.find(q.dst.value); sit != servers_.end()) {

@@ -97,77 +97,7 @@ class ServerCommon : public kernel::IServer, public recovery::Recoverable {
       kernel_.notify(ep_, kernel::kRsEp, RS_PONG);
       return std::nullopt;
     }
-
-    // A type the spec table never declared reaching a server is a protocol
-    // violation, not a request to answer: fail-stop instead of the silent
-    // conservative fall-through (paper SII-E).
-    const MsgSpec* spec = find_msg_spec(m.type);
-    SRV_CHECK(spec != nullptr, "dispatch: unregistered message type");
-
-    const bool is_notify = kernel::is_notify(m.type);
-    const bool is_reply = kernel::is_reply(m.type);
-    if (!is_reply) {
-      // Malformed request → fail-stop: args outside the schema must be zero,
-      // text only where the schema declares it, and the notify bit must
-      // match the spec's delivery kind. (Replies are exempt: their args
-      // carry status/results, shaped by the reply convention instead.)
-      for (int i = spec->args; i < 6; ++i) {
-        SRV_CHECK(m.arg[i] == 0, "dispatch: request args outside the message schema");
-      }
-      SRV_CHECK(m.text.empty() || spec->text, "dispatch: text on a textless message");
-      SRV_CHECK(is_notify == spec->notify(), "dispatch: delivery kind contradicts the spec");
-    }
-
-    // Top of the request processing loop: checkpoint + open the recovery
-    // window, but only for requests that reconciliation could answer with
-    // an error reply. Notifications have no requester to answer, and an
-    // asynchronous *reply* continues a previous request (Figure 1) whose
-    // sender is long gone — in both cases a rollback could never be
-    // reconciled, so the window (conservatively) stays closed.
-    if (spec->replyable() && !is_notify && !is_reply) {
-      // Attribute the window to the request's message type: the per-msg
-      // close stats are the runtime ground truth for the Pass 4
-      // handler-granularity predictions.
-      window_.open(m.type);
-    }
-
-    on_message(m);
-
-    // Flat handler-table dispatch: the spec row index is the handler slot.
-    const HandlerSlot& slot = handlers_[static_cast<std::size_t>(spec - kMsgSpecTable)];
-    const MemberHandler h = is_notify ? slot.notify : is_reply ? slot.reply : slot.request;
-    std::optional<kernel::Message> reply;
-    if (h != nullptr) {
-      reply = (this->*h)(m);
-    } else if (!is_notify && !is_reply && spec->replyable()) {
-      // A registered type this server has no handler for: tell the caller.
-      // Unhandled notifications and stray replies have no one to answer.
-      reply = kernel::make_reply(m.type, kernel::E_NOSYS);
-    }
-    window_.end_of_request();
-
-    // Storm realization (liveness fault model): a kHandlerSpin/kChannelFlood
-    // probe that fired during this dispatch never throws — it parks a plan
-    // in the registry, picked up here at the dispatch boundary and turned
-    // into traffic. The probe's own component (the innermost dispatch on a
-    // nested call stack) always drains its firing first, so attribution is
-    // exact. An FI_SPIN dispatch instead sustains the storm one-for-one
-    // (independent of which probe site hosts the fault — the site only has
-    // to fire once to seed the burst); any probe re-fire it recorded is
-    // discarded so the backlog stays constant instead of growing
-    // geometrically. Disarm (at quarantine) stops the sustain cold.
-    const fi::Registry::StormPlan storm = fi::Registry::instance().take_pending_storm();
-    if (is_notify && (m.type & ~kernel::kNotifyBit) == FI_SPIN) {
-      if (fi::Registry::instance().spin_armed_for(ep_.value)) {
-        // analyze-suppress(raw-kernel-send): injected storm traffic models
-        // a compromised component and must bypass SEEP accounting.
-        kernel_.notify(ep_, ep_, FI_SPIN);
-      }
-    } else if (storm.type != fi::FaultType::kNone) {
-      activate_storm(storm);
-    }
-    ++completed_dispatches_;
-    return reply;
+    return dispatch_message(m);
   }
 
   /// Useful-work counter for the kernel's health monitor: recovery windows
@@ -286,6 +216,87 @@ class ServerCommon : public kernel::IServer, public recovery::Recoverable {
     MemberHandler notify = nullptr;
     MemberHandler reply = nullptr;
   };
+
+  /// The request loop body of dispatch(), for everything but heartbeats.
+  std::optional<kernel::Message> dispatch_message(const kernel::Message& m) {
+    // A type the spec table never declared reaching a server is a protocol
+    // violation, not a request to answer: fail-stop instead of the silent
+    // conservative fall-through (paper SII-E).
+    const MsgSpec* spec = find_msg_spec(m.type);
+    SRV_CHECK(spec != nullptr, "dispatch: unregistered message type");
+
+    const bool is_notify = kernel::is_notify(m.type);
+    const bool is_reply = kernel::is_reply(m.type);
+    if (!is_reply) {
+      // Malformed request → fail-stop: args outside the schema must be zero,
+      // text only where the schema declares it, and the notify bit must
+      // match the spec's delivery kind. (Replies are exempt: their args
+      // carry status/results, shaped by the reply convention instead.)
+      for (int i = spec->args; i < 6; ++i) {
+        SRV_CHECK(m.arg[i] == 0, "dispatch: request args outside the message schema");
+      }
+      SRV_CHECK(m.text.empty() || spec->text, "dispatch: text on a textless message");
+      SRV_CHECK(is_notify == spec->notify(), "dispatch: delivery kind contradicts the spec");
+    }
+
+    // Top of the request processing loop: checkpoint + open the recovery
+    // window, but only for requests that reconciliation could answer with
+    // an error reply. Notifications have no requester to answer, and an
+    // asynchronous *reply* continues a previous request (Figure 1) whose
+    // sender is long gone — in both cases a rollback could never be
+    // reconciled, so the window (conservatively) stays closed.
+    if (spec->replyable() && !is_notify && !is_reply) {
+      // Attribute the window to the request's message type: the per-msg
+      // close stats are the runtime ground truth for the Pass 4
+      // handler-granularity predictions.
+      window_.open(m.type);
+    }
+
+    on_message(m);
+
+    // Flat handler-table dispatch: the spec row index is the handler slot.
+    const HandlerSlot& slot = handlers_[static_cast<std::size_t>(spec - kMsgSpecTable)];
+    const MemberHandler h = is_notify ? slot.notify : is_reply ? slot.reply : slot.request;
+    // The reply is built once, in place, and returned by NRVO: its only
+    // return statement is the one below.
+    std::optional<kernel::Message> reply =
+        h != nullptr ? (this->*h)(m) : unhandled_reply(m.type, *spec);
+    window_.end_of_request();
+
+    // Storm realization (liveness fault model): a kHandlerSpin/kChannelFlood
+    // probe that fired during this dispatch never throws — it parks a plan
+    // in the registry, picked up here at the dispatch boundary and turned
+    // into traffic. The probe's own component (the innermost dispatch on a
+    // nested call stack) always drains its firing first, so attribution is
+    // exact. An FI_SPIN dispatch instead sustains the storm one-for-one
+    // (independent of which probe site hosts the fault — the site only has
+    // to fire once to seed the burst); any probe re-fire it recorded is
+    // discarded so the backlog stays constant instead of growing
+    // geometrically. Disarm (at quarantine) stops the sustain cold.
+    const fi::Registry::StormPlan storm = fi::Registry::instance().take_pending_storm();
+    if (is_notify && (m.type & ~kernel::kNotifyBit) == FI_SPIN) {
+      if (fi::Registry::instance().spin_armed_for(ep_.value)) {
+        // analyze-suppress(raw-kernel-send): injected storm traffic models
+        // a compromised component and must bypass SEEP accounting.
+        kernel_.notify(ep_, ep_, FI_SPIN);
+      }
+    } else if (storm.type != fi::FaultType::kNone) {
+      activate_storm(storm);
+    }
+    ++completed_dispatches_;
+    return reply;
+  }
+
+  /// The reply to a registered type this server has no handler for: a
+  /// request learns E_NOSYS; unhandled notifications and stray replies have
+  /// no one to answer.
+  static std::optional<kernel::Message> unhandled_reply(std::uint32_t type,
+                                                        const MsgSpec& spec) {
+    if (kernel::is_notify(type) || kernel::is_reply(type) || !spec.replyable()) {
+      return std::nullopt;
+    }
+    return kernel::make_reply(type, kernel::E_NOSYS);
+  }
 
   /// Virtual ticks between flood-pump bursts. Clock-driven on purpose: the
   /// pump keeps the clock's callback queue alive, so the storm persists

@@ -525,6 +525,10 @@ std::optional<Message> Vfs::do_lseek(const Message& m) {
 }
 
 // --- pipes ----------------------------------------------------------------
+//
+// A transfer moves at most kPipeBuf bytes, so the handlers below stage it in
+// a stack buffer of that size and allocate nothing. The buffer is left
+// uninitialized: a handler reads back only the n bytes it has just written.
 
 std::uint32_t Vfs::pipe_copy_in(std::size_t pipe_idx, const std::byte* src, std::uint32_t n) {
   auto& p = st().pipes.mutate(pipe_idx);
@@ -578,7 +582,7 @@ std::optional<Message> Vfs::do_pipe_read(const Message& m, std::size_t file_idx)
   }
 
   const std::uint32_t n = std::min(want, p.used);
-  std::vector<std::byte> tmp(n);
+  std::array<std::byte, kPipeBuf> tmp;
   pipe_copy_out(pidx, tmp.data(), n);
   const std::int64_t copied = kern().safecopy_to(endpoint(), m.arg[1], 0, tmp.data(), n);
   if (copied < 0) return make_reply(m.type, copied);
@@ -610,7 +614,7 @@ std::optional<Message> Vfs::do_pipe_write(const Message& m, std::size_t file_idx
   }
 
   const std::uint32_t n = std::min(want, space);
-  std::vector<std::byte> tmp(n);
+  std::array<std::byte, kPipeBuf> tmp;
   const std::int64_t copied = kern().safecopy_from(endpoint(), m.arg[1], 0, tmp.data(), n);
   if (copied < 0) return make_reply(m.type, copied);
   pipe_copy_in(pidx, tmp.data(), n);
@@ -636,7 +640,7 @@ void Vfs::wake_blocked_reader(std::size_t pipe_idx) {
     return;
   }
   const std::uint32_t n = std::min(waiter.len, p.used);
-  std::vector<std::byte> tmp(n);
+  std::array<std::byte, kPipeBuf> tmp;
   pipe_copy_out(pipe_idx, tmp.data(), n);
   const std::int64_t copied = kern().safecopy_to(endpoint(), waiter.grant, 0, tmp.data(), n);
   st().bytes_read += n;
@@ -664,7 +668,7 @@ void Vfs::wake_blocked_writer(std::size_t pipe_idx) {
     return;
   }
   const std::uint32_t n = std::min(waiter.len, space);
-  std::vector<std::byte> tmp(n);
+  std::array<std::byte, kPipeBuf> tmp;
   const std::int64_t copied = kern().safecopy_from(endpoint(), waiter.grant, 0, tmp.data(), n);
   if (copied >= 0) {
     pipe_copy_in(pipe_idx, tmp.data(), n);

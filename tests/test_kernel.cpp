@@ -2,6 +2,10 @@
 // hang conversion, system lifecycle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "kernel/faults.hpp"
 #include "kernel/kernel.hpp"
 #include "support/clock.hpp"
@@ -254,6 +258,71 @@ TEST_F(KernelFixture, GrantDiesWithItsOwner) {
   EXPECT_EQ(kern.safecopy_from(kernel::kPmEp, g, 0, tmp, 1), kernel::E_INVAL);
 }
 
+TEST_F(KernelFixture, ShuffledRevokesLeaveTheOtherGrantsIntact) {
+  // Revoking moves the table's last grant into the freed place; every grant
+  // still live must keep its own region, and every revoked one must be gone.
+  constexpr int kGrants = 64;
+  std::byte bufs[kGrants][4] = {};
+  std::vector<kernel::GrantId> ids;
+  for (int i = 0; i < kGrants; ++i) {
+    bufs[i][0] = static_cast<std::byte>(i);
+    ids.push_back(kern.make_grant(client_ep, kernel::kPmEp, bufs[i], sizeof bufs[i],
+                                  Access::kRead));
+  }
+  std::vector<int> order(kGrants);
+  for (int i = 0; i < kGrants; ++i) order[i] = i;
+  std::shuffle(order.begin(), order.end(), std::mt19937(2016));
+  std::vector<bool> revoked(kGrants, false);
+  for (const int victim : order) {
+    kern.revoke_grant(ids[victim]);
+    revoked[victim] = true;
+    for (int i = 0; i < kGrants; ++i) {
+      std::byte got{0xff};
+      const std::int64_t r = kern.safecopy_from(kernel::kPmEp, ids[i], 0, &got, 1);
+      if (revoked[i]) {
+        ASSERT_EQ(r, kernel::E_INVAL) << "grant " << i << " outlived its revoke";
+      } else {
+        ASSERT_EQ(r, 1) << "grant " << i << " lost by revoking " << victim;
+        ASSERT_EQ(got, static_cast<std::byte>(i)) << "grant " << i << " copies another region";
+      }
+    }
+  }
+}
+
+TEST_F(KernelFixture, GrantIdsKeepIncreasingAfterRevokes) {
+  std::byte buf[4] = {};
+  kernel::GrantId last = kernel::kNoGrant;
+  for (int i = 0; i < 8; ++i) {
+    const auto a = kern.make_grant(client_ep, kernel::kPmEp, buf, sizeof buf, Access::kRead);
+    const auto b = kern.make_grant(client_ep, kernel::kPmEp, buf, sizeof buf, Access::kRead);
+    EXPECT_GT(a, last);
+    EXPECT_GT(b, a);
+    kern.revoke_grant(b);  // the newest id is never handed out again
+    kern.revoke_grant(a);
+    last = b;
+  }
+}
+
+TEST_F(KernelFixture, UnregisterDropsOnlyTheClientsOwnGrants) {
+  StubClient other;
+  const Endpoint other_ep = kern.register_client(&other);
+  std::byte mine[4] = {};
+  std::byte theirs[4] = {};
+  std::vector<kernel::GrantId> my_ids;
+  std::vector<kernel::GrantId> their_ids;
+  for (int i = 0; i < 4; ++i) {
+    my_ids.push_back(kern.make_grant(client_ep, kernel::kPmEp, mine, sizeof mine, Access::kRead));
+    their_ids.push_back(
+        kern.make_grant(other_ep, kernel::kPmEp, theirs, sizeof theirs, Access::kRead));
+  }
+  kern.unregister_client(client_ep);
+  std::byte got{};
+  for (const auto g : my_ids) {
+    EXPECT_EQ(kern.safecopy_from(kernel::kPmEp, g, 0, &got, 1), kernel::E_INVAL);
+  }
+  for (const auto g : their_ids) EXPECT_EQ(kern.safecopy_from(kernel::kPmEp, g, 0, &got, 1), 1);
+}
+
 TEST_F(KernelFixture, MessagesToDeadEndpointsAreDropped) {
   kern.unregister_client(client_ep);
   kern.send(kernel::kPmEp, client_ep, make_msg(0x90));
@@ -294,4 +363,104 @@ TEST_F(KernelFixture, BurstCapValveStopsSelfSustainingDrain) {
   EXPECT_EQ(kern.stats().dispatch_aborts, 1u);
   EXPECT_TRUE(kern.queue_empty());
   EXPECT_FALSE(kern.dispatch_pending());
+
+  // The dropped backlog leaves a queue that works: a later send is
+  // delivered and answered.
+  kern.send(client_ep, kernel::kPmEp, make_msg(0x42));
+  EXPECT_TRUE(kern.dispatch_pending());
+  EXPECT_EQ(server.dispatches, 1);
+  EXPECT_EQ(client.replies, 1);
+  EXPECT_EQ(kern.stats().dispatch_aborts, 1u);
+  EXPECT_EQ(looper.dispatches, static_cast<int>(kCap));
+}
+
+TEST_F(KernelFixture, BurstCapValveDropsAGrowingBacklog) {
+  // Each delivery sends two messages, so the valve fires with a backlog of
+  // kCap still pending. All of it goes, and none of it comes back later.
+  constexpr std::uint64_t kCap = 50;
+  StubServer doubler("doubler", [this](const Message& m) -> std::optional<Message> {
+    kern.send(kernel::kVfsEp, kernel::kVfsEp, make_msg(m.type, m.arg[0] + 1));
+    kern.send(kernel::kVfsEp, kernel::kVfsEp, make_msg(m.type, m.arg[0] + 1));
+    return std::nullopt;
+  });
+  kern.register_server(kernel::kVfsEp, &doubler);
+  kern.set_dispatch_burst_cap(kCap);
+  kern.send(client_ep, kernel::kVfsEp, make_msg(0x77, 0));
+  EXPECT_TRUE(kern.dispatch_pending());
+  EXPECT_EQ(doubler.dispatches, static_cast<int>(kCap));
+  EXPECT_EQ(kern.stats().queue_high_water, kCap + 1);
+  EXPECT_TRUE(kern.queue_empty());
+
+  kern.send(client_ep, kernel::kPmEp, make_msg(0x42));
+  EXPECT_TRUE(kern.dispatch_pending());
+  EXPECT_EQ(server.dispatches, 1);
+  EXPECT_EQ(client.replies, 1);
+  EXPECT_EQ(doubler.dispatches, static_cast<int>(kCap));
+}
+
+// --- the message queue -----------------------------------------------------
+
+namespace {
+
+/// Numbers every message in send order and records the order of delivery.
+/// A message whose arg[1] is f makes its handler send f more messages while
+/// it is being dispatched.
+struct FifoProbe {
+  explicit FifoProbe(Kernel& k) : kern(k) {}
+
+  Kernel& kern;
+  std::uint64_t next_seq = 0;
+  std::vector<std::uint64_t> delivered;
+
+  void send(Endpoint src, std::uint64_t fan_out = 0) {
+    kern.send(src, kernel::kVfsEp, make_msg(0x66, next_seq++, fan_out));
+  }
+  std::optional<Message> handle(const Message& m) {
+    delivered.push_back(m.arg[0]);
+    for (std::uint64_t i = 0; i < m.arg[1]; ++i) send(kernel::kVfsEp);
+    return std::nullopt;
+  }
+};
+
+}  // namespace
+
+TEST_F(KernelFixture, DeliveryIsFifoAcrossWrapsGrowthAndNestedSends) {
+  FifoProbe probe(kern);
+  StubServer relay("relay", [&probe](const Message& m) { return probe.handle(m); });
+  kern.register_server(kernel::kVfsEp, &relay);
+  // Each burst is drained to empty before the next, so the ring's head sits
+  // at a different slot each time; the fan-outs push the pending depth past
+  // several doublings while a handler is running.
+  const std::vector<std::vector<std::uint64_t>> bursts = {
+      {0, 0, 0, 0, 0},
+      {3, 0, 0, 9, 0, 0, 0, 1, 0, 0, 0},
+      {40, 0, 2, 0, 0, 0, 0, 0, 0, 17, 0, 0, 0},
+      {0, 0, 0},
+      {100, 1, 1, 1},
+  };
+  for (const auto& burst : bursts) {
+    for (const std::uint64_t fan_out : burst) probe.send(client_ep, fan_out);
+    EXPECT_TRUE(kern.dispatch_pending());
+    EXPECT_TRUE(kern.queue_empty());
+  }
+  ASSERT_EQ(probe.delivered.size(), probe.next_seq);
+  for (std::size_t i = 0; i < probe.delivered.size(); ++i) {
+    ASSERT_EQ(probe.delivered[i], i) << "delivery " << i << " out of send order";
+  }
+  EXPECT_GT(kern.stats().queue_high_water, 64u);  // the ring grew more than once
+}
+
+TEST_F(KernelFixture, QueueHighWaterIsTheDeepestPendingBacklog) {
+  FifoProbe probe(kern);
+  StubServer relay("relay", [&probe](const Message& m) { return probe.handle(m); });
+  kern.register_server(kernel::kVfsEp, &relay);
+  for (int i = 0; i < 3; ++i) probe.send(client_ep);
+  kern.dispatch_pending();
+  EXPECT_EQ(kern.stats().queue_high_water, 3u);
+  // The message being delivered is no longer pending: its four sends make
+  // the deepest backlog four, while eight messages have been queued.
+  probe.send(client_ep, 4);
+  kern.dispatch_pending();
+  EXPECT_EQ(kern.stats().messages_queued, 8u);
+  EXPECT_EQ(kern.stats().queue_high_water, 4u);
 }
