@@ -31,7 +31,7 @@ void Kernel::register_server(Endpoint ep, IServer* srv) {
   OSIRIS_ASSERT(srv != nullptr);
   OSIRIS_ASSERT(ep.valid() && ep.value < kFirstUserEndpoint);
   OSIRIS_ASSERT(servers_.find(ep.value) == servers_.end());
-  servers_[ep.value] = ServerSlot{srv, false, false, false, Message{}};
+  servers_[ep.value].srv = srv;
 }
 
 Endpoint Kernel::register_client(IClient* cli) {
@@ -115,20 +115,12 @@ Message Kernel::call(Endpoint src, Endpoint dst, Message m) {
   // Nested synchronous dispatch (rendezvous IPC). A crash in the callee is
   // handled right here, before the caller resumes, and the reconciliation
   // result is returned to the caller as its reply.
-  const Message saved_inflight = slot.inflight;
-  const bool saved_in_dispatch = slot.in_dispatch;
-  slot.inflight = m;
-  slot.in_dispatch = true;
   ++stats_.server_dispatches;
   try {
     std::optional<Message> reply = slot.srv->dispatch(m);
-    slot.inflight = saved_inflight;
-    slot.in_dispatch = saved_in_dispatch;
     OSIRIS_ASSERT(reply.has_value());  // nested calls must be replied to inline
     return *reply;
   } catch (const FailStopFault& f) {
-    slot.inflight = saved_inflight;
-    slot.in_dispatch = saved_in_dispatch;
     CrashContext ctx;
     ctx.crashed = dst;
     ctx.had_inflight = true;
@@ -155,7 +147,6 @@ Message Kernel::call(Endpoint src, Endpoint dst, Message m) {
     // The callee hung (fault model). The caller is blocked on it forever:
     // mark the callee hung and propagate so the caller's own dispatch
     // boundary marks the caller hung as well.
-    slot.in_dispatch = false;
     if (!slot.hung) mark_hung(dst, m);
     throw;
   }
@@ -334,15 +325,12 @@ void Kernel::deliver_to_server(ServerSlot& slot, Endpoint dst, const Message& m)
     health_quantum_tick();
     return;
   }
-  slot.inflight = m;
-  slot.in_dispatch = true;
   ++stats_.server_dispatches;
   OSIRIS_TRACE_EVENT(kIpcDeliver, kTraceKernel, static_cast<std::uint64_t>(m.sender.value),
                      static_cast<std::uint64_t>(dst.value), m.type);
   const std::uint64_t useful_before = chargeable ? slot.srv->useful_work() : 0;
   try {
     std::optional<Message> reply = slot.srv->dispatch(m);
-    slot.in_dispatch = false;
     if (chargeable) {
       // Physiological sample: a delivery that opened no recovery window,
       // produced no reply and sent no deferred reply did no useful work —
@@ -357,7 +345,6 @@ void Kernel::deliver_to_server(ServerSlot& slot, Endpoint dst, const Message& m)
     if (reply) route_reply(m.sender, *reply);
     if (health_on) health_quantum_tick();
   } catch (const FailStopFault& f) {
-    slot.in_dispatch = false;
     CrashContext ctx;
     ctx.crashed = dst;
     ctx.had_inflight = !is_notify(m.type);
@@ -367,7 +354,6 @@ void Kernel::deliver_to_server(ServerSlot& slot, Endpoint dst, const Message& m)
     handle_crash(ctx);
     if (health_on) health_quantum_tick();
   } catch (const HangSuspend&) {
-    slot.in_dispatch = false;
     if (!slot.hung) mark_hung(dst, m);
     if (health_on) health_quantum_tick();
   }

@@ -178,10 +178,6 @@ class Kernel {
 
   [[nodiscard]] bool is_hung(Endpoint ep) const;
 
-  /// Mark a server hung with the message it was processing (used by the
-  /// hang fault model; the server stops responding until RS notices).
-  void mark_hung(Endpoint ep, const Message& inflight);
-
   /// Invoked by the Recovery Server when a heartbeat timeout fires:
   /// converts the hang into a crash event and runs the recovery pipeline.
   void recover_hung(Endpoint ep);
@@ -233,9 +229,6 @@ class Kernel {
   /// Controlled shutdown: consistent but final (paper's "shutdown" outcome).
   void request_shutdown(std::string reason);
 
-  /// Uncontrolled crash: the system is wedged (paper's "crash" outcome).
-  void mark_crashed(std::string reason);
-
   VirtualClock& clock() noexcept { return clock_; }
   [[nodiscard]] const KernelStats& stats() const noexcept { return stats_; }
 
@@ -244,8 +237,7 @@ class Kernel {
     IServer* srv = nullptr;
     bool hung = false;
     bool quarantined = false;
-    bool in_dispatch = false;
-    Message inflight;
+    Message inflight;  // what the server was processing when it hung (mark_hung)
   };
 
   struct Queued {
@@ -271,6 +263,12 @@ class Kernel {
   void route_reply(Endpoint dst, Message reply);
   void enqueue(Endpoint dst, const Message& m);
   void handle_crash(const CrashContext& ctx);
+  /// Mark a server hung with the message it was processing: a HangSuspend
+  /// (the hang fault model, or a call into a hung server) reached its
+  /// dispatch boundary, and the server stops responding until RS notices.
+  void mark_hung(Endpoint ep, const Message& inflight);
+  /// Uncontrolled crash: the system is wedged (paper's "crash" outcome).
+  void mark_crashed(std::string reason);
   const Grant* check_grant(Endpoint grantee, GrantId id, std::size_t offset, std::size_t len,
                            Access need, std::int64_t* err) const;
 

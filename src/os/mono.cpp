@@ -45,6 +45,7 @@ class MonoSys final : public ISys {
       }
     }
     child->brk = p_.brk;
+    child->uid = p_.uid;
     os_.mark_ready(child);
     return child->pid;
   }
@@ -131,8 +132,12 @@ class MonoSys final : public ISys {
     return t->zombie ? 2 : 1;
   }
 
-  std::int64_t getuid() override { return tick(), 0; }
-  std::int64_t setuid(std::uint64_t) override { return tick(), OK; }
+  std::int64_t getuid() override { return tick(), p_.uid; }
+  std::int64_t setuid(std::uint64_t uid) override {
+    tick();
+    p_.uid = static_cast<std::uint32_t>(uid);
+    return OK;
+  }
 
   std::int64_t brk(std::uint64_t addr) override {
     tick();

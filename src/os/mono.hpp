@@ -74,7 +74,7 @@ class MonoOs {
     std::uint64_t pending_sigs = 0;
     std::uint64_t handled_sigs = 0;
     std::uint64_t brk = 0x10000;
-    std::uint32_t heap_pages = 0;
+    std::uint32_t uid = 0;
     std::string name;
     std::vector<std::int32_t> fds;  // open-file index or -1
     std::unique_ptr<cothread::Fiber> fiber;

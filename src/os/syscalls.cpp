@@ -114,9 +114,13 @@ std::int64_t Sys::kill(std::int64_t pid, std::uint64_t sig) {
 }
 
 std::int64_t Sys::sigaction(std::uint64_t sig, bool handle) {
+  // The local mask follows what PM accepted: PM refuses signal numbers out
+  // of range and kSigKill, and a refused call changes no disposition.
+  const std::int64_t r = sendrec(kernel::kPmEp, encode(PM_SIGACTION, sig, handle ? 1 : 0)).sarg(0);
+  if (r != OK) return r;
   if (handle) proc_.handled_mask_ |= (1ULL << sig);
   else proc_.handled_mask_ &= ~(1ULL << sig);
-  return sendrec(kernel::kPmEp, encode(PM_SIGACTION, sig, handle ? 1 : 0)).sarg(0);
+  return OK;
 }
 
 std::int64_t Sys::sigpending(std::uint64_t* mask) {

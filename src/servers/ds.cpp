@@ -49,7 +49,6 @@ void Ds::register_handlers() {
   on(DS_DELETE, &Ds::do_delete);
   on(DS_SUBSCRIBE, &Ds::do_subscribe);
   on(DS_CHECK, &Ds::do_check);
-  on(DS_SNAPSHOT, &Ds::do_snapshot);
 }
 
 void Ds::on_message(const Message&) { FI_BLOCK("ds"); }
@@ -141,14 +140,6 @@ std::optional<Message> Ds::do_check(const Message& m) {
   Message r = make_reply(m.type, OK);
   r.arg[1] = events;
   r.text.assign(st().last_changed_key.view());
-  return r;
-}
-
-std::optional<Message> Ds::do_snapshot(const Message& m) {
-  FI_BLOCK("ds");
-  Message r = make_reply(m.type, OK);
-  r.arg[1] = st().entries.in_use_count();
-  r.arg[2] = st().publishes;
   return r;
 }
 

@@ -61,7 +61,6 @@ class Ds final : public ServerBase<DsState> {
   std::optional<kernel::Message> do_delete(const kernel::Message& m);
   std::optional<kernel::Message> do_subscribe(const kernel::Message& m);
   std::optional<kernel::Message> do_check(const kernel::Message& m);
-  std::optional<kernel::Message> do_snapshot(const kernel::Message& m);
 };
 
 }  // namespace osiris::servers

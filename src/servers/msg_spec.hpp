@@ -67,7 +67,7 @@
   X(VFS_WRITE,      0x204, vfs,    SM,  REQ,  3, NOTEXT, "arg0=fd, arg1=grant, arg2=len -> reply arg0=n") \
   X(VFS_LSEEK,      0x205, vfs,    SM,  REQ,  3, NOTEXT, "arg0=fd, arg1=offset, arg2=whence -> reply arg0=pos") \
   X(VFS_STAT,       0x206, vfs,    NSM, REQ,  0, TXT,    "text=path -> reply arg0=size, arg1=type, arg2=nlinks") \
-  X(VFS_FSTAT,      0x207, vfs,    NSM, REQ,  1, NOTEXT, "arg0=fd -> reply arg0=size, arg1=type, arg2=pos") \
+  X(VFS_FSTAT,      0x207, vfs,    NSM, REQ,  1, NOTEXT, "arg0=fd -> reply arg0=size, arg1=type, arg2=nlinks") \
   X(VFS_UNLINK,     0x208, vfs,    SM,  REQ,  0, TXT,    "text=path")                              \
   X(VFS_MKDIR,      0x209, vfs,    SM,  REQ,  0, TXT,    "text=path")                              \
   X(VFS_RMDIR,      0x20a, vfs,    SM,  REQ,  0, TXT,    "text=path")                              \
@@ -100,7 +100,6 @@
   X(DS_DELETE,      0x403, ds,     SM,  REQ,  0, TXT,    "text=key")                               \
   X(DS_SUBSCRIBE,   0x404, ds,     SM,  REQ,  0, TXT,    "text=key prefix")                        \
   X(DS_CHECK,       0x405, ds,     NSM, REQ,  0, NOTEXT, "-> reply arg0=#pending events, text=last key") \
-  X(DS_SNAPSHOT,    0x406, ds,     NSM, REQ,  0, NOTEXT, "-> reply arg0=#entries")                 \
   /* Subscriber pokes carry no payload and mutate nothing on the receiver —   */                   \
   /* NSM + non-replyable is why DS stays recoverable under the enhanced       */                   \
   /* policy where the pessimistic one would close every publish window.       */                   \
@@ -123,9 +122,7 @@
   X(SYS_EXIT,       0x602, sys,    SM,  REQ,  1, NOTEXT, "arg0=pid")                               \
   X(SYS_MAP,        0x603, sys,    SM,  REQ,  3, NOTEXT, "arg0=pid, arg1=page, arg2=frame")        \
   X(SYS_UNMAP,      0x604, sys,    SM,  REQ,  3, NOTEXT, "arg0=pid, arg1=page")                    \
-  X(SYS_GETINFO,    0x605, sys,    NSM, REQ,  1, NOTEXT, "arg0=what -> reply arg0=value")          \
-  X(SYS_TIMES,      0x606, sys,    NSM, REQ,  0, NOTEXT, "-> reply arg0=uptime ticks")             \
-  X(SYS_PRIV,       0x607, sys,    SM,  REQ,  2, NOTEXT, "arg0=pid, arg1=privilege flags")
+  X(SYS_TIMES,      0x606, sys,    NSM, REQ,  0, NOTEXT, "-> reply arg0=uptime ticks")
 // clang-format on
 
 namespace osiris::servers {

@@ -73,7 +73,6 @@ void Pm::register_handlers() {
   on(PM_GETMEMINFO, &Pm::do_getmeminfo);
   on(PM_UNAME, &Pm::do_uname);
   on(PM_PROCSTAT, &Pm::do_procstat);
-  on_notify(DS_NOTIFY_SUB, &Pm::ignore_ds_note);
 }
 
 void Pm::on_message(const Message&) { FI_BLOCK("pm"); }
@@ -198,10 +197,6 @@ std::optional<Message> Pm::do_procstat(const Message& m) {
   r.arg[1] = static_cast<std::uint64_t>(st().procs.at(i).state);
   r.arg[2] = static_cast<std::uint64_t>(st().procs.at(i).parent);
   return r;
-}
-
-std::optional<Message> Pm::ignore_ds_note(const Message&) {
-  return std::nullopt;  // informational: PM re-queries DS lazily
 }
 
 std::optional<Message> Pm::do_fork(const Message& m) {

@@ -95,7 +95,6 @@ class Pm final : public ServerBase<PmState> {
   std::optional<kernel::Message> do_getmeminfo(const kernel::Message& m);
   std::optional<kernel::Message> do_uname(const kernel::Message& m);
   std::optional<kernel::Message> do_procstat(const kernel::Message& m);
-  std::optional<kernel::Message> ignore_ds_note(const kernel::Message& m);
 
   /// Shared exit path (voluntary exit and kSigKill).
   void terminate_proc(std::size_t slot, std::int64_t status);

@@ -30,9 +30,7 @@ void SysTask::register_handlers() {
   on(SYS_EXIT, &SysTask::do_exit);
   on(SYS_MAP, &SysTask::do_map);
   on(SYS_UNMAP, &SysTask::do_unmap);
-  on(SYS_GETINFO, &SysTask::do_getinfo);
   on(SYS_TIMES, &SysTask::do_times);
-  on(SYS_PRIV, &SysTask::do_priv);
 }
 
 std::optional<Message> SysTask::do_fork(const Message& m) {
@@ -73,31 +71,10 @@ std::optional<Message> SysTask::do_unmap(const Message& m) {
   return make_reply(m.type, OK);
 }
 
-std::optional<Message> SysTask::do_getinfo(const Message& m) {
-  // what: 0 = #kernel slots in use, 1 = total mapped pages.
-  std::uint64_t v = 0;
-  if (MsgView(m).u(0) == 0) {
-    v = st().slots.in_use_count();
-  } else {
-    st().slots.for_each([&v](std::size_t, const SysProcSlot& s) { v += s.mapped_pages; });
-  }
-  Message r = make_reply(m.type, OK);
-  r.arg[1] = v;
-  return r;
-}
-
 std::optional<Message> SysTask::do_times(const Message& m) {
   Message r = make_reply(m.type, OK);
   r.arg[1] = kern().clock().now();
   return r;
-}
-
-std::optional<Message> SysTask::do_priv(const Message& m) {
-  const MsgView v(m);
-  const std::size_t i = slot_of(v.i32(0));
-  if (i == kNpos) return make_reply(m.type, E_SRCH);
-  st().slots.mutate(i).priv_flags = v.u(1);
-  return make_reply(m.type, OK);
 }
 
 }  // namespace osiris::servers

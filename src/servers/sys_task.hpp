@@ -6,8 +6,7 @@
 // fault-injection probes, is never registered with the recovery engine, and
 // is assumed fault-free. Its purpose in the reproduction is to give the
 // system servers realistic window-closing kernel interactions (SYS_MAP,
-// SYS_FORK, ...) and window-preserving read-only ones (SYS_GETINFO,
-// SYS_TIMES).
+// SYS_FORK, ...) and a window-preserving read-only one (SYS_TIMES).
 #pragma once
 
 #include "ckpt/cell.hpp"
@@ -17,7 +16,6 @@ namespace osiris::servers {
 
 struct SysProcSlot {
   std::int32_t pid = 0;
-  std::uint64_t priv_flags = 0;
   std::uint32_t mapped_pages = 0;
 };
 
@@ -50,9 +48,7 @@ class SysTask final : public ServerBase<SysState> {
   std::optional<kernel::Message> do_exit(const kernel::Message& m);
   std::optional<kernel::Message> do_map(const kernel::Message& m);
   std::optional<kernel::Message> do_unmap(const kernel::Message& m);
-  std::optional<kernel::Message> do_getinfo(const kernel::Message& m);
   std::optional<kernel::Message> do_times(const kernel::Message& m);
-  std::optional<kernel::Message> do_priv(const kernel::Message& m);
 };
 
 }  // namespace osiris::servers

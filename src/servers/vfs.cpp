@@ -211,10 +211,7 @@ std::optional<Message> Vfs::do_rw(const Message& m) {
   if (kind == FileKind::kPipeRead || kind == FileKind::kPipeWrite) {
     if (m.type == VFS_READ) return do_pipe_read(m, fidx);
     if (m.type == VFS_WRITE) return do_pipe_write(m, fidx);
-    Message r = make_reply(m.type, OK);  // fstat on a pipe
-    r.arg[1] = 0;
-    r.arg[2] = st().files.at(fidx).pos;
-    return r;
+    return make_reply(m.type, OK);  // fstat on a pipe: no inode, all zero
   }
   return start_or_queue(m);
 }
@@ -732,7 +729,7 @@ kernel::Message Vfs::run_fs_op(const Message& m) {
       std::int64_t err = OK;
       const std::size_t fidx = file_of(m, &err);
       if (fidx == kNpos) return make_reply(m.type, err);
-      return fs_fstat(m, fidx);
+      return stat_reply(m, st().files.at(fidx).ino);
     }
     case VFS_STAT:
     case VFS_ACCESS:
@@ -951,25 +948,17 @@ kernel::Message Vfs::fs_stat(const Message& m) {
   const std::int64_t ino = resolve(m.text.view());
   if (ino < 0) return make_reply(m.type, ino);
   if (m.type == VFS_ACCESS) return make_reply(m.type, OK);
+  return stat_reply(m, static_cast<fs::Ino>(ino));
+}
+
+kernel::Message Vfs::stat_reply(const Message& m, fs::Ino ino) {
   fs::Attr attr{};
-  const std::int64_t r = minifs_.getattr(static_cast<fs::Ino>(ino), &attr);
+  const std::int64_t r = minifs_.getattr(ino, &attr);
   if (r != OK) return make_reply(m.type, r);
   Message out = make_reply(m.type, OK);
   out.arg[0] = attr.size;
   out.arg[1] = static_cast<std::uint64_t>(attr.type);
   out.arg[2] = attr.nlinks;
-  return out;
-}
-
-kernel::Message Vfs::fs_fstat(const Message& m, std::size_t file_idx) {
-  const VfsFile& f = st().files.at(file_idx);
-  fs::Attr attr{};
-  const std::int64_t r = minifs_.getattr(f.ino, &attr);
-  if (r != OK) return make_reply(m.type, r);
-  Message out = make_reply(m.type, OK);
-  out.arg[0] = attr.size;
-  out.arg[1] = static_cast<std::uint64_t>(attr.type);
-  out.arg[2] = f.pos;
   return out;
 }
 

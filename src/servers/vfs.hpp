@@ -182,7 +182,8 @@ class Vfs final : public ServerBase<VfsState> {
   kernel::Message fs_read(const kernel::Message& m, std::size_t file_idx);
   kernel::Message fs_write(const kernel::Message& m, std::size_t file_idx);
   kernel::Message fs_stat(const kernel::Message& m);
-  kernel::Message fs_fstat(const kernel::Message& m, std::size_t file_idx);
+  /// The VFS_STAT / VFS_FSTAT reply for an inode: size, type and link count.
+  kernel::Message stat_reply(const kernel::Message& m, fs::Ino ino);
   kernel::Message fs_sync(const kernel::Message& m);
 
   fs::BlockDevice& dev_;

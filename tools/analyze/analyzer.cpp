@@ -147,22 +147,11 @@ Report analyze_tree(const std::string& root) {
     report.state_structs_checked += st.state_structs;
     report.state_fields_checked += st.state_fields;
 
-    // Pass 2 — SEEP analysis inputs. The declarative spec table is the
-    // primary source of message definitions and classes; `*Msg` enums and
-    // literal `c.set(...)` tables (pre-spec trees, fixtures) still parse.
+    // Pass 2 — SEEP analysis inputs. The declarative spec table is the only
+    // source of message definitions and classes.
     if (stem == "msg_spec") {
       auto rows = parse_spec_rows(f);
-      for (const SpecRow& r : rows) {
-        report.messages.push_back(MsgDef{r.name, r.value, "MsgSpec", r.file, r.line});
-        report.classification.push_back(ClassEntry{r.name, r.cls, r.kind == "REQ", r.file, r.line});
-      }
       report.spec.insert(report.spec.end(), rows.begin(), rows.end());
-    }
-    if (stem == "protocol") {
-      auto msgs = parse_protocol_enums(f);
-      report.messages.insert(report.messages.end(), msgs.begin(), msgs.end());
-      auto entries = parse_classification(f, report.findings);
-      report.classification.insert(report.classification.end(), entries.begin(), entries.end());
     }
     if (server != nullptr) {
       auto sites = extract_send_sites(f, server);
@@ -215,10 +204,6 @@ std::string report_to_json(const Report& report) {
   j.num(report.state_structs_checked);
   j.key("state_fields_checked");
   j.num(report.state_fields_checked);
-  j.key("messages");
-  j.num(static_cast<long long>(report.messages.size()));
-  j.key("classification_entries");
-  j.num(static_cast<long long>(report.classification.size()));
   j.key("spec_rows");
   j.num(static_cast<long long>(report.spec.size()));
   j.key("handler_regs");

@@ -3,7 +3,7 @@
 // call-graph builder (direct, transitive, recursive, unresolvable callees,
 // and an unreached function whose escapes must NOT be reported). This file
 // is test data for osiris-analyze — it is never compiled.
-#include "protocol.hpp"
+#include "msg_spec.hpp"
 
 namespace fixture {
 

@@ -1,7 +1,7 @@
 // Fixture server: every discipline detector has a seeded violation here,
 // plus one suppressed occurrence proving suppression comments work. This
 // file is test data for osiris-analyze — it is never compiled.
-#include "protocol.hpp"
+#include "msg_spec.hpp"
 
 namespace fixture {
 

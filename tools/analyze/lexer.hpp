@@ -2,7 +2,7 @@
 //
 // The analyzer does not need a real C++ front end: the discipline and SEEP
 // passes only match local token shapes (struct bodies, call expressions,
-// enum definitions). The lexer therefore produces a flat token stream with
+// spec-table rows). The lexer therefore produces a flat token stream with
 // comments, string literals and preprocessor directives stripped — but it
 // *does* harvest `analyze-suppress(detector): reason` comments, which are
 // the mechanism for classifying intentional deviations in the source tree.

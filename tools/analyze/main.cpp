@@ -79,9 +79,8 @@ int main(int argc, char** argv) {
   if (!quiet) {
     std::cout << "osiris-analyze: " << report.files_scanned << " files, "
               << report.state_structs_checked << " state structs ("
-              << report.state_fields_checked << " fields), " << report.messages.size()
-              << " protocol messages, " << report.classification.size()
-              << " classification entries, " << report.sites.size() << " outbound sites, "
+              << report.state_fields_checked << " fields), " << report.spec.size()
+              << " spec rows, " << report.sites.size() << " outbound sites, "
               << report.edges.size() << " channel edges, " << report.findings.size()
               << " findings\n";
     for (const auto& p : report.predictions) {

@@ -5,9 +5,8 @@
 //     state flows through the ckpt:: wrappers (the store-instrumentation
 //     substitution holds);
 //   Pass 2 (SEEP analysis)    — extracts outbound call sites, rebuilds the
-//     static inter-component channel graph, checks the hand-authored
-//     classification for completeness, and predicts per-policy recovery
-//     window behaviour.
+//     static inter-component channel graph, checks that every sent type
+//     has a spec row, and predicts per-policy recovery window behaviour.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +24,6 @@ inline constexpr const char* kDetStateConstCast = "state-const-cast";
 inline constexpr const char* kDetMutateEscape = "mutate-escape";
 inline constexpr const char* kDetRawKernelSend = "raw-kernel-send";
 inline constexpr const char* kDetUnclassifiedSend = "unclassified-send";
-inline constexpr const char* kDetUnclassifiedMsg = "unclassified-msg";
-inline constexpr const char* kDetStaleClassEntry = "stale-class-entry";
 // Pass 3 (spec cross-check) detectors: the declarative OSIRIS_MSG_SPEC table
 // vs the on()/on_notify()/on_reply() registrations in each server.
 inline constexpr const char* kDetSpecMissingHandler = "spec-missing-handler";
@@ -74,24 +71,6 @@ const char* policy_name(Policy p);
   return true;
 }
 
-/// One enumerator of a `*Msg` protocol enum.
-struct MsgDef {
-  std::string name;
-  std::uint32_t value = 0;
-  std::string enum_name;  // e.g. "PmMsg"
-  std::string file;
-  int line = 0;
-};
-
-/// One `c.set(...)` entry of the hand-authored classification.
-struct ClassEntry {
-  std::string msg;  // enumerator name
-  SeepClass cls = SeepClass::kStateModifying;
-  bool replyable = true;
-  std::string file;
-  int line = 0;
-};
-
 /// One row of the declarative OSIRIS_MSG_SPEC table (servers/msg_spec.hpp).
 struct SpecRow {
   std::string name;
@@ -122,10 +101,10 @@ struct SendSite {
   std::string file;
   int line = 0;
   std::string kind;  // call / send / notify / deferred_reply
-  std::string msg;   // enumerator name; "<dynamic>" when not statically known
+  std::string msg;   // message-type constant; "<dynamic>" when not statically known
   std::string dst;   // destination server, "client", or "<dynamic>"
   SeepClass cls = SeepClass::kStateModifying;
-  bool classified = false;  // explicit classification entry found
+  bool classified = false;  // class known: from a spec row, or written at the site
 };
 
 /// A deduplicated edge of the static inter-component channel graph.
@@ -206,8 +185,6 @@ struct HandlerEffects {
 
 struct Report {
   std::vector<Finding> findings;
-  std::vector<MsgDef> messages;
-  std::vector<ClassEntry> classification;
   std::vector<SpecRow> spec;
   std::vector<HandlerReg> handlers;
   std::vector<SendSite> sites;

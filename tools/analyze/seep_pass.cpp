@@ -1,6 +1,6 @@
 #include "seep_pass.hpp"
 
-#include <algorithm>
+#include <cctype>
 #include <cstdlib>
 #include <map>
 #include <set>
@@ -11,10 +11,6 @@ namespace osiris::analyze {
 namespace {
 
 using Tokens = std::vector<Token>;
-
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
-}
 
 std::size_t match_forward(const Tokens& t, std::size_t open, const char* op, const char* cl) {
   int depth = 0;
@@ -31,8 +27,8 @@ std::vector<std::pair<std::size_t, std::size_t>> split_args(const Tokens& t, std
                                                             std::size_t close) {
   std::vector<std::pair<std::size_t, std::size_t>> args;
   // Angle brackets are deliberately not tracked: `1ULL << x` lexes as two
-  // '<' tokens and would unbalance the depth; no send-site or enum argument
-  // contains a comma inside template angle brackets.
+  // '<' tokens and would unbalance the depth; no send-site, registration or
+  // spec-row argument contains a comma inside template angle brackets.
   int depth = 0;
   std::size_t start = open + 1;
   for (std::size_t i = open + 1; i < close; ++i) {
@@ -109,105 +105,6 @@ const WindowPrediction* Report::prediction_for(const std::string& server) const 
     if (p.server == server) return &p;
   }
   return nullptr;
-}
-
-std::vector<MsgDef> parse_protocol_enums(const LexedFile& f) {
-  std::vector<MsgDef> out;
-  const Tokens& t = f.tokens;
-  for (std::size_t i = 0; i + 2 < t.size(); ++i) {
-    if (!t[i].is_ident("enum")) continue;
-    std::size_t p = i + 1;
-    if (p < t.size() && (t[p].is_ident("class") || t[p].is_ident("struct"))) ++p;
-    if (p >= t.size() || t[p].kind != Tok::kIdent || !ends_with(t[p].text, "Msg")) continue;
-    const std::string enum_name = t[p].text;
-    std::size_t open = p + 1;
-    while (open < t.size() && !t[open].is("{") && !t[open].is(";")) ++open;
-    if (open >= t.size() || t[open].is(";")) continue;
-    const std::size_t close = match_forward(t, open, "{", "}");
-    for (auto [a, b] : split_args(t, open, close)) {
-      if (a >= b || t[a].kind != Tok::kIdent) continue;
-      MsgDef def;
-      def.name = t[a].text;
-      def.enum_name = enum_name;
-      def.file = f.path;
-      def.line = t[a].line;
-      // `NAME = 0x123`; enumerators in the protocol are always explicit.
-      if (a + 2 < b && t[a + 1].is("=") && t[a + 2].kind == Tok::kNumber) {
-        def.value = static_cast<std::uint32_t>(std::strtoul(t[a + 2].text.c_str(), nullptr, 0));
-      }
-      out.push_back(std::move(def));
-    }
-    i = close;
-  }
-  return out;
-}
-
-std::vector<ClassEntry> parse_classification(const LexedFile& f, std::vector<Finding>& findings) {
-  std::vector<ClassEntry> out;
-  const Tokens& t = f.tokens;
-  std::map<std::string, SeepClass> aliases;  // SM / NSM ...
-
-  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    // `const auto X = [seep::]SeepClass::kY;`
-    if (t[i].is_ident("auto") && i + 2 < t.size() && t[i + 1].kind == Tok::kIdent &&
-        t[i + 2].is("=")) {
-      for (std::size_t j = i + 3; j < t.size() && !t[j].is(";"); ++j) {
-        if (t[j].is_ident("SeepClass") && j + 2 < t.size() && t[j + 1].is("::")) {
-          aliases[t[i + 1].text] = seep_class_from_token(t[j + 2].text);
-          break;
-        }
-      }
-      continue;
-    }
-    // `c.set(NAME, CLASS[, replyable])`
-    if (!t[i].is_ident("set") || !t[i + 1].is("(") || i == 0 || !t[i - 1].is(".")) continue;
-    const std::size_t open = i + 1;
-    const std::size_t close = match_forward(t, open, "(", ")");
-    const auto args = split_args(t, open, close);
-    if (args.size() < 2) continue;
-    ClassEntry e;
-    e.file = f.path;
-    e.line = t[i].line;
-    e.msg = t[args[0].first].text;
-    // Derivation loops (`for (const MsgSpec& s : kMsgSpecTable) c.set(s.type,
-    // ...)`) are not literal entries: the spec rows themselves carry the
-    // classes, and the analyzer reads them via parse_spec_rows instead.
-    if (!looks_like_msg_constant(e.msg)) {
-      i = close;
-      continue;
-    }
-
-    // Class argument: an alias identifier or a `SeepClass::kX` expression.
-    const auto [ca, cb] = args[1];
-    bool resolved = false;
-    for (std::size_t j = ca; j < cb; ++j) {
-      if (t[j].is_ident("SeepClass") && j + 2 < cb && t[j + 1].is("::")) {
-        e.cls = seep_class_from_token(t[j + 2].text);
-        resolved = true;
-        break;
-      }
-      auto it = aliases.find(t[j].text);
-      if (t[j].kind == Tok::kIdent && it != aliases.end()) {
-        e.cls = it->second;
-        resolved = true;
-        break;
-      }
-    }
-    if (!resolved) {
-      findings.push_back(Finding{kDetStaleClassEntry, f.path, e.line,
-                                 "cannot resolve SEEP class expression for " + e.msg});
-    }
-    if (args.size() >= 3) {
-      const auto [ra, rb] = args[2];
-      for (std::size_t j = ra; j < rb; ++j) {
-        if (t[j].is_ident("false")) e.replyable = false;
-        if (t[j].is_ident("true")) e.replyable = true;
-      }
-    }
-    out.push_back(std::move(e));
-    i = close;
-  }
-  return out;
 }
 
 std::vector<SendSite> extract_send_sites(const LexedFile& f, const std::string& server) {
@@ -475,29 +372,8 @@ void crosscheck_spec_handlers(Report& report) {
 }
 
 void resolve_and_predict(Report& report) {
-  std::set<std::string> known_msgs;
-  for (const MsgDef& m : report.messages) known_msgs.insert(m.name);
-
-  std::map<std::string, const ClassEntry*> table;
-  for (const ClassEntry& e : report.classification) table[e.msg] = &e;
-
-  // Completeness: every protocol message must have an explicit entry, or its
-  // class is left to a conservative default that nobody reviewed.
-  for (const MsgDef& m : report.messages) {
-    if (table.count(m.name) != 0) continue;
-    report.findings.push_back(
-        Finding{kDetUnclassifiedMsg, m.file, m.line,
-                m.name + " (" + m.enum_name +
-                    ") has no classification entry: it silently falls to the "
-                    "conservative default (state-modifying, replyable)"});
-  }
-  // Staleness: every classification entry must name a live protocol message.
-  for (const ClassEntry& e : report.classification) {
-    if (known_msgs.count(e.msg) != 0) continue;
-    report.findings.push_back(
-        Finding{kDetStaleClassEntry, e.file, e.line,
-                e.msg + " is classified but not defined in any *Msg protocol enum"});
-  }
+  std::map<std::string, const SpecRow*> rows;
+  for (const SpecRow& r : report.spec) rows[r.name] = &r;
 
   // Resolve each site's SEEP class; deferred replies are state-modifying by
   // construction (ServerCommon::seep_deferred_reply hardwires the class).
@@ -510,8 +386,8 @@ void resolve_and_predict(Report& report) {
       s.cls = SeepClass::kStateModifying;
       s.classified = true;
     } else if (s.msg != "<dynamic>") {
-      auto it = table.find(s.msg);
-      if (it != table.end()) {
+      auto it = rows.find(s.msg);
+      if (it != rows.end()) {
         s.cls = it->second->cls;
         s.classified = true;
       } else {
@@ -519,7 +395,7 @@ void resolve_and_predict(Report& report) {
         report.findings.push_back(
             Finding{kDetUnclassifiedSend, s.file, s.line,
                     "send site uses " + s.msg +
-                        " which has no explicit classification entry: the window decision "
+                        " which has no OSIRIS_MSG_SPEC row: the window decision "
                         "falls to the conservative default"});
       }
     } else {

@@ -3,16 +3,13 @@
 // substitution.
 //
 //   * take message names, values and classes from the OSIRIS_MSG_SPEC rows
-//     (parse_spec_rows); pre-spec trees such as the fixture declare them in
-//     `*Msg` enums and a literal `c.set(...)` table, which still parse;
+//     (parse_spec_rows), the only protocol declaration;
 //   * extract all outbound seep_call / seep_send / seep_notify /
 //     seep_deferred_reply sites per server, resolving each site's message
 //     type (inline make_msg, or a local `Message x = make_msg(...)`);
 //   * build the static inter-component channel graph;
-//   * flag message types without a classification entry (unclassified-msg),
-//     send sites whose type has no explicit entry (unclassified-send), and
-//     classification entries for messages that no longer exist
-//     (stale-class-entry);
+//   * flag send sites whose type has no spec row or cannot be resolved
+//     statically (unclassified-send);
 //   * emit per-server, per-policy static recovery-window predictions that
 //     an integration test cross-validates against runtime WindowStats.
 #pragma once
@@ -23,13 +20,6 @@
 #include "model.hpp"
 
 namespace osiris::analyze {
-
-/// Parse `enum [class] <Name>Msg : type { NAME = value, ... }` definitions.
-std::vector<MsgDef> parse_protocol_enums(const LexedFile& f);
-
-/// Parse a pre-spec tree's literal `c.set(NAME, CLASS[, replyable])` entries
-/// plus the local `const auto SM = SeepClass::k...;` aliases they use.
-std::vector<ClassEntry> parse_classification(const LexedFile& f, std::vector<Finding>& findings);
 
 /// Extract outbound SEEP sites from one server implementation file.
 std::vector<SendSite> extract_send_sites(const LexedFile& f, const std::string& server);
@@ -43,8 +33,8 @@ std::vector<SpecRow> parse_spec_rows(const LexedFile& f);
 /// handler registrations from one server implementation file.
 std::vector<HandlerReg> extract_handler_regs(const LexedFile& f, const std::string& server);
 
-/// Cross-reference sites, enums and the classification: resolves each
-/// site's SEEP class, appends completeness findings, and fills the channel
+/// Cross-reference the send sites with the spec rows: resolves each site's
+/// SEEP class, appends unclassified-send findings, and fills the channel
 /// graph and the per-policy window predictions.
 void resolve_and_predict(Report& report);
 
