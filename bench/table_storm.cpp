@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
+    std::fprintf(stderr, "wrote %s\n", out_path.c_str());
   }
 
   // Self-checking exit: CI runs this binary as the storm acceptance gate.

@@ -4,11 +4,11 @@
 //
 //   $ ./build/examples/quickstart
 #include <cstdio>
-#include <cstring>
 
 #include "fi/registry.hpp"
 #include "os/instance.hpp"
 #include "support/log.hpp"
+#include "workload/campaign.hpp"
 #include "workload/suite.hpp"
 
 using namespace osiris;
@@ -16,17 +16,15 @@ using namespace osiris;
 int main() {
   slog::set_threshold(slog::Level::kInfo);  // narrate recoveries
 
-  // Warm-up machine: probes register lazily on first execution, so a tiny
-  // throwaway run makes PM's fault sites visible before we arm one.
-  {
-    slog::set_threshold(slog::Level::kWarn);
-    os::OsConfig warm_cfg;
-    os::OsInstance warm(warm_cfg);
-    workload::register_suite_programs(warm.programs());
-    warm.boot();
-    warm.run([](os::ISys& sys) { sys.getpid(); });
-    slog::set_threshold(slog::Level::kInfo);
-  }
+  // Profiling machine: probes register lazily on first execution, so a
+  // throwaway run of a few PM requests finds PM's busiest probe (its
+  // request-loop entry) before we arm it.
+  slog::set_threshold(slog::Level::kWarn);
+  fi::Site* pm_site = workload::busiest_site("pm", [](os::ISys& sys) {
+    for (int i = 0; i < 5; ++i) sys.getpid();
+  });
+  OSIRIS_ASSERT(pm_site != nullptr);
+  slog::set_threshold(slog::Level::kInfo);
 
   os::OsConfig cfg;                     // enhanced policy, optimized
   cfg.policy = seep::Policy::kEnhanced;  // instrumentation — the defaults
@@ -35,15 +33,7 @@ int main() {
   inst.boot();
   std::printf("== booted: PM, VM, VFS (multithreaded), DS, RS + SYS task ==\n");
 
-  // Arm one fail-stop fault on PM's busiest probe (its request-loop entry).
-  fi::Registry::instance().reset_counts();
-  fi::Site* pm_site = nullptr;
-  for (fi::Site* s : fi::Registry::instance().sites()) {
-    if (std::strcmp(s->tag, "pm") == 0 && (pm_site == nullptr || s->boot_hits() > pm_site->boot_hits())) {
-      pm_site = s;
-    }
-  }
-  OSIRIS_ASSERT(pm_site != nullptr);
+  // Arm one fail-stop fault there, on its 20th request of this run.
   fi::Registry::instance().arm(pm_site, fi::FaultType::kNullDeref, 20);
 
   const auto outcome = inst.run([](os::ISys& sys) {
@@ -75,7 +65,6 @@ int main() {
     }
     std::printf("[init] forks: %d ok, %d failed — system still running\n", ok, failed);
   });
-  fi::Registry::instance().disarm();
 
   std::printf("== machine outcome: %s ==\n", os::OsInstance::outcome_name(outcome));
   std::printf("recoveries: PM restarted %u time(s); undo-log rollbacks: %llu\n",

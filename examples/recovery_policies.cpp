@@ -7,11 +7,11 @@
 //
 //   $ ./build/examples/recovery_policies
 #include <cstdio>
-#include <cstring>
 
 #include "fi/registry.hpp"
 #include "os/instance.hpp"
 #include "support/table_printer.hpp"
+#include "workload/campaign.hpp"
 #include "workload/suite.hpp"
 
 using namespace osiris;
@@ -31,27 +31,15 @@ const fi::Site* g_site = nullptr;
 /// Profile the demo workload once without faults: find DS's busiest site
 /// and a trigger point that lands inside the user's publish loop.
 void profile_demo() {
-  fi::Registry::instance().disarm();
-  fi::Registry::instance().reset_counts();
-  os::OsConfig cfg;
-  os::OsInstance inst(cfg);
-  workload::register_suite_programs(inst.programs());
-  inst.boot();
-  inst.run([](os::ISys& sys) {
+  fi::Site* best = workload::busiest_site("ds", [](os::ISys& sys) {
     for (int i = 0; i < 20; ++i) sys.ds_publish("demo.key" + std::to_string(i), 1);
   });
-  fi::Site* best = nullptr;
-  for (fi::Site* s : fi::Registry::instance().sites()) {
-    if (std::strcmp(s->tag, "ds") == 0 && (best == nullptr || s->hits() > best->hits())) best = s;
-  }
   OSIRIS_ASSERT(best != nullptr && best->hits() > 4);
   g_site = best;
   g_trigger_hit = best->hits() * 3 / 4;  // well inside the user's loop
 }
 
 Result run_under(seep::Policy policy) {
-  fi::Registry::instance().disarm();
-  fi::Registry::instance().reset_counts();
   os::OsConfig cfg;
   cfg.policy = policy;
   os::OsInstance inst(cfg);
@@ -78,7 +66,6 @@ Result run_under(seep::Policy policy) {
     }
   });
   res.recoveries = inst.engine().recoveries_of(kernel::kDsEp);
-  fi::Registry::instance().disarm();
   return res;
 }
 

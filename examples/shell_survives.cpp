@@ -59,7 +59,6 @@ int main() {
     std::printf("sh: script done; PM was recovered %u time(s) along the way\n",
                 inst.engine().recoveries_of(kernel::kPmEp));
   });
-  fi::Registry::instance().disarm();
 
   std::printf("machine outcome: %s (the failure was cleanly handled and the system\n"
               "is once again in a stable and consistent state)\n",

@@ -94,7 +94,8 @@ class Registry {
   /// though counters are per-thread).
   [[nodiscard]] static std::vector<Site*> sites() { return SiteDirectory::instance().snapshot(); }
 
-  /// Zero all per-run execution counters (called between campaign runs).
+  /// Zero all per-run execution counters. OsInstance::boot() calls it, after
+  /// disarm(), so every machine starts a fresh run.
   void reset_counts();
 
   /// Snapshot current counts into boot_hits and zero them: everything

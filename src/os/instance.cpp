@@ -122,6 +122,11 @@ void OsInstance::boot() {
   OSIRIS_ASSERT(!booted_);
   booted_ = true;
 
+  // Boot opens the fault-injection run: nothing armed for an earlier
+  // machine on this thread carries over, and every counter starts at zero.
+  fi::Registry::instance().disarm();
+  fi::Registry::instance().reset_counts();
+
   disk_ = std::make_unique<fs::BlockDevice>(clock_, cfg_.disk_blocks);
   fs::MiniFs::mkfs(*disk_);
 

@@ -87,8 +87,11 @@ class OsInstance {
 
   ProgramRegistry& programs() noexcept { return programs_; }
 
-  /// Format + populate the disk, construct and wire all servers, start
-  /// heartbeats, and mark boot complete for the fault-injection registry.
+  /// Open the calling thread's fault-injection run (disarm the registry and
+  /// zero its counters), format + populate the disk, construct and wire all
+  /// servers, start heartbeats, and mark boot complete for the registry.
+  /// Faults are armed after boot() returns; the counters stay readable after
+  /// the machine is destroyed, until the next boot().
   void boot();
 
   /// Run `init_body` as pid 1 to completion. Returns the machine's fate.

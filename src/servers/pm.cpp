@@ -40,12 +40,6 @@ void Pm::register_boot_proc(std::int32_t pid, kernel::Endpoint client_ep,
   p.name.assign(name);
 }
 
-std::int32_t Pm::pid_of_endpoint(kernel::Endpoint ep) const {
-  const std::size_t i =
-      st().procs.find([&](const PmProc& p) { return p.client_ep == ep.value; });
-  return i == kNpos ? -1 : st().procs.at(i).pid;
-}
-
 std::size_t Pm::slot_of_pid(std::int32_t pid) const {
   return st().procs.find([pid](const PmProc& p) { return p.pid == pid; });
 }

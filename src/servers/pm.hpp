@@ -65,8 +65,8 @@ class Pm final : public ServerBase<PmState> {
   void register_boot_proc(std::int32_t pid, kernel::Endpoint client_ep,
                           std::string_view name);
 
-  /// Pid of the process bound to a client endpoint (harness/test helper).
-  [[nodiscard]] std::int32_t pid_of_endpoint(kernel::Endpoint ep) const;
+  /// Processes in the table, zombies included (harness/test helper).
+  [[nodiscard]] std::size_t proc_count() const { return st().procs.in_use_count(); }
 
  protected:
   void on_message(const kernel::Message& m) override;

@@ -1,5 +1,6 @@
 #include "servers/vfs.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "support/log.hpp"
@@ -889,9 +890,11 @@ kernel::Message Vfs::fs_read(const Message& m, std::size_t file_idx) {
   } else {
     // A grant shorter than `len` still serves a read that the file's tail
     // cuts short, so a refused span falls back to staging and copies only
-    // the bytes read; safecopy_to then reports any other refusal.
-    std::vector<std::byte> tmp(len);
-    n = minifs_.read(f.ino, f.pos, std::span<std::byte>(tmp.data(), len));
+    // the bytes read; safecopy_to then reports any other refusal. No file
+    // holds more than kMaxFileSize, so neither does the staging buffer,
+    // whatever length the request names.
+    std::vector<std::byte> tmp(std::min(len, fs::kMaxFileSize));
+    n = minifs_.read(f.ino, f.pos, std::span<std::byte>(tmp.data(), tmp.size()));
     if (n < 0) return make_reply(m.type, n);
     const std::int64_t copied =
         kern().safecopy_to(endpoint(), m.arg[1], 0, tmp.data(), static_cast<std::size_t>(n));

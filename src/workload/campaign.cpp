@@ -25,22 +25,16 @@ os::OsConfig config_for(seep::Policy policy) {
 /// The one campaign run: a fresh machine under `cfg` runs the suite. `arm`
 /// gets the calling thread's probe registry after boot, so boot-time
 /// executions cannot trigger the fault (plans are drawn from post-boot
-/// profiles anyway). `judge(inst, suite)` reads the finished machine before
-/// the registry is disarmed, and its verdict is returned. Each worker owns
-/// an isolated registry, so concurrent runs never see each other's state.
+/// profiles anyway). `judge(inst, suite)` reads the finished machine, and
+/// its verdict is returned. Each worker owns an isolated registry, so
+/// concurrent runs never see each other's state.
 template <typename Arm, typename Judge>
 auto run_armed(const os::OsConfig& cfg, Arm arm, Judge judge) {
-  fi::Registry& reg = fi::Registry::instance();
-  reg.disarm();
-  reg.reset_counts();
   os::OsInstance inst(cfg);
   register_suite_programs(inst.programs());
   inst.boot();
-  arm(reg);
-  const SuiteResult suite = run_suite(inst);
-  auto verdict = judge(inst, suite);
-  reg.disarm();
-  return verdict;
+  arm(fi::Registry::instance());
+  return judge(inst, run_suite(inst));
 }
 
 /// Run `one(i)` for every plan index on opts.jobs workers. Workers write
@@ -66,6 +60,22 @@ std::vector<std::pair<fi::Site*, std::uint64_t>> profile_sites() {
         }
         return out;
       });
+}
+
+fi::Site* busiest_site(const char* tag, const os::ISys::ProcBody& body) {
+  {
+    os::OsInstance inst{os::OsConfig{}};
+    register_suite_programs(inst.programs());
+    inst.boot();
+    inst.run(body);
+  }
+  fi::Site* best = nullptr;
+  for (fi::Site* s : fi::Registry::sites()) {
+    if (std::string_view(s->tag) == tag && s->hits() > (best == nullptr ? 0 : best->hits())) {
+      best = s;
+    }
+  }
+  return best;
 }
 
 std::vector<Injection> plan_failstop(int points_per_site) {

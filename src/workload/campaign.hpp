@@ -22,6 +22,7 @@
 
 #include "fi/fault.hpp"
 #include "fi/registry.hpp"
+#include "os/isys.hpp"
 #include "seep/policy.hpp"
 #include "support/clock.hpp"
 
@@ -48,6 +49,11 @@ struct Injection {
 /// Profiling run: returns the triggered, non-boot-time sites with their
 /// per-run hit counts (the fault-candidate pool).
 std::vector<std::pair<fi::Site*, std::uint64_t>> profile_sites();
+
+/// Profiling run of `body` on a default machine with the suite programs:
+/// the probe of `tag` with the most post-boot hits (the first registered
+/// among equals), or nullptr when no probe of `tag` ran.
+fi::Site* busiest_site(const char* tag, const os::ISys::ProcBody& body);
 
 /// Draw the fail-stop plan: `points_per_site` null-deref injections per
 /// triggered site, spread across its execution count.

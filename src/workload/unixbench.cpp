@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 
 #include "os/instance.hpp"
 #include "os/mono.hpp"
 #include "servers/protocol.hpp"
 #include "support/common.hpp"
+#include "workload/campaign.hpp"
 #include "workload/suite.hpp"
 
 namespace osiris::workload {
@@ -223,42 +223,27 @@ void register_ub_programs(os::ProgramRegistry& registry) {
 }
 
 fi::Site* pm_entry_site() {
-  // Profile a tiny run, so that every PM site has registered itself.
-  fi::Registry::instance().disarm();
-  fi::Registry::instance().reset_counts();
-  {
-    os::OsInstance inst;
-    inst.boot();
-    inst.run([](ISys& sys) {
-      for (int i = 0; i < 50; ++i) sys.getpid();
-    });
-  }
-  fi::Site* best = nullptr;
-  for (fi::Site* s : fi::Registry::instance().sites()) {
-    if (std::strcmp(s->tag, "pm") == 0 && (best == nullptr || s->hits() > best->hits())) best = s;
-  }
-  OSIRIS_ASSERT(best != nullptr);
-  return best;
+  fi::Site* site = busiest_site("pm", [](ISys& sys) {
+    for (int i = 0; i < 50; ++i) sys.getpid();
+  });
+  OSIRIS_ASSERT(site != nullptr);
+  return site;
 }
 
 Fig3Cell run_fig3_cell(const UbWorkload& w, fi::Site* site, std::uint64_t interval,
                        double scale) {
   const std::uint64_t iters = std::max<std::uint64_t>(
       static_cast<std::uint64_t>(static_cast<double>(w.default_iters) * scale / 2), 1);
-  fi::Registry& reg = fi::Registry::instance();
-  reg.disarm();
-  reg.reset_counts();
   os::OsConfig cfg;
   cfg.max_recoveries = 1u << 30;  // Figure 3 sustains recovery indefinitely
   os::OsInstance inst(cfg);
   register_ub_programs(inst.programs());
   inst.boot();
-  if (interval > 0) reg.arm_periodic_window_crash(site, interval);
+  if (interval > 0) fi::Registry::instance().arm_periodic_window_crash(site, interval);
   g_completed = 0;
   Fig3Cell cell;
   cell.outcome = inst.run([&w, iters](ISys& sys) { w.body(sys, iters); });
   cell.completed = g_completed;
-  reg.disarm();
   return cell;
 }
 

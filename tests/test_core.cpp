@@ -6,7 +6,6 @@
 using namespace osiris;
 
 TEST(Metrics, SnapshotAfterSuiteRun) {
-  fi::Registry::instance().disarm();
   os::OsConfig cfg;
   os::OsInstance inst(cfg);
   workload::register_suite_programs(inst.programs());
@@ -40,37 +39,19 @@ TEST(Metrics, SnapshotAfterSuiteRun) {
 }
 
 TEST(Metrics, RecoveryCountsAppear) {
-  fi::Registry::instance().disarm();
-  fi::Registry::instance().reset_counts();
-  // Profile to find a PM site.
-  fi::Site* site = nullptr;
-  {
-    os::OsConfig cfg;
-    os::OsInstance inst(cfg);
-    workload::register_suite_programs(inst.programs());
-    inst.boot();
-    inst.run([](os::ISys& sys) {
-      for (int i = 0; i < 20; ++i) sys.getpid();
-    });
-    for (fi::Site* s : fi::Registry::instance().sites()) {
-      if (std::string_view(s->tag) == "pm" && s->hits() > 10) {
-        site = s;
-        break;
-      }
-    }
-  }
+  const auto getpids = [](os::ISys& sys) {
+    for (int i = 0; i < 20; ++i) sys.getpid();
+  };
+  fi::Site* site = workload::busiest_site("pm", getpids);
   ASSERT_NE(site, nullptr);
-  fi::Registry::instance().reset_counts();
+  ASSERT_GT(site->hits(), 10u);
 
   os::OsConfig cfg;
   os::OsInstance inst(cfg);
   workload::register_suite_programs(inst.programs());
   inst.boot();
   fi::Registry::instance().arm(site, fi::FaultType::kNullDeref, 10);
-  inst.run([](os::ISys& sys) {
-    for (int i = 0; i < 20; ++i) sys.getpid();
-  });
-  fi::Registry::instance().disarm();
+  inst.run(getpids);
 
   const core::SystemMetrics m = core::collect_metrics(inst);
   EXPECT_EQ(m.kernel.crashes, 1u);
@@ -80,7 +61,6 @@ TEST(Metrics, RecoveryCountsAppear) {
 
 TEST(Metrics, SnapshotWithoutRecovery) {
   // The Tables IV/V baseline: no engine, but the five servers still report.
-  fi::Registry::instance().disarm();
   os::OsConfig cfg;
   cfg.recovery_enabled = false;
   os::OsInstance inst(cfg);

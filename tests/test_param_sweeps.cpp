@@ -9,7 +9,6 @@
 #include <cstring>
 #include <numeric>
 
-#include "fi/registry.hpp"
 #include "fs/direct_store.hpp"
 #include "fs/minifs.hpp"
 #include "os/instance.hpp"
@@ -53,7 +52,6 @@ std::string compact_workload(os::OsInstance& inst) {
 }  // namespace
 
 TEST_P(PolicyModeP, CompactWorkloadIdenticalAcrossMatrix) {
-  fi::Registry::instance().disarm();
   // Reference trace: uninstrumented enhanced configuration, computed once.
   static const std::string reference = [] {
     os::OsConfig ref_cfg;
@@ -159,7 +157,6 @@ class PipeChunkP : public ::testing::TestWithParam<std::size_t> {};
 }  // namespace
 
 TEST_P(PipeChunkP, RoundTripPreservesBytesAcrossWraparound) {
-  fi::Registry::instance().disarm();
   const std::size_t chunk = GetParam();
   os::OsConfig cfg;
   os::OsInstance inst(cfg);

@@ -291,7 +291,6 @@ std::pair<std::string, std::string> both_traces(
     const std::function<void(ISys&, std::string*)>& scenario) {
   std::string micro_trace;
   {
-    fi::Registry::instance().disarm();
     os::OsConfig cfg;
     os::OsInstance inst(cfg);
     workload::register_suite_programs(inst.programs());
@@ -359,9 +358,8 @@ TEST_P(RecoveryTransparencyP, CompletedRunsLeaveAccountingIntact) {
   const std::uint64_t seed = GetParam();
 
   // Profile once to learn the triggered sites of this scenario.
-  fi::Registry::instance().disarm();
-  fi::Registry::instance().reset_counts();
   std::uint64_t baseline_free = 0;
+  std::size_t baseline_procs = 0;
   {
     os::OsConfig cfg;
     os::OsInstance inst(cfg);
@@ -372,6 +370,7 @@ TEST_P(RecoveryTransparencyP, CompletedRunsLeaveAccountingIntact) {
       random_scenario(sys, seed, &trace);
       sys.getmeminfo(&baseline_free, nullptr);
     });
+    baseline_procs = inst.pm().proc_count();
   }
   std::vector<fi::Site*> candidates;
   for (fi::Site* s : fi::Registry::instance().sites()) {
@@ -383,7 +382,6 @@ TEST_P(RecoveryTransparencyP, CompletedRunsLeaveAccountingIntact) {
   Rng rng(seed * 7919);
   fi::Site* site = candidates[rng.below(candidates.size())];
   const std::uint64_t trigger = rng.range(1, site->hits());
-  fi::Registry::instance().reset_counts();
 
   os::OsConfig cfg;
   cfg.policy = seep::Policy::kEnhanced;
@@ -397,7 +395,6 @@ TEST_P(RecoveryTransparencyP, CompletedRunsLeaveAccountingIntact) {
     random_scenario(sys, seed, &trace);
     sys.getmeminfo(&free_after, nullptr);
   });
-  fi::Registry::instance().disarm();
 
   if (outcome != os::OsInstance::Outcome::kCompleted) {
     // Shutdown is a legitimate consistent outcome; nothing more to check.
@@ -411,8 +408,10 @@ TEST_P(RecoveryTransparencyP, CompletedRunsLeaveAccountingIntact) {
     EXPECT_EQ(free_after, baseline_free)
         << "VM frames leaked after recovery at " << site->tag << ":" << site->line;
   }
-  // All children were reaped: only init remains.
-  EXPECT_EQ(inst.pm().pid_of_endpoint(kernel::Endpoint{-1}), -1);
+  // PM's process table ends as the fault-free run's did: no process, live
+  // or zombie, outlived the recovery.
+  EXPECT_EQ(inst.pm().proc_count(), baseline_procs)
+      << "processes leaked after recovery at " << site->tag << ":" << site->line;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RecoveryTransparencyP,

@@ -46,14 +46,11 @@ struct StormRun {
 /// monitor with it, with a storm optionally armed — the same shape as a
 /// workload::run_storm_plan run, but exposing the raw stats.
 StormRun run_storm_scenario(const workload::StormInjection& s) {
-  fi::Registry& reg = fi::Registry::instance();
-  reg.disarm();
-  reg.reset_counts();
-
   os::OsConfig cfg;
   os::OsInstance inst(cfg);
   workload::register_suite_programs(inst.programs());
   inst.boot();
+  fi::Registry& reg = fi::Registry::instance();
   if (s.site != nullptr) {
     reg.set_storm_plan(s.victim, s.burst);
     reg.arm_persistent(s.site, s.type, s.trigger_hit);
@@ -79,7 +76,6 @@ StormRun run_storm_scenario(const workload::StormInjection& s) {
   r.ks = inst.kern().stats();
   r.es = inst.engine().stats();
   r.armed_after_suite = reg.armed();
-  reg.disarm();
   return r;
 }
 
@@ -282,9 +278,6 @@ TEST(Storm, HeartbeatTrafficNeverFeversRs) {
   // sweeping at pace well past the point where heartbeat traffic alone
   // would have built a fever (about t = 4,850) and the throttle gate would
   // then have dropped RS's sweep note for good.
-  fi::Registry& reg = fi::Registry::instance();
-  reg.disarm();
-  reg.reset_counts();
   os::OsConfig cfg;
   cfg.heartbeat_interval = 50;
   os::OsInstance inst(cfg);
@@ -304,9 +297,6 @@ TEST(Storm, RecoveryOffMachineNeverSamples) {
   // The monitor is part of recovery: a machine without it (the Table IV/V
   // pure-performance baselines) installs no storm handler, so the kernel
   // neither samples nor charges, and its suite run is the pre-monitor one.
-  fi::Registry& reg = fi::Registry::instance();
-  reg.disarm();
-  reg.reset_counts();
   os::OsConfig cfg;
   cfg.recovery_enabled = false;
   os::OsInstance inst(cfg);
@@ -331,9 +321,6 @@ TEST(Storm, MonitorTracksLiveEndpointsOnly) {
   // charged. Sampled after each reap, when the only live client is init
   // itself, the tracked count may cover at most the servers plus init, and
   // must not drift across a thousand rounds.
-  fi::Registry& reg = fi::Registry::instance();
-  reg.disarm();
-  reg.reset_counts();
   os::OsConfig cfg;
   cfg.policy = seep::Policy::kNaive;
   os::OsInstance inst(cfg);

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "fi/registry.hpp"
 #include "os/instance.hpp"
 #include "servers/protocol.hpp"
 #include "support/rng.hpp"
@@ -31,14 +30,6 @@ using os::ISys;
 using os::OsInstance;
 
 namespace {
-
-struct FiGuard {
-  FiGuard() {
-    fi::Registry::instance().disarm();
-    fi::Registry::instance().reset_counts();
-  }
-  ~FiGuard() { fi::Registry::instance().disarm(); }
-};
 
 std::int64_t write_all(ISys& sys, std::int64_t fd, const std::vector<std::byte>& data) {
   return sys.write(fd, std::span<const std::byte>(data.data(), data.size()));
@@ -313,7 +304,6 @@ SweepCell run_sweep(int depth) {
 }  // namespace
 
 TEST(VfsWorkers, MissDepthSweepIsExact) {
-  FiGuard guard;
   struct Pin {
     int depth;
     Tick ticks;
@@ -445,7 +435,6 @@ std::vector<std::vector<std::byte>> interleave_run(
 }  // namespace
 
 TEST(VfsWorkers, ConcurrentSchedulesMatchSerialReference) {
-  FiGuard guard;
   constexpr std::uint32_t kFileBytes = 6 * 1024;
   constexpr std::size_t kClients = 3;
   for (const std::uint32_t seed : {1u, 2u, 3u}) {
@@ -485,7 +474,6 @@ struct CellRun {
 /// into `r`.
 template <typename Drive>
 void run_machine(bool health, bool traced, CellRun& r, Drive drive) {
-  fi::Registry::instance().reset_counts();
   os::OsConfig cfg;
   cfg.recovery_enabled = health;
   cfg.cache_blocks = 4;
@@ -517,7 +505,6 @@ CellRun run_cell(bool health, bool traced) {
 class HealthMatrixP : public ::testing::TestWithParam<bool> {};
 
 TEST_P(HealthMatrixP, SuiteAndColdReadsComplete) {
-  FiGuard guard;
   const bool health = GetParam();
   const CellRun r = run_cell(health, /*traced=*/false);
   EXPECT_EQ(r.suite.outcome, OsInstance::Outcome::kCompleted);
@@ -543,7 +530,6 @@ INSTANTIATE_TEST_SUITE_P(Compose, HealthMatrixP, ::testing::Bool(),
 TEST(HealthMatrix, TracedCellIsByteIdentical) {
   // The health-on cell, traced twice: the monitor and the workers' disk
   // waits together must keep the determinism contract the goldens rely on.
-  FiGuard guard;
   const CellRun a = run_cell(/*health=*/true, /*traced=*/true);
   const CellRun b = run_cell(/*health=*/true, /*traced=*/true);
   ASSERT_GT(a.vfs_yields, 0u);
@@ -624,7 +610,6 @@ kernel::Message seek0(std::int64_t fd) {
 }  // namespace
 
 TEST(VfsWorkers, CompletedMissKeepsBlockDirtiedDuringTheWait) {
-  FiGuard guard;
   os::OsConfig cfg;
   cfg.cache_blocks = 8;
   OsInstance inst(cfg);

@@ -252,6 +252,14 @@ TEST(ZeroCopy, ShortGrantReadFallsBackAndShortGrantWriteFails) {
   EXPECT_TRUE(std::equal(tail.begin(), tail.end(), data.begin() + 60));
   EXPECT_EQ(inst.kern().stats().safecopy_bytes, 40u);
 
+  // However long the request says the read is, the staging buffer holds at
+  // most a whole file: a 1 TiB read of the same tail returns it.
+  ASSERT_EQ(cli.call(servers::encode(servers::VFS_LSEEK, fd, 60, 0)).sarg(0), 60);
+  std::fill(tail.begin(), tail.end(), std::byte{0xee});
+  EXPECT_EQ(cli.rw(servers::VFS_READ, fd, tail, std::size_t{1} << 40), 40);
+  EXPECT_TRUE(std::equal(tail.begin(), tail.end(), data.begin() + 60));
+  EXPECT_EQ(inst.kern().stats().safecopy_bytes, 80u);
+
   // The same short grant over a longer tail cannot hold what was read.
   ASSERT_EQ(cli.call(servers::encode(servers::VFS_LSEEK, fd, 0, 0)).sarg(0), 0);
   EXPECT_EQ(cli.rw(servers::VFS_READ, fd, tail, 64), kernel::E_INVAL);
