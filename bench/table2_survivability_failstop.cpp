@@ -29,15 +29,7 @@ int main(int argc, char** argv) {
   const int points = std::getenv("OSIRIS_POINTS_PER_SITE")
                          ? std::atoi(std::getenv("OSIRIS_POINTS_PER_SITE"))
                          : 3;
-  const int sample =
-      std::getenv("OSIRIS_SAMPLE") ? std::atoi(std::getenv("OSIRIS_SAMPLE")) : 1;
-
-  std::vector<Injection> plan = plan_failstop(points);
-  if (sample > 1) {
-    std::vector<Injection> sampled;
-    for (std::size_t i = 0; i < plan.size(); i += sample) sampled.push_back(plan[i]);
-    plan = std::move(sampled);
-  }
+  const std::vector<Injection> plan = thin(plan_failstop(points), bench::parse_sample());
   std::printf("Table II — survivability under fail-stop fault injection\n");
   std::printf("(%zu injections per policy; the same plan applied to every policy)\n\n",
               plan.size());
@@ -46,10 +38,8 @@ int main(int argc, char** argv) {
   TablePrinter table({"Recovery mode", "Pass", "Fail", "Shutdown", "Crash"});
   for (auto policy : {seep::Policy::kStateless, seep::Policy::kNaive,
                       seep::Policy::kPessimistic, seep::Policy::kEnhanced}) {
-    const CampaignTotals t = run_campaign(policy, plan, opts);
-    table.add_row({seep::policy_name(policy), TablePrinter::pct(t.frac(t.pass)),
-                   TablePrinter::pct(t.frac(t.fail)), TablePrinter::pct(t.frac(t.shutdown)),
-                   TablePrinter::pct(t.frac(t.crash))});
+    table.add_row(
+        bench::share_row(seep::policy_name(policy), run_plan(policy, plan, opts), survival_class));
     std::fflush(stdout);
   }
   table.print();

@@ -29,15 +29,7 @@ int main(int argc, char** argv) {
                            : 2;
   const std::uint64_t seed =
       std::getenv("OSIRIS_SEED") ? std::strtoull(std::getenv("OSIRIS_SEED"), nullptr, 10) : 316;
-  const int sample =
-      std::getenv("OSIRIS_SAMPLE") ? std::atoi(std::getenv("OSIRIS_SAMPLE")) : 1;
-
-  std::vector<Injection> plan = plan_edfi(seed, per_site);
-  if (sample > 1) {
-    std::vector<Injection> sampled;
-    for (std::size_t i = 0; i < plan.size(); i += sample) sampled.push_back(plan[i]);
-    plan = std::move(sampled);
-  }
+  const std::vector<Injection> plan = thin(plan_edfi(seed, per_site), bench::parse_sample());
   std::printf("Table III — survivability under full EDFI fault injection\n");
   std::printf("(%zu injections per policy, mixed fault types, seed %llu)\n\n", plan.size(),
               static_cast<unsigned long long>(seed));
@@ -46,10 +38,8 @@ int main(int argc, char** argv) {
   TablePrinter table({"Recovery mode", "Pass", "Fail", "Shutdown", "Crash"});
   for (auto policy : {seep::Policy::kStateless, seep::Policy::kNaive,
                       seep::Policy::kPessimistic, seep::Policy::kEnhanced}) {
-    const CampaignTotals t = run_campaign(policy, plan, opts);
-    table.add_row({seep::policy_name(policy), TablePrinter::pct(t.frac(t.pass)),
-                   TablePrinter::pct(t.frac(t.fail)), TablePrinter::pct(t.frac(t.shutdown)),
-                   TablePrinter::pct(t.frac(t.crash))});
+    table.add_row(
+        bench::share_row(seep::policy_name(policy), run_plan(policy, plan, opts), survival_class));
     std::fflush(stdout);
   }
   table.print();

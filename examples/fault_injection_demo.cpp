@@ -17,32 +17,24 @@ int main() {
   std::printf("%zu candidate sites executed after boot\n\n", sites.size());
 
   // A small mixed plan: one EDFI injection per 12th site.
-  std::vector<Injection> plan;
-  {
-    const auto full = plan_edfi(/*seed=*/7, /*injections_per_site=*/1);
-    for (std::size_t i = 0; i < full.size(); i += 12) plan.push_back(full[i]);
-  }
+  const std::vector<Injection> plan = thin(plan_edfi(/*seed=*/7, /*injections_per_site=*/1), 12);
   std::printf("running %zu injections under the enhanced policy:\n\n", plan.size());
 
   TablePrinter table({"#", "Site", "Fault", "Trigger hit", "Run outcome"});
-  CampaignTotals totals;
-  int idx = 0;
-  for (const Injection& inj : plan) {
-    const RunClass rc = run_one_injection(seep::Policy::kEnhanced, inj);
-    switch (rc) {
-      case RunClass::kPass: ++totals.pass; break;
-      case RunClass::kFail: ++totals.fail; break;
-      case RunClass::kShutdown: ++totals.shutdown; break;
-      case RunClass::kCrash: ++totals.crash; break;
-    }
-    table.add_row({std::to_string(++idx),
+  const std::vector<RunRecord> runs = run_plan(seep::Policy::kEnhanced, plan);
+  int totals[4] = {};  // indexed by RunClass
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    const Injection& inj = plan[i];
+    const RunClass rc = survival_class(runs[i]);
+    ++totals[static_cast<int>(rc)];
+    table.add_row({std::to_string(i + 1),
                    std::string(inj.site->tag) + ":" + std::to_string(inj.site->line),
                    fi::fault_name(inj.type), std::to_string(inj.trigger_hit),
                    run_class_name(rc)});
   }
   table.print();
-  std::printf("\ntotals: %d pass, %d fail, %d shutdown, %d crash\n", totals.pass, totals.fail,
-              totals.shutdown, totals.crash);
+  std::printf("\ntotals: %d pass, %d fail, %d shutdown, %d crash\n", totals[0], totals[1],
+              totals[2], totals[3]);
   std::printf("(run bench/table2_survivability_failstop and table3_survivability_edfi\n"
               "for the full campaigns behind the paper's Tables II and III)\n");
   return 0;

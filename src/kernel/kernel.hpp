@@ -91,6 +91,8 @@ struct KernelStats {
   std::uint64_t throttled_drops = 0;  // deliveries dropped at the storm-throttle gate
   std::uint64_t starved_quanta = 0;   // quanta where charged traffic crowded out >1/2
   std::uint64_t dispatch_aborts = 0;  // drain loops cut short by the livelock valve
+
+  friend bool operator==(const KernelStats&, const KernelStats&) = default;
 };
 
 class Kernel {

@@ -85,6 +85,8 @@ struct EngineStats {
   /// flood storms accumulate pump periods.
   Tick detection_latency_ticks = 0;
   bool storm_detected = false;  // latch: detection_latency_ticks is valid
+
+  friend bool operator==(const EngineStats&, const EngineStats&) = default;
 };
 
 class Engine {

@@ -37,6 +37,8 @@ struct SuiteResult {
   bool driver_completed = false;  // init ran the whole list
   os::OsInstance::Outcome outcome = os::OsInstance::Outcome::kCompleted;
   std::vector<std::string> failures;
+
+  friend bool operator==(const SuiteResult&, const SuiteResult&) = default;
 };
 
 /// Run the full suite as init on a booted instance.

@@ -25,8 +25,8 @@ namespace {
 
 /// The plan_storm() entry for `type` whose site lives in subsystem `tag`
 /// (every subsystem gets one spin and one flood entry).
-workload::StormInjection storm_entry(fi::FaultType type, std::string_view tag) {
-  for (const workload::StormInjection& s : workload::plan_storm()) {
+workload::Injection storm_entry(fi::FaultType type, std::string_view tag) {
+  for (const workload::Injection& s : workload::plan_storm()) {
     if (s.site != nullptr && s.type == type && std::string_view(s.site->tag) == tag) return s;
   }
   ADD_FAILURE() << "no " << fi::fault_name(type) << " entry for tag " << tag;
@@ -44,8 +44,8 @@ struct StormRun {
 
 /// One suite run on a default machine, whose recovery brings the health
 /// monitor with it, with a storm optionally armed — the same shape as a
-/// workload::run_storm_plan run, but exposing the raw stats.
-StormRun run_storm_scenario(const workload::StormInjection& s) {
+/// workload::run_one run, but it also drains the clock after the suite.
+StormRun run_storm_scenario(const workload::Injection& s) {
   os::OsConfig cfg;
   os::OsInstance inst(cfg);
   workload::register_suite_programs(inst.programs());
@@ -212,7 +212,7 @@ TEST(Storm, HandlerSpinMasksHeartbeatsButNotTheMonitor) {
   // the same component as feverish and the ladder's storm rung engages. The
   // machine is a default OsConfig with no health setting anywhere: the
   // monitor comes with recovery.
-  const workload::StormInjection spin = storm_entry(fi::FaultType::kHandlerSpin, "pm");
+  const workload::Injection spin = storm_entry(fi::FaultType::kHandlerSpin, "pm");
   ASSERT_NE(spin.site, nullptr);
   const StormRun r = run_storm_scenario(spin);
 
@@ -229,7 +229,7 @@ TEST(Storm, QuarantineDisarmsStormAndReadmitsClean) {
   // quarantine disarms it, so the flood pump stops and the readmitted
   // component comes back healthy. The ds flood is the canonical instance —
   // it escalates past the throttle and the suite still completes.
-  const workload::StormInjection flood = storm_entry(fi::FaultType::kChannelFlood, "ds");
+  const workload::Injection flood = storm_entry(fi::FaultType::kChannelFlood, "ds");
   ASSERT_NE(flood.site, nullptr);
   const StormRun r = run_storm_scenario(flood);
 
@@ -246,7 +246,7 @@ TEST(Storm, FloodDetectionLatencyIsBounded) {
   // Channel floods are clock-pumped, so their detection latency is measured
   // in real virtual time. The bound is deliberately loose (a handful of
   // fever quanta at pump pace); the bench reports the exact number.
-  const workload::StormInjection flood = storm_entry(fi::FaultType::kChannelFlood, "vm");
+  const workload::Injection flood = storm_entry(fi::FaultType::kChannelFlood, "vm");
   ASSERT_NE(flood.site, nullptr);
   const StormRun r = run_storm_scenario(flood);
 
@@ -260,7 +260,7 @@ TEST(Storm, CleanSuiteProducesZeroFalsePositives) {
   // I/O bursts and idle heartbeat-only stretches — must never read as a
   // fever. This is the property the EWMA threshold and the heartbeat
   // exemption exist to uphold.
-  const StormRun r = run_storm_scenario(workload::StormInjection{});
+  const StormRun r = run_storm_scenario(workload::Injection{});
 
   EXPECT_GT(r.ks.health_charges, 0u) << "the monitor never sampled";
   EXPECT_EQ(r.ks.fever_onsets, 0u) << "health monitor cried wolf on a clean run";
