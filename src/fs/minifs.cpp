@@ -227,6 +227,36 @@ std::int64_t MiniFs::lookup(Ino dir, std::string_view name) {
   return E_NOENT;
 }
 
+std::int64_t MiniFs::resolve_parent(std::string_view path, Ino* dir, std::string_view* leaf) {
+  if (path.empty() || path[0] != '/') return E_INVAL;
+  Ino cur = kRootIno;
+  std::string_view rest = path.substr(1);
+  while (true) {
+    const std::size_t slash = rest.find('/');
+    if (slash == std::string_view::npos) {
+      if (rest.empty()) return E_INVAL;
+      *dir = cur;
+      *leaf = rest;
+      return OK;
+    }
+    const std::string_view comp = rest.substr(0, slash);
+    rest = rest.substr(slash + 1);
+    if (comp.empty()) continue;
+    const std::int64_t r = lookup(cur, comp);
+    if (r < 0) return r;
+    cur = static_cast<Ino>(r);
+  }
+}
+
+std::int64_t MiniFs::resolve(std::string_view path) {
+  if (path == "/") return kRootIno;
+  Ino dir = kNoIno;
+  std::string_view leaf;
+  const std::int64_t r = resolve_parent(path, &dir, &leaf);
+  if (r != OK) return r;
+  return lookup(dir, leaf);
+}
+
 std::int64_t MiniFs::dir_add(Ino dir, std::string_view name, Ino target) {
   DiskInode di = load_inode(dir);
   const std::uint32_t nentries = di.size / sizeof(DirEntry);

@@ -105,6 +105,15 @@ class MiniFs {
   /// Find `name` in directory `dir`. Returns the inode number or an error.
   std::int64_t lookup(Ino dir, std::string_view name);
 
+  /// Walk an absolute path to its parent directory (`*dir`) and final name
+  /// (`*leaf`, a view into `path`); empty components are skipped. Returns OK,
+  /// E_INVAL for a relative path or one without a final name ("/", a
+  /// trailing '/'), or the error of the first component lookup that fails.
+  std::int64_t resolve_parent(std::string_view path, Ino* dir, std::string_view* leaf);
+
+  /// Inode of an absolute path ("/" is the root), or an error.
+  std::int64_t resolve(std::string_view path);
+
   /// Create a regular file or directory entry `name` in `dir`.
   std::int64_t create(Ino dir, std::string_view name, FileType type);
 

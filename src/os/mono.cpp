@@ -54,7 +54,7 @@ class MonoSys final : public ISys {
     check_killed();
     const ProgramRegistry::Body* body = os_.programs_.find(path);
     // Binary check against the same on-disk /bin as the multiserver system.
-    std::int64_t ino = resolve(path);
+    std::int64_t ino = os_.fs_->resolve(path);
     if (ino < 0) return ino;
     if (body == nullptr) return E_NOENT;
     p_.name = std::string(path);
@@ -161,11 +161,11 @@ class MonoSys final : public ISys {
 
   std::int64_t open(std::string_view path, std::uint64_t flags) override {
     tick();
-    std::int64_t ino = resolve(path);
+    std::int64_t ino = os_.fs_->resolve(path);
     if (ino == E_NOENT && (flags & servers::O_CREAT) != 0) {
       fs::Ino dir = fs::kNoIno;
       std::string_view leaf;
-      std::int64_t r = resolve_parent(path, &dir, &leaf);
+      std::int64_t r = os_.fs_->resolve_parent(path, &dir, &leaf);
       if (r != OK) return r;
       ino = os_.fs_->create(dir, leaf, fs::FileType::kRegular);
     }
@@ -250,7 +250,7 @@ class MonoSys final : public ISys {
 
   std::int64_t stat(std::string_view path, StatResult* out) override {
     tick();
-    const std::int64_t ino = resolve(path);
+    const std::int64_t ino = os_.fs_->resolve(path);
     if (ino < 0) return ino;
     fs::Attr attr{};
     const std::int64_t r = os_.fs_->getattr(static_cast<fs::Ino>(ino), &attr);
@@ -291,14 +291,14 @@ class MonoSys final : public ISys {
     tick();
     fs::Ino dir = fs::kNoIno;
     std::string_view leaf;
-    std::int64_t r = resolve_parent(path, &dir, &leaf);
+    std::int64_t r = os_.fs_->resolve_parent(path, &dir, &leaf);
     if (r != OK) return r;
     return os_.fs_->rename(dir, leaf, new_leaf);
   }
 
   std::int64_t readdir(std::string_view path, std::uint64_t index, std::string* name) override {
     tick();
-    const std::int64_t ino = resolve(path);
+    const std::int64_t ino = os_.fs_->resolve(path);
     if (ino < 0) return ino;
     const auto e = os_.fs_->readdir(static_cast<fs::Ino>(ino), index);
     if (!e) return E_NOENT;
@@ -359,7 +359,7 @@ class MonoSys final : public ISys {
 
   std::int64_t truncate(std::string_view path, std::uint64_t size) override {
     tick();
-    const std::int64_t ino = resolve(path);
+    const std::int64_t ino = os_.fs_->resolve(path);
     if (ino < 0) return ino;
     return os_.fs_->truncate(static_cast<fs::Ino>(ino), static_cast<std::uint32_t>(size));
   }
@@ -368,7 +368,7 @@ class MonoSys final : public ISys {
 
   std::int64_t access(std::string_view path) override {
     tick();
-    const std::int64_t ino = resolve(path);
+    const std::int64_t ino = os_.fs_->resolve(path);
     return ino < 0 ? ino : OK;
   }
 
@@ -464,41 +464,11 @@ class MonoSys final : public ISys {
     return p_.fds[fd];
   }
 
-  std::int64_t resolve_parent(std::string_view path, fs::Ino* dir, std::string_view* leaf) {
-    if (path.empty() || path[0] != '/') return E_INVAL;
-    fs::Ino cur = fs::kRootIno;
-    std::string_view rest = path.substr(1);
-    while (true) {
-      const std::size_t slash = rest.find('/');
-      if (slash == std::string_view::npos) {
-        if (rest.empty()) return E_INVAL;
-        *dir = cur;
-        *leaf = rest;
-        return OK;
-      }
-      const std::string_view comp = rest.substr(0, slash);
-      rest = rest.substr(slash + 1);
-      if (comp.empty()) continue;
-      const std::int64_t r = os_.fs_->lookup(cur, comp);
-      if (r < 0) return r;
-      cur = static_cast<fs::Ino>(r);
-    }
-  }
-
-  std::int64_t resolve(std::string_view path) {
-    if (path == "/") return fs::kRootIno;
-    fs::Ino dir = fs::kNoIno;
-    std::string_view leaf;
-    const std::int64_t r = resolve_parent(path, &dir, &leaf);
-    if (r != OK) return r;
-    return os_.fs_->lookup(dir, leaf);
-  }
-
   std::int64_t parent_op(std::string_view path, int op) {
     tick();
     fs::Ino dir = fs::kNoIno;
     std::string_view leaf;
-    std::int64_t r = resolve_parent(path, &dir, &leaf);
+    std::int64_t r = os_.fs_->resolve_parent(path, &dir, &leaf);
     if (r != OK) return r;
     switch (op) {
       case 0: return os_.fs_->unlink(dir, leaf);

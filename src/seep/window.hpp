@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 
 #include "ckpt/context.hpp"
 #include "seep/policy.hpp"
@@ -49,15 +48,6 @@ struct WindowStats {
   }
 };
 
-/// Per-message-type window accounting: which request opened the window when
-/// it closed. This is the runtime ground truth the static handler-granularity
-/// predictions (osiris-analyze Pass 4) are validated against.
-struct MsgWindowStats {
-  std::uint64_t opened = 0;
-  std::uint64_t closed_by_seep = 0;
-  std::uint64_t closed_by_yield = 0;
-};
-
 class Window {
  public:
   Window(Policy policy, ckpt::Context& ctx) : policy_(policy), ctx_(ctx) {}
@@ -69,17 +59,13 @@ class Window {
   [[nodiscard]] bool is_open() const noexcept { return open_; }
 
   /// Top of the request processing loop: take the checkpoint and open the
-  /// window. Under non-window policies this is a no-op. `msg_type` (when
-  /// nonzero) attributes this window's eventual close to the request
-  /// being processed, feeding the per-handler stats.
-  void open(std::uint32_t msg_type = 0) {
+  /// window. Under non-window policies this is a no-op.
+  void open() {
     if (!policy_uses_windows(policy_)) return;
     ctx_.log().checkpoint();
     open_ = true;
-    current_msg_ = msg_type;
     ctx_.set_window_open(true);
     ++stats_.opened;
-    if (msg_type != 0) ++per_msg_[msg_type].opened;
     OSIRIS_TRACE_EVENT(kWindowOpen, ctx_.trace_id());
   }
 
@@ -89,7 +75,6 @@ class Window {
     if (policy_closes_window(policy_, cls)) {
       close_common(kCloseCauseSeep, static_cast<std::uint64_t>(cls));
       ++stats_.closed_by_seep;
-      if (current_msg_ != 0) ++per_msg_[current_msg_].closed_by_seep;
     }
   }
 
@@ -98,7 +83,6 @@ class Window {
     if (open_) {
       close_common(kCloseCauseYield, 0);
       ++stats_.closed_by_yield;
-      if (current_msg_ != 0) ++per_msg_[current_msg_].closed_by_yield;
     }
   }
 
@@ -123,11 +107,6 @@ class Window {
 
   [[nodiscard]] const WindowStats& stats() const noexcept { return stats_; }
 
-  /// Close accounting keyed by the message type passed to open().
-  [[nodiscard]] const std::map<std::uint32_t, MsgWindowStats>& per_msg_stats() const noexcept {
-    return per_msg_;
-  }
-
  private:
   void close_common([[maybe_unused]] std::uint64_t cause,
                     [[maybe_unused]] std::uint64_t seep_cls) {
@@ -142,9 +121,7 @@ class Window {
   Policy policy_;
   ckpt::Context& ctx_;
   bool open_ = false;
-  std::uint32_t current_msg_ = 0;
   WindowStats stats_;
-  std::map<std::uint32_t, MsgWindowStats> per_msg_;
 };
 
 }  // namespace osiris::seep

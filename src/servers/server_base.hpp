@@ -245,12 +245,7 @@ class ServerCommon : public kernel::IServer, public recovery::Recoverable {
     // asynchronous *reply* continues a previous request (Figure 1) whose
     // sender is long gone — in both cases a rollback could never be
     // reconciled, so the window (conservatively) stays closed.
-    if (spec->replyable() && !is_notify && !is_reply) {
-      // Attribute the window to the request's message type: the per-msg
-      // close stats are the runtime ground truth for the Pass 4
-      // handler-granularity predictions.
-      window_.open(m.type);
-    }
+    if (spec->replyable() && !is_notify && !is_reply) window_.open();
 
     on_message(m);
 

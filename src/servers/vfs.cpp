@@ -679,36 +679,6 @@ void Vfs::wake_blocked_writer(std::size_t pipe_idx) {
 
 // --- worker-side filesystem operations ------------------------------------
 
-std::int64_t Vfs::resolve_parent(std::string_view path, fs::Ino* dir, std::string_view* leaf) {
-  if (path.empty() || path[0] != '/') return E_INVAL;
-  fs::Ino cur = fs::kRootIno;
-  std::string_view rest = path.substr(1);
-  while (true) {
-    const std::size_t slash = rest.find('/');
-    if (slash == std::string_view::npos) {
-      if (rest.empty()) return E_INVAL;
-      *dir = cur;
-      *leaf = rest;
-      return OK;
-    }
-    const std::string_view comp = rest.substr(0, slash);
-    rest = rest.substr(slash + 1);
-    if (comp.empty()) continue;
-    const std::int64_t r = minifs_.lookup(cur, comp);
-    if (r < 0) return r;
-    cur = static_cast<fs::Ino>(r);
-  }
-}
-
-std::int64_t Vfs::resolve(std::string_view path) {
-  if (path == "/") return fs::kRootIno;
-  fs::Ino dir = fs::kNoIno;
-  std::string_view leaf;
-  const std::int64_t r = resolve_parent(path, &dir, &leaf);
-  if (r != OK) return r;
-  return minifs_.lookup(dir, leaf);
-}
-
 kernel::Message Vfs::run_fs_op(const Message& m) {
   FI_BLOCK("vfs");
   switch (m.type) {
@@ -738,7 +708,7 @@ kernel::Message Vfs::run_fs_op(const Message& m) {
     case VFS_UNLINK: {
       fs::Ino dir = fs::kNoIno;
       std::string_view leaf;
-      std::int64_t r = resolve_parent(m.text.view(), &dir, &leaf);
+      std::int64_t r = minifs_.resolve_parent(m.text.view(), &dir, &leaf);
       if (r == OK) r = minifs_.unlink(dir, leaf);
       FI_BLOCK("vfs");
       if (r == OK) {
@@ -752,7 +722,7 @@ kernel::Message Vfs::run_fs_op(const Message& m) {
     case VFS_MKDIR: {
       fs::Ino dir = fs::kNoIno;
       std::string_view leaf;
-      std::int64_t r = resolve_parent(m.text.view(), &dir, &leaf);
+      std::int64_t r = minifs_.resolve_parent(m.text.view(), &dir, &leaf);
       if (r == OK) r = minifs_.create(dir, leaf, fs::FileType::kDirectory);
       FI_BLOCK("vfs");
       if (r > 0) {
@@ -768,7 +738,7 @@ kernel::Message Vfs::run_fs_op(const Message& m) {
     case VFS_RMDIR: {
       fs::Ino dir = fs::kNoIno;
       std::string_view leaf;
-      std::int64_t r = resolve_parent(m.text.view(), &dir, &leaf);
+      std::int64_t r = minifs_.resolve_parent(m.text.view(), &dir, &leaf);
       if (r == OK) r = minifs_.rmdir(dir, leaf);
       return make_reply(m.type, r);
     }
@@ -779,12 +749,12 @@ kernel::Message Vfs::run_fs_op(const Message& m) {
       if (colon == std::string_view::npos) return make_reply(m.type, E_INVAL);
       fs::Ino dir = fs::kNoIno;
       std::string_view leaf;
-      std::int64_t r = resolve_parent(spec.substr(0, colon), &dir, &leaf);
+      std::int64_t r = minifs_.resolve_parent(spec.substr(0, colon), &dir, &leaf);
       if (r == OK) r = minifs_.rename(dir, leaf, spec.substr(colon + 1));
       return make_reply(m.type, r);
     }
     case VFS_READDIR: {
-      const std::int64_t ino = resolve(m.text.view());
+      const std::int64_t ino = minifs_.resolve(m.text.view());
       if (ino < 0) return make_reply(m.type, ino);
       const auto entry = minifs_.readdir(static_cast<fs::Ino>(ino), m.arg[0]);
       if (!entry) return make_reply(m.type, E_NOENT);
@@ -794,7 +764,7 @@ kernel::Message Vfs::run_fs_op(const Message& m) {
       return r;
     }
     case VFS_TRUNC: {
-      const std::int64_t ino = resolve(m.text.view());
+      const std::int64_t ino = minifs_.resolve(m.text.view());
       if (ino < 0) return make_reply(m.type, ino);
       return make_reply(m.type, minifs_.truncate(static_cast<fs::Ino>(ino),
                                                  static_cast<std::uint32_t>(m.arg[0])));
@@ -804,7 +774,7 @@ kernel::Message Vfs::run_fs_op(const Message& m) {
     case VFS_PM_EXEC: {
       FI_BLOCK("vfs");
       // Binary check for PM: read-only (classification: non-state-modifying).
-      const std::int64_t ino = resolve(m.text.view());
+      const std::int64_t ino = minifs_.resolve(m.text.view());
       Message r = make_reply(m.type, ino < 0 ? ino : OK);
       r.arg[1] = m.arg[1];  // correlation pid travels back to PM
       return r;
@@ -817,11 +787,11 @@ kernel::Message Vfs::run_fs_op(const Message& m) {
 kernel::Message Vfs::fs_open(const Message& m) {
   FI_BLOCK("vfs");
   const std::uint64_t flags = m.arg[0];
-  std::int64_t ino = resolve(m.text.view());
+  std::int64_t ino = minifs_.resolve(m.text.view());
   if (ino == E_NOENT && (flags & O_CREAT) != 0) {
     fs::Ino dir = fs::kNoIno;
     std::string_view leaf;
-    std::int64_t r = resolve_parent(m.text.view(), &dir, &leaf);
+    std::int64_t r = minifs_.resolve_parent(m.text.view(), &dir, &leaf);
     if (r != OK) return make_reply(m.type, r);
     ino = minifs_.create(dir, leaf, fs::FileType::kRegular);
   }
@@ -948,7 +918,7 @@ kernel::Message Vfs::fs_write(const Message& m, std::size_t file_idx) {
 
 kernel::Message Vfs::fs_stat(const Message& m) {
   FI_BLOCK("vfs");
-  const std::int64_t ino = resolve(m.text.view());
+  const std::int64_t ino = minifs_.resolve(m.text.view());
   if (ino < 0) return make_reply(m.type, ino);
   if (m.type == VFS_ACCESS) return make_reply(m.type, OK);
   return stat_reply(m, static_cast<fs::Ino>(ino));

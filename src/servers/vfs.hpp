@@ -174,9 +174,6 @@ class Vfs final : public ServerBase<VfsState> {
 
   // --- worker-side (may suspend) -----------------------------------------
   kernel::Message run_fs_op(const kernel::Message& m);
-  std::int64_t resolve_parent(std::string_view path, fs::Ino* dir,
-                              std::string_view* leaf);
-  std::int64_t resolve(std::string_view path);  // full path -> ino or error
 
   kernel::Message fs_open(const kernel::Message& m);
   kernel::Message fs_read(const kernel::Message& m, std::size_t file_idx);

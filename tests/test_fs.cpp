@@ -8,6 +8,7 @@
 #include <list>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -425,6 +426,41 @@ TEST_F(FsFixture, NameValidation) {
   EXPECT_EQ(mfs.create(fs::kRootIno, std::string(40, 'n'), fs::FileType::kRegular),
             kernel::E_NAMETOOLONG);
   EXPECT_EQ(mfs.create(fs::kRootIno, "a/b", fs::FileType::kRegular), kernel::E_INVAL);
+}
+
+TEST_F(FsFixture, ResolveWalksAbsolutePaths) {
+  const std::int64_t tmp = mfs.create(fs::kRootIno, "tmp", fs::FileType::kDirectory);
+  ASSERT_GT(tmp, 0);
+  const std::int64_t x = mfs.create(static_cast<fs::Ino>(tmp), "x", fs::FileType::kRegular);
+  ASSERT_GT(x, 0);
+  const struct {
+    std::string path;
+    std::int64_t ino;     // resolve()
+    std::int64_t parent;  // resolve_parent(): its directory on OK, else its error
+  } cases[] = {
+      {"", kernel::E_INVAL, kernel::E_INVAL},
+      {"tmp/x", kernel::E_INVAL, kernel::E_INVAL},  // relative
+      {"/", fs::kRootIno, kernel::E_INVAL},
+      {"//tmp//x", x, tmp},
+      {"/tmp/", kernel::E_INVAL, kernel::E_INVAL},  // trailing '/': no final name
+      {"/tmp/x/y", kernel::E_NOTDIR, x},            // through a regular file
+      {"/tmp/x/y/z", kernel::E_NOTDIR, kernel::E_NOTDIR},
+      {"/nope/x", kernel::E_NOENT, kernel::E_NOENT},
+      {"/tmp/" + std::string(fs::kNameMax + 1, 'n'), kernel::E_NAMETOOLONG, tmp},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(mfs.resolve(c.path), c.ino) << "'" << c.path << "'";
+    fs::Ino dir = fs::kNoIno;
+    std::string_view leaf;
+    const std::int64_t r = mfs.resolve_parent(c.path, &dir, &leaf);
+    if (c.parent > 0) {
+      EXPECT_EQ(r, kernel::OK) << "'" << c.path << "'";
+      EXPECT_EQ(dir, c.parent) << "'" << c.path << "'";
+      EXPECT_EQ(leaf, std::string_view(c.path).substr(c.path.rfind('/') + 1)) << c.path;
+    } else {
+      EXPECT_EQ(r, c.parent) << "'" << c.path << "'";
+    }
+  }
 }
 
 TEST_F(FsFixture, WriteReadBack) {

@@ -1,7 +1,5 @@
 #include "callgraph.hpp"
 
-#include <set>
-
 namespace osiris::analyze {
 
 namespace {
@@ -9,18 +7,6 @@ namespace {
 using Tokens = std::vector<Token>;
 
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-
-/// Keywords that look like `name (` but never denote a function definition
-/// or a resolvable call.
-bool is_control_keyword(const std::string& s) {
-  static const std::set<std::string> kw = {
-      "if",     "for",        "while",   "switch",   "catch",         "return",
-      "sizeof", "alignof",    "decltype", "noexcept", "static_assert", "throw",
-      "new",    "delete",     "do",      "else",     "case",          "operator",
-      "alignas",
-  };
-  return kw.count(s) != 0;
-}
 
 bool is_body_qualifier(const Token& t) {
   return t.is_ident("const") || t.is_ident("noexcept") || t.is_ident("override") ||
@@ -55,9 +41,9 @@ std::size_t skip_init_list(const Tokens& t, std::size_t i) {
     }
     if (i >= t.size()) return kNone;
     if (t[i].is("(")) {
-      i = cg_match_forward(t, i, "(", ")") + 1;
+      i = match_forward(t, i, "(", ")") + 1;
     } else if (t[i].is("{")) {
-      i = cg_match_forward(t, i, "{", "}") + 1;
+      i = match_forward(t, i, "{", "}") + 1;
     } else {
       return kNone;
     }
@@ -82,14 +68,14 @@ void collect_fiber_entries(const LexedFile& f, CallGraph& g) {
     if (t[i + 1].is(">") && t[i + 2].is("(")) open = i + 2;
     if (t[i + 1].is("(")) open = i + 1;
     if (open == kNone) continue;
-    const std::size_t close = cg_match_forward(t, open, "(", ")");
+    const std::size_t close = match_forward(t, open, "(", ")");
     // The lambda body: first '{' after the capture list inside the args.
     for (std::size_t j = open + 1; j < close; ++j) {
       if (!t[j].is("[")) continue;
-      std::size_t k = cg_match_forward(t, j, "[", "]") + 1;
-      if (k < close && t[k].is("(")) k = cg_match_forward(t, k, "(", ")") + 1;
+      std::size_t k = match_forward(t, j, "[", "]") + 1;
+      if (k < close && t[k].is("(")) k = match_forward(t, k, "(", ")") + 1;
       if (k >= close || !t[k].is("{")) break;
-      const std::size_t body_end = cg_match_forward(t, k, "{", "}");
+      const std::size_t body_end = match_forward(t, k, "{", "}");
       for (std::size_t c = k + 1; c < body_end; ++c) {
         if (t[c].kind != Tok::kIdent || c + 1 >= t.size() || !t[c + 1].is("(")) continue;
         if (is_control_keyword(t[c].text)) continue;
@@ -103,15 +89,6 @@ void collect_fiber_entries(const LexedFile& f, CallGraph& g) {
 
 }  // namespace
 
-std::size_t cg_match_forward(const Tokens& t, std::size_t open, const char* op, const char* cl) {
-  int depth = 0;
-  for (std::size_t i = open; i < t.size(); ++i) {
-    if (t[i].is(op)) ++depth;
-    if (t[i].is(cl) && --depth == 0) return i;
-  }
-  return t.size();
-}
-
 CallGraph build_call_graph(const std::vector<LexedFile>& files) {
   CallGraph g;
   for (const LexedFile& f : files) {
@@ -123,13 +100,13 @@ CallGraph build_call_graph(const std::vector<LexedFile>& files) {
       if (t[i - 1].is(".") || t[i - 1].is("->")) continue;
       // `Type name(args);` declarations/ctor-calls: previous token is an
       // identifier or a closing angle bracket of its type.
-      const std::size_t close = cg_match_forward(t, i + 1, "(", ")");
+      const std::size_t close = match_forward(t, i + 1, "(", ")");
       if (close >= t.size()) continue;
 
       std::size_t j = close + 1;
       while (j < t.size() && is_body_qualifier(t[j])) {
         ++j;
-        if (j < t.size() && t[j].is("(")) j = cg_match_forward(t, j, "(", ")") + 1;  // noexcept(...)
+        if (j < t.size() && t[j].is("(")) j = match_forward(t, j, "(", ")") + 1;  // noexcept(...)
       }
       std::size_t body = kNone;
       if (j < t.size() && t[j].is("{")) {
@@ -145,7 +122,7 @@ CallGraph build_call_graph(const std::vector<LexedFile>& files) {
       d.file = &f;
       d.line = t[i].line;
       d.body_begin = body;
-      d.body_end = cg_match_forward(t, body, "{", "}");
+      d.body_end = match_forward(t, body, "{", "}");
       g.by_name[d.name].push_back(g.funcs.size());
       g.funcs.push_back(std::move(d));
       // Do not skip the body: in-class definitions nest inside class braces,

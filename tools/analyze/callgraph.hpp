@@ -54,9 +54,4 @@ struct CallGraph {
 /// Build the call graph over all lexed files.
 CallGraph build_call_graph(const std::vector<LexedFile>& files);
 
-/// Balanced-token matcher shared with the seep pass (exposed here so the
-/// effects pass reuses one definition).
-std::size_t cg_match_forward(const std::vector<Token>& t, std::size_t open, const char* op,
-                             const char* cl);
-
 }  // namespace osiris::analyze

@@ -9,25 +9,10 @@ namespace {
 
 using Tokens = std::vector<Token>;
 
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
-}
-
 void add_finding(const LexedFile& f, std::vector<Finding>& out, const char* detector, int line,
                  std::string message) {
   if (f.suppressed(detector, line)) return;
   out.push_back(Finding{detector, f.path, line, std::move(message)});
-}
-
-/// Index of the matching closer for the opener at `open` ("()" or "{}"),
-/// or tokens.size() if unbalanced.
-std::size_t match_forward(const Tokens& t, std::size_t open, const char* op, const char* cl) {
-  int depth = 0;
-  for (std::size_t i = open; i < t.size(); ++i) {
-    if (t[i].is(op)) ++depth;
-    if (t[i].is(cl) && --depth == 0) return i;
-  }
-  return t.size();
 }
 
 /// Does tokens[from..to) contain the call pattern `st ( )` or the
@@ -87,7 +72,7 @@ void scan_state_structs(const LexedFile& f, std::vector<Finding>& out, Disciplin
   const Tokens& t = f.tokens;
   for (std::size_t i = 0; i + 2 < t.size(); ++i) {
     if (!t[i].is_ident("struct")) continue;
-    if (t[i + 1].kind != Tok::kIdent || !ends_with(t[i + 1].text, "State")) continue;
+    if (t[i + 1].kind != Tok::kIdent || !t[i + 1].text.ends_with("State")) continue;
     // Find the opening brace (skip base clauses; a forward declaration has
     // ';' before '{').
     std::size_t open = i + 2;

@@ -72,16 +72,6 @@ bool is_stmt_keyword(const std::string& s) {
   return s == "return" || s == "throw" || s == "else" || s == "do" || s == "case";
 }
 
-bool is_control_keyword(const std::string& s) {
-  static const std::set<std::string> kw = {
-      "if",     "for",     "while",    "switch",   "catch",         "return",
-      "sizeof", "alignof", "decltype", "noexcept", "static_assert", "throw",
-      "new",    "delete",  "do",       "else",     "case",          "operator",
-      "alignas",
-  };
-  return kw.count(s) != 0;
-}
-
 // --- local event extraction --------------------------------------------------
 
 /// One event of a function body's straight-line token walk: either a ready
@@ -105,7 +95,7 @@ bool is_unbounded_loop(const Tokens& t, std::size_t i, std::size_t* out_end) {
     return true;
   }
   if (!t[i].is_ident("for") || i + 1 >= t.size() || !t[i + 1].is("(")) return false;
-  const std::size_t close = cg_match_forward(t, i + 1, "(", ")");
+  const std::size_t close = match_forward(t, i + 1, "(", ")");
   if (close >= t.size()) return false;
   std::size_t first_semi = kNone;
   int depth = 0;
@@ -160,7 +150,7 @@ std::size_t scan_state_chain(const Tokens& t, std::size_t i, const LexedFile& f,
       continue;
     }
     if (t[j].is("[")) {
-      const std::size_t close = cg_match_forward(t, j, "[", "]");
+      const std::size_t close = match_forward(t, j, "[", "]");
       if (close >= t.size()) return j + 1;
       path += "[]";
       j = close + 1;
@@ -284,7 +274,7 @@ std::vector<LocalEvent> extract_local_events(const FuncDef& d, const SiteIndex& 
       continue;
     }
     if (is_deferred_intrinsic(name)) {
-      const std::size_t close = cg_match_forward(t, i + 1, "(", ")");
+      const std::size_t close = match_forward(t, i + 1, "(", ")");
       i = close >= t.size() ? i + 1 : close + 1;
       continue;
     }

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -198,6 +199,26 @@ LexedFile lex_file(const std::string& path, std::string display_path) {
   // "clean"; fail loudly instead.
   if (src.empty()) throw std::runtime_error("osiris-analyze: empty input " + path);
   return lex_source(display_path.empty() ? path : std::move(display_path), src);
+}
+
+std::size_t match_forward(const std::vector<Token>& t, std::size_t open, const char* op,
+                          const char* cl) {
+  int depth = 0;
+  for (std::size_t i = open; i < t.size(); ++i) {
+    if (t[i].is(op)) ++depth;
+    if (t[i].is(cl) && --depth == 0) return i;
+  }
+  return t.size();
+}
+
+bool is_control_keyword(std::string_view s) {
+  static const std::set<std::string_view> kw = {
+      "if",     "for",     "while",    "switch",   "catch",         "return",
+      "sizeof", "alignof", "decltype", "noexcept", "static_assert", "throw",
+      "new",    "delete",  "do",       "else",     "case",          "operator",
+      "alignas",
+  };
+  return kw.count(s) != 0;
 }
 
 }  // namespace osiris::analyze

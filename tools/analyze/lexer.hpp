@@ -44,4 +44,13 @@ LexedFile lex_source(std::string path, std::string_view src);
 /// analyzer passes repo-relative paths so reports are machine-stable.
 LexedFile lex_file(const std::string& path, std::string display_path = {});
 
+/// Index of the closer `cl` matching the opener `op` at `open` (e.g. "("
+/// and ")"), or t.size() if unbalanced.
+std::size_t match_forward(const std::vector<Token>& t, std::size_t open, const char* op,
+                          const char* cl);
+
+/// Keywords that look like `name (` but never denote a function definition
+/// or a resolvable call.
+bool is_control_keyword(std::string_view s);
+
 }  // namespace osiris::analyze

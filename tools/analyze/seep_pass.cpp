@@ -12,15 +12,6 @@ namespace {
 
 using Tokens = std::vector<Token>;
 
-std::size_t match_forward(const Tokens& t, std::size_t open, const char* op, const char* cl) {
-  int depth = 0;
-  for (std::size_t i = open; i < t.size(); ++i) {
-    if (t[i].is(op)) ++depth;
-    if (t[i].is(cl) && --depth == 0) return i;
-  }
-  return t.size();
-}
-
 /// Split the argument list of a call whose '(' is at `open` into top-level
 /// argument token ranges [first, last).
 std::vector<std::pair<std::size_t, std::size_t>> split_args(const Tokens& t, std::size_t open,
