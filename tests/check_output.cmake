@@ -1,4 +1,4 @@
-# Byte-for-byte output pin for a paper-table binary.
+# Byte-for-byte output pin for a binary: a paper table or a trace export.
 #
 # Runs BIN with the optional ARGS list, fails if it exits non-zero or if its
 # stdout differs from the committed reference REF; the actual output is left
