@@ -206,9 +206,8 @@ FaultType Registry::on_hit(Site* site) {
 namespace {
 
 [[noreturn]] void realize_crash(const Site* site) {
-  throw kernel::FailStopFault(
-      std::string("injected null-deref at ") + site->tag + ":" + std::to_string(site->line),
-      site->id);
+  throw kernel::FailStopFault(std::string("injected null-deref at ") + site->tag + ":" +
+                              std::to_string(site->line));
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 // state (paper SIII-C / SIV-C reconciliation).
 #pragma once
 
-#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -19,13 +18,7 @@ namespace osiris::kernel {
 
 class FailStopFault : public std::runtime_error {
  public:
-  FailStopFault(std::string what, std::uint64_t site_id)
-      : std::runtime_error(std::move(what)), site_id_(site_id) {}
-
-  [[nodiscard]] std::uint64_t site_id() const noexcept { return site_id_; }
-
- private:
-  std::uint64_t site_id_;
+  explicit FailStopFault(std::string what) : std::runtime_error(std::move(what)) {}
 };
 
 class ControlledShutdown : public std::runtime_error {

@@ -113,7 +113,7 @@ Message Kernel::call(Endpoint src, Endpoint dst, Message m) {
   }
 
   // Nested synchronous dispatch (rendezvous IPC). A crash in the callee is
-  // handled right here, before the caller resumes, and the reconciliation
+  // contained right here, before the caller resumes, and the reconciliation
   // result is returned to the caller as its reply.
   ++stats_.server_dispatches;
   try {
@@ -121,28 +121,13 @@ Message Kernel::call(Endpoint src, Endpoint dst, Message m) {
     OSIRIS_ASSERT(reply.has_value());  // nested calls must be replied to inline
     return *reply;
   } catch (const FailStopFault& f) {
-    CrashContext ctx;
-    ctx.crashed = dst;
-    ctx.had_inflight = true;
-    ctx.inflight = m;
-    ctx.what = f.what();
-    ++stats_.crashes;
-    OSIRIS_ASSERT(crash_handler_);
-    CrashDecision d = crash_handler_(ctx);
-    switch (d.action) {
-      case CrashAction::kErrorReply:
-        return d.reply;
-      case CrashAction::kNoReply:
-        // The caller can never be unblocked; treat it as hung mid-request.
-        throw HangSuspend{};
-      case CrashAction::kShutdown:
-        request_shutdown(ctx.what);
-        throw ControlledShutdown(ctx.what);
-      case CrashAction::kGiveUp:
-        mark_crashed("recovery gave up: " + ctx.what);
-        throw ControlledShutdown(halt_reason_);
-    }
-    OSIRIS_PANIC("unreachable");
+    const CrashDecision d =
+        contain({.crashed = dst, .had_inflight = true, .inflight = m, .what = f.what()});
+    if (d.action == CrashAction::kErrorReply) return d.reply;
+    // The machine halted: unwind the caller to the run loop.
+    if (d.action == CrashAction::kGiveUp) throw ControlledShutdown(halt_reason_);
+    // kNoReply: the caller can never be unblocked; treat it as hung mid-request.
+    throw HangSuspend{};
   } catch (const HangSuspend&) {
     // The callee hung (fault model). The caller is blocked on it forever:
     // mark the callee hung and propagate so the caller's own dispatch
@@ -280,25 +265,6 @@ void Kernel::deliver_to_server(ServerSlot& slot, Endpoint dst, const Message& m)
   // The health monitor runs exactly when recovery installed a storm handler.
   const bool health_on = static_cast<bool>(storm_handler_);
   if (health_on) health_.note_delivery();
-  if (slot.quarantined) {
-    ++stats_.quarantine_rejects;
-    if (!is_notify(m.type) && m.sender.valid() && m.sender != kKernelEp) {
-      // Error-virtualize the request after a short virtual delay (see
-      // kQuarantineReplyLatency); notifications and in-flight replies are
-      // simply dropped, like any message to a dead endpoint.
-      const Message reply = make_crash_reply(m);
-      const Endpoint sender = m.sender;
-      clock_.call_after(kQuarantineReplyLatency,
-                        [this, sender, reply] { route_reply(sender, reply); });
-    }
-    if (health_on) health_quantum_tick();
-    return;
-  }
-  if (slot.hung) {
-    OSIRIS_DEBUG("kernel", "message type=0x%x to hung server %d dropped", m.type, dst.value);
-    if (health_on) health_quantum_tick();
-    return;
-  }
   // Whether this delivery counts toward its sender's health. Kernel-sent
   // traffic and the heartbeat protocol (set_health_exempt) do not: they
   // bypass the gate, its allowance bookkeeping and the charge. Self-sends
@@ -306,7 +272,14 @@ void Kernel::deliver_to_server(ServerSlot& slot, Endpoint dst, const Message& m)
   const bool chargeable = health_on && m.sender.valid() && m.sender != kKernelEp &&
                           !(health_exempt_ != nullptr &&
                             health_exempt_(m.type & ~(kNotifyBit | kReplyBit)));
-  if (chargeable && !health_.admit(m.sender.value)) {
+  if (slot.quarantined) {
+    ++stats_.quarantine_rejects;
+    // Notifications and in-flight replies are simply dropped, like any
+    // message to a dead endpoint.
+    if (!is_notify(m.type) && m.sender.valid() && m.sender != kKernelEp) reject_later(m);
+  } else if (slot.hung) {
+    OSIRIS_DEBUG("kernel", "message type=0x%x to hung server %d dropped", m.type, dst.value);
+  } else if (chargeable && !health_.admit(m.sender.value)) {
     // Storm-throttle gate: the sender's fever engaged the ladder's throttle
     // rung, so deliveries beyond its per-quantum allowance are dropped — the
     // victim's queue unclogs while the storming component stays live. The
@@ -316,47 +289,42 @@ void Kernel::deliver_to_server(ServerSlot& slot, Endpoint dst, const Message& m)
     ++stats_.throttled_drops;
     health_.charge(m.sender.value);
     ++stats_.health_charges;
-    if (!is_notify(m.type) && !is_reply(m.type)) {
-      const Message reply = make_crash_reply(m);
-      const Endpoint sender = m.sender;
-      clock_.call_after(kQuarantineReplyLatency,
-                        [this, sender, reply] { route_reply(sender, reply); });
-    }
-    health_quantum_tick();
-    return;
-  }
-  ++stats_.server_dispatches;
-  OSIRIS_TRACE_EVENT(kIpcDeliver, kTraceKernel, static_cast<std::uint64_t>(m.sender.value),
-                     static_cast<std::uint64_t>(dst.value), m.type);
-  const std::uint64_t useful_before = chargeable ? slot.srv->useful_work() : 0;
-  try {
-    std::optional<Message> reply = slot.srv->dispatch(m);
-    if (chargeable) {
-      // Physiological sample: a delivery that opened no recovery window,
-      // produced no reply and sent no deferred reply did no useful work —
-      // charge the *sender* (flood victims spike too; the attribution must
-      // land on the storming component).
-      const bool useful = reply.has_value() || slot.srv->useful_work() > useful_before;
-      if (!useful) {
-        health_.charge(m.sender.value);
-        ++stats_.health_charges;
+    if (!is_notify(m.type) && !is_reply(m.type)) reject_later(m);
+  } else {
+    ++stats_.server_dispatches;
+    OSIRIS_TRACE_EVENT(kIpcDeliver, kTraceKernel, static_cast<std::uint64_t>(m.sender.value),
+                       static_cast<std::uint64_t>(dst.value), m.type);
+    const std::uint64_t useful_before = chargeable ? slot.srv->useful_work() : 0;
+    try {
+      std::optional<Message> reply = slot.srv->dispatch(m);
+      if (chargeable) {
+        // Physiological sample: a delivery that opened no recovery window,
+        // produced no reply and sent no deferred reply did no useful work —
+        // charge the *sender* (flood victims spike too; the attribution must
+        // land on the storming component).
+        const bool useful = reply.has_value() || slot.srv->useful_work() > useful_before;
+        if (!useful) {
+          health_.charge(m.sender.value);
+          ++stats_.health_charges;
+        }
       }
+      if (reply) route_reply(m.sender, *reply);
+    } catch (const FailStopFault& f) {
+      const CrashDecision d = contain(
+          {.crashed = dst, .had_inflight = !is_notify(m.type), .inflight = m, .what = f.what()});
+      if (d.action == CrashAction::kErrorReply) route_reply(m.sender, d.reply);
+    } catch (const HangSuspend&) {
+      if (!slot.hung) mark_hung(dst, m);
     }
-    if (reply) route_reply(m.sender, *reply);
-    if (health_on) health_quantum_tick();
-  } catch (const FailStopFault& f) {
-    CrashContext ctx;
-    ctx.crashed = dst;
-    ctx.had_inflight = !is_notify(m.type);
-    ctx.inflight = m;
-    ctx.what = f.what();
-    ++stats_.crashes;
-    handle_crash(ctx);
-    if (health_on) health_quantum_tick();
-  } catch (const HangSuspend&) {
-    if (!slot.hung) mark_hung(dst, m);
-    if (health_on) health_quantum_tick();
   }
+  if (health_on) health_quantum_tick();
+}
+
+void Kernel::reject_later(const Message& m) {
+  clock_.call_after(kQuarantineReplyLatency,
+                    [this, sender = m.sender, reply = make_crash_reply(m)] {
+                      route_reply(sender, reply);
+                    });
 }
 
 void Kernel::health_quantum_tick() {
@@ -384,27 +352,19 @@ void Kernel::route_reply(Endpoint dst, Message reply) {
   }
 }
 
-void Kernel::handle_crash(const CrashContext& ctx) {
+CrashDecision Kernel::contain(const CrashContext& ctx) {
+  ++stats_.crashes;
   if (!crash_handler_) {
     mark_crashed("no recovery infrastructure: " + ctx.what);
-    return;
+    return CrashDecision{CrashAction::kGiveUp, {}};
   }
   CrashDecision d = crash_handler_(ctx);
-  switch (d.action) {
-    case CrashAction::kErrorReply: {
-      Message reply = d.reply;
-      route_reply(ctx.inflight.sender, reply);
-      break;
-    }
-    case CrashAction::kNoReply:
-      break;
-    case CrashAction::kShutdown:
-      request_shutdown(ctx.what);
-      throw ControlledShutdown(ctx.what);
-    case CrashAction::kGiveUp:
-      mark_crashed("recovery gave up: " + ctx.what);
-      break;
+  if (d.action == CrashAction::kShutdown) {
+    request_shutdown(ctx.what);
+    throw ControlledShutdown(ctx.what);
   }
+  if (d.action == CrashAction::kGiveUp) mark_crashed("recovery gave up: " + ctx.what);
+  return d;
 }
 
 bool Kernel::is_hung(Endpoint ep) const {
@@ -425,15 +385,14 @@ void Kernel::recover_hung(Endpoint ep) {
   auto it = servers_.find(ep.value);
   OSIRIS_ASSERT(it != servers_.end());
   if (!it->second.hung) return;
-  CrashContext ctx;
-  ctx.crashed = ep;
-  ctx.had_inflight = !is_notify(it->second.inflight.type) && it->second.inflight.type != 0;
-  ctx.inflight = it->second.inflight;
-  ctx.was_hang = true;
-  ctx.what = "heartbeat timeout";
   it->second.hung = false;
-  ++stats_.crashes;
-  handle_crash(ctx);
+  const Message m = it->second.inflight;
+  const CrashDecision d = contain({.crashed = ep,
+                                   .had_inflight = !is_notify(m.type) && m.type != 0,
+                                   .inflight = m,
+                                   .was_hang = true,
+                                   .what = "heartbeat timeout"});
+  if (d.action == CrashAction::kErrorReply) route_reply(m.sender, d.reply);
 }
 
 void Kernel::quarantine(Endpoint ep) {

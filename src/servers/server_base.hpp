@@ -48,7 +48,7 @@ namespace osiris::servers {
 /// Defensive-programming trap: a violated invariant is a fail-stop fault of
 /// the *current component*, contained by the kernel at the dispatch boundary.
 [[noreturn]] inline void fail_stop(const char* what) {
-  throw kernel::FailStopFault(what, /*site_id=*/0);
+  throw kernel::FailStopFault(what);
 }
 
 #define SRV_CHECK(cond, what)                          \

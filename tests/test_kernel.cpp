@@ -107,7 +107,7 @@ TEST_F(KernelFixture, NestedCallReturnsReplyInline) {
 
 TEST_F(KernelFixture, CrashWithErrorReplyDecisionReachesRequester) {
   StubServer crasher("crasher", [](const Message&) -> std::optional<Message> {
-    throw kernel::FailStopFault("bang", 1);
+    throw kernel::FailStopFault("bang");
   });
   kern.register_server(kernel::kVmEp, &crasher);
   int handler_calls = 0;
@@ -127,7 +127,7 @@ TEST_F(KernelFixture, CrashWithErrorReplyDecisionReachesRequester) {
 
 TEST_F(KernelFixture, CrashInNestedCallReturnsErrorReplyToCaller) {
   StubServer crasher("crasher", [](const Message&) -> std::optional<Message> {
-    throw kernel::FailStopFault("bang", 2);
+    throw kernel::FailStopFault("bang");
   });
   kern.register_server(kernel::kVmEp, &crasher);
   kern.set_crash_handler([](const kernel::CrashContext& ctx) {
@@ -139,7 +139,7 @@ TEST_F(KernelFixture, CrashInNestedCallReturnsErrorReplyToCaller) {
 
 TEST_F(KernelFixture, ShutdownDecisionHaltsSystem) {
   StubServer crasher("crasher", [](const Message&) -> std::optional<Message> {
-    throw kernel::FailStopFault("fatal", 3);
+    throw kernel::FailStopFault("fatal");
   });
   kern.register_server(kernel::kVmEp, &crasher);
   kern.set_crash_handler([](const kernel::CrashContext&) {
@@ -152,12 +152,28 @@ TEST_F(KernelFixture, ShutdownDecisionHaltsSystem) {
 
 TEST_F(KernelFixture, CrashWithoutHandlerWedgesSystem) {
   StubServer crasher("crasher", [](const Message&) -> std::optional<Message> {
-    throw kernel::FailStopFault("unhandled", 4);
+    throw kernel::FailStopFault("unhandled");
   });
   kern.register_server(kernel::kVmEp, &crasher);
   kern.send(client_ep, kernel::kVmEp, make_msg(0x50));
   kern.dispatch_pending();
   EXPECT_EQ(kern.state(), kernel::SystemState::kCrashed);
+}
+
+TEST_F(KernelFixture, CrashInNestedCallWithoutHandlerWedgesSystem) {
+  // A machine without recovery: a fail-stop fault in a nested call ends the
+  // run as a crash, as a queued delivery's fault does. The caller unwinds to
+  // the run loop; the host process never aborts.
+  StubServer crasher("crasher", [](const Message&) -> std::optional<Message> {
+    throw kernel::FailStopFault("unhandled");
+  });
+  kern.register_server(kernel::kVmEp, &crasher);
+  EXPECT_THROW(kern.call(kernel::kPmEp, kernel::kVmEp, make_msg(0x51)),
+               kernel::ControlledShutdown);
+  EXPECT_EQ(kern.state(), kernel::SystemState::kCrashed);
+  EXPECT_EQ(kern.halt_reason(), "no recovery infrastructure: unhandled");
+  EXPECT_EQ(kern.stats().crashes, 1u);
+  EXPECT_EQ(crasher.dispatches, 1);
 }
 
 TEST_F(KernelFixture, HangSuspendMarksServerHungAndDropsMessages) {
