@@ -20,33 +20,32 @@ void Sys::check_killed() {
 }
 
 Message Sys::sendrec(kernel::Endpoint dst, Message m) {
-  check_killed();
-  proc_.has_reply_ = false;
-  os_.kern().send(proc_.ep_, dst, m);
-  proc_.run_state_ = UserProc::RunState::kBlocked;
-  while (!proc_.has_reply_) {
-    cothread::Fiber::suspend();
+  // libc-style handling of error-virtualized replies: after a component
+  // recovery the request was discarded (E_CRASH). A read-only request (NSM
+  // in its spec row) is reissued once, the "most appropriate action" (paper
+  // SIII-C), which is transparent when the recovery succeeded; any other
+  // request's E_CRASH goes to the caller.
+  int attempts = find_msg_spec(m.type)->seep == seep::SeepClass::kNonStateModifying ? 2 : 1;
+  Message reply;
+  do {
     check_killed();
-    if (os_.kern().state() != kernel::SystemState::kRunning) {
-      // The machine is halting: unwind this process.
-      throw ProcKilled{};
+    proc_.has_reply_ = false;
+    os_.kern().send(proc_.ep_, dst, m);
+    proc_.run_state_ = UserProc::RunState::kBlocked;
+    while (!proc_.has_reply_) {
+      cothread::Fiber::suspend();
+      check_killed();
+      if (os_.kern().state() != kernel::SystemState::kRunning) {
+        // The machine is halting: unwind this process.
+        throw ProcKilled{};
+      }
     }
-  }
-  proc_.run_state_ = UserProc::RunState::kRunning;
-  Message reply = proc_.reply_;
-  proc_.has_reply_ = false;
-  proc_.pending_sig_mask_ &= ~proc_.handled_mask_;  // caught signals are consumed here
+    proc_.run_state_ = UserProc::RunState::kRunning;
+    reply = proc_.reply_;
+    proc_.has_reply_ = false;
+    proc_.pending_sig_mask_ &= ~proc_.handled_mask_;  // caught signals are consumed here
+  } while (reply.sarg(0) == kernel::E_CRASH && --attempts > 0);
   return reply;
-}
-
-Message Sys::sendrec_retry(kernel::Endpoint dst, Message m) {
-  // libc-style handling of error-virtualized replies for *idempotent*
-  // read-only calls: after a component recovery the request was discarded
-  // (E_CRASH); reissuing it is the "most appropriate action" (paper SIII-C)
-  // and is transparent when the recovery succeeded.
-  Message r = sendrec(dst, m);
-  if (r.sarg(0) == kernel::E_CRASH) r = sendrec(dst, m);
-  return r;
 }
 
 // --- processes -----------------------------------------------------------
@@ -106,8 +105,8 @@ std::int64_t Sys::wait_pid(std::int64_t pid, std::int64_t* status) {
   return r.sarg(0);
 }
 
-std::int64_t Sys::getpid() { return sendrec_retry(kernel::kPmEp, encode(PM_GETPID)).sarg(0); }
-std::int64_t Sys::getppid() { return sendrec_retry(kernel::kPmEp, encode(PM_GETPPID)).sarg(0); }
+std::int64_t Sys::getpid() { return sendrec(kernel::kPmEp, encode(PM_GETPID)).sarg(0); }
+std::int64_t Sys::getppid() { return sendrec(kernel::kPmEp, encode(PM_GETPPID)).sarg(0); }
 
 std::int64_t Sys::kill(std::int64_t pid, std::uint64_t sig) {
   return sendrec(kernel::kPmEp, encode(PM_KILL, pid, sig)).sarg(0);
@@ -132,11 +131,11 @@ std::int64_t Sys::sigpending(std::uint64_t* mask) {
 }
 
 std::int64_t Sys::procstat(std::int64_t pid) {
-  Message r = sendrec_retry(kernel::kPmEp, encode(PM_PROCSTAT, pid));
+  Message r = sendrec(kernel::kPmEp, encode(PM_PROCSTAT, pid));
   return r.sarg(0) == OK ? static_cast<std::int64_t>(r.arg[1]) : r.sarg(0);
 }
 
-std::int64_t Sys::getuid() { return sendrec_retry(kernel::kPmEp, encode(PM_GETUID)).sarg(0); }
+std::int64_t Sys::getuid() { return sendrec(kernel::kPmEp, encode(PM_GETUID)).sarg(0); }
 std::int64_t Sys::setuid(std::uint64_t uid) {
   return sendrec(kernel::kPmEp, encode(PM_SETUID, uid)).sarg(0);
 }
@@ -158,7 +157,7 @@ std::int64_t Sys::munmap(std::int64_t region) {
 }
 
 std::int64_t Sys::getmeminfo(std::uint64_t* free_pages, std::uint64_t* total_pages) {
-  Message r = sendrec_retry(kernel::kPmEp, encode(PM_GETMEMINFO));
+  Message r = sendrec(kernel::kPmEp, encode(PM_GETMEMINFO));
   if (r.sarg(0) != OK) return r.sarg(0);
   if (free_pages != nullptr) *free_pages = r.arg[1];
   if (total_pages != nullptr) *total_pages = r.arg[2];
@@ -197,7 +196,7 @@ std::int64_t Sys::lseek(std::int64_t fd, std::int64_t offset, int whence) {
 }
 
 std::int64_t Sys::stat(std::string_view path, StatResult* out) {
-  Message r = sendrec_retry(kernel::kVfsEp, encode_text(VFS_STAT, path));
+  Message r = sendrec(kernel::kVfsEp, encode_text(VFS_STAT, path));
   if (r.sarg(0) < 0) return r.sarg(0);
   if (out != nullptr) {
     out->size = r.arg[0];
@@ -208,7 +207,7 @@ std::int64_t Sys::stat(std::string_view path, StatResult* out) {
 }
 
 std::int64_t Sys::fstat(std::int64_t fd, StatResult* out) {
-  Message r = sendrec_retry(kernel::kVfsEp, encode(VFS_FSTAT, fd));
+  Message r = sendrec(kernel::kVfsEp, encode(VFS_FSTAT, fd));
   if (r.sarg(0) < 0) return r.sarg(0);
   if (out != nullptr) {
     out->size = r.arg[0];
@@ -236,7 +235,7 @@ std::int64_t Sys::rename(std::string_view path, std::string_view new_leaf) {
 }
 
 std::int64_t Sys::readdir(std::string_view path, std::uint64_t index, std::string* name) {
-  Message r = sendrec_retry(kernel::kVfsEp, encode_text(VFS_READDIR, path, index));
+  Message r = sendrec(kernel::kVfsEp, encode_text(VFS_READDIR, path, index));
   if (r.sarg(0) != OK) return r.sarg(0);
   if (name != nullptr) *name = r.text.str();
   return static_cast<std::int64_t>(r.arg[1]);
@@ -261,7 +260,7 @@ std::int64_t Sys::truncate(std::string_view path, std::uint64_t size) {
 std::int64_t Sys::fsync() { return sendrec(kernel::kVfsEp, encode(VFS_SYNC)).sarg(0); }
 
 std::int64_t Sys::access(std::string_view path) {
-  return sendrec_retry(kernel::kVfsEp, encode_text(VFS_ACCESS, path)).sarg(0);
+  return sendrec(kernel::kVfsEp, encode_text(VFS_ACCESS, path)).sarg(0);
 }
 
 // --- data store ---------------------------------------------------------------
@@ -271,7 +270,7 @@ std::int64_t Sys::ds_publish(std::string_view key, std::uint64_t value) {
 }
 
 std::int64_t Sys::ds_retrieve(std::string_view key, std::uint64_t* value) {
-  Message r = sendrec_retry(kernel::kDsEp, encode_text(DS_RETRIEVE, key));
+  Message r = sendrec(kernel::kDsEp, encode_text(DS_RETRIEVE, key));
   if (r.sarg(0) != OK) return r.sarg(0);
   if (value != nullptr) *value = r.arg[1];
   return OK;
@@ -286,7 +285,7 @@ std::int64_t Sys::ds_subscribe(std::string_view prefix) {
 }
 
 std::int64_t Sys::ds_check(std::uint64_t* events) {
-  Message r = sendrec_retry(kernel::kDsEp, encode(DS_CHECK));
+  Message r = sendrec(kernel::kDsEp, encode(DS_CHECK));
   if (r.sarg(0) != OK) return r.sarg(0);
   if (events != nullptr) *events = r.arg[1];
   return OK;
@@ -295,21 +294,21 @@ std::int64_t Sys::ds_check(std::uint64_t* events) {
 // --- misc ------------------------------------------------------------------
 
 std::int64_t Sys::times(std::uint64_t* ticks) {
-  Message r = sendrec_retry(kernel::kPmEp, encode(PM_TIMES));
+  Message r = sendrec(kernel::kPmEp, encode(PM_TIMES));
   if (r.sarg(0) != OK) return r.sarg(0);
   if (ticks != nullptr) *ticks = r.arg[1];
   return OK;
 }
 
 std::int64_t Sys::uname(std::string* name) {
-  Message r = sendrec_retry(kernel::kPmEp, encode(PM_UNAME));
+  Message r = sendrec(kernel::kPmEp, encode(PM_UNAME));
   if (r.sarg(0) != OK) return r.sarg(0);
   if (name != nullptr) *name = r.text.str();
   return OK;
 }
 
 std::int64_t Sys::rs_status(std::int32_t endpoint) {
-  Message r = sendrec_retry(kernel::kRsEp, encode(RS_STATUS, endpoint));
+  Message r = sendrec(kernel::kRsEp, encode(RS_STATUS, endpoint));
   return r.sarg(0) == OK ? static_cast<std::int64_t>(r.arg[1]) : r.sarg(0);
 }
 

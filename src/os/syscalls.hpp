@@ -71,10 +71,9 @@ class Sys final : public ISys {
   std::int64_t rs_status(std::int32_t endpoint) override;
 
  private:
-  /// Send a request and suspend the fiber until the reply arrives.
+  /// Send a request and suspend the fiber until the reply arrives. A
+  /// read-only (NSM) request answered E_CRASH is reissued once.
   kernel::Message sendrec(kernel::Endpoint dst, kernel::Message m);
-  /// sendrec with one transparent retry on E_CRASH (idempotent calls only).
-  kernel::Message sendrec_retry(kernel::Endpoint dst, kernel::Message m);
   void check_killed();
 
   OsInstance& os_;
