@@ -209,19 +209,8 @@ std::int64_t MiniFs::lookup(Ino dir, std::string_view name) {
   if (!name_ok(name)) return name.size() > kNameMax ? E_NAMETOOLONG : E_INVAL;
   DiskInode di = load_inode(dir);
   if (di.mode != static_cast<std::uint16_t>(FileType::kDirectory)) return E_NOTDIR;
-
-  const std::uint32_t nentries = di.size / sizeof(DirEntry);
-  alignas(8) std::byte blk[kBlockSize];
-  bool dirty = false;
-  for (std::uint32_t e = 0; e < nentries; ++e) {
-    const std::uint32_t fbn = static_cast<std::uint32_t>(e / kEntriesPerBlock);
-    const std::uint32_t slot = e % kEntriesPerBlock;
-    if (slot == 0) {
-      const std::uint32_t bno = bmap(di, &dirty, fbn, false);
-      if (bno == 0) continue;
-      store_.read_block(bno, std::span<std::byte, kBlockSize>(blk));
-    }
-    const auto* de = reinterpret_cast<const DirEntry*>(blk) + slot;
+  DirCursor cur;
+  while (const DirEntry* de = next_entry(di, &cur)) {
     if (de->ino != kNoIno && name == de->name) return de->ino;
   }
   return E_NOENT;
@@ -257,41 +246,51 @@ std::int64_t MiniFs::resolve(std::string_view path) {
   return lookup(dir, leaf);
 }
 
+DirEntry* MiniFs::next_entry(DiskInode& di, DirCursor* cur) {
+  const std::uint32_t nentries = di.size / sizeof(DirEntry);
+  while (cur->next < nentries) {
+    const std::uint32_t e = cur->next++;
+    const auto slot = static_cast<std::uint32_t>(e % kEntriesPerBlock);
+    if (slot == 0) {
+      bool dirty = false;
+      cur->bno = bmap(di, &dirty, static_cast<std::uint32_t>(e / kEntriesPerBlock), false);
+      if (cur->bno == 0) {
+        cur->next = e + kEntriesPerBlock;  // a hole: skip its whole block
+        continue;
+      }
+      store_.read_block(cur->bno, std::span<std::byte, kBlockSize>(cur->blk));
+    }
+    return reinterpret_cast<DirEntry*>(cur->blk) + slot;
+  }
+  return nullptr;
+}
+
 std::int64_t MiniFs::dir_add(Ino dir, std::string_view name, Ino target) {
   DiskInode di = load_inode(dir);
-  const std::uint32_t nentries = di.size / sizeof(DirEntry);
-  alignas(8) std::byte blk[kBlockSize];
-  bool dirty = false;
-
   DirEntry entry;
   entry.ino = target;
   std::memcpy(entry.name, name.data(), name.size());
   entry.name[name.size()] = '\0';
 
   // Reuse a free slot if one exists.
-  for (std::uint32_t e = 0; e < nentries; ++e) {
-    const auto fbn = static_cast<std::uint32_t>(e / kEntriesPerBlock);
-    const std::uint32_t slot = e % kEntriesPerBlock;
-    const std::uint32_t bno = bmap(di, &dirty, fbn, false);
-    if (bno == 0) continue;
-    store_.read_block(bno, std::span<std::byte, kBlockSize>(blk));
-    auto* de = reinterpret_cast<DirEntry*>(blk) + slot;
+  DirCursor cur;
+  while (DirEntry* de = next_entry(di, &cur)) {
     if (de->ino == kNoIno) {
       *de = entry;
-      store_.write_block(bno, std::span<const std::byte, kBlockSize>(blk));
+      store_.write_block(cur.bno, std::span<const std::byte, kBlockSize>(cur.blk));
       return OK;
     }
   }
 
   // Append a new slot.
-  const auto fbn = static_cast<std::uint32_t>(nentries / kEntriesPerBlock);
-  const std::uint32_t slot = nentries % kEntriesPerBlock;
-  const std::uint32_t bno = bmap(di, &dirty, fbn, true);
+  const std::uint32_t nentries = di.size / sizeof(DirEntry);
+  bool dirty = false;
+  const std::uint32_t bno =
+      bmap(di, &dirty, static_cast<std::uint32_t>(nentries / kEntriesPerBlock), true);
   if (bno == 0) return E_NOSPC;
-  store_.read_block(bno, std::span<std::byte, kBlockSize>(blk));
-  auto* de = reinterpret_cast<DirEntry*>(blk) + slot;
-  *de = entry;
-  store_.write_block(bno, std::span<const std::byte, kBlockSize>(blk));
+  store_.read_block(bno, std::span<std::byte, kBlockSize>(cur.blk));
+  reinterpret_cast<DirEntry*>(cur.blk)[nentries % kEntriesPerBlock] = entry;
+  store_.write_block(bno, std::span<const std::byte, kBlockSize>(cur.blk));
   di.size += sizeof(DirEntry);
   store_inode(dir, di);
   return OK;
@@ -299,19 +298,11 @@ std::int64_t MiniFs::dir_add(Ino dir, std::string_view name, Ino target) {
 
 std::int64_t MiniFs::dir_remove(Ino dir, std::string_view name) {
   DiskInode di = load_inode(dir);
-  const std::uint32_t nentries = di.size / sizeof(DirEntry);
-  alignas(8) std::byte blk[kBlockSize];
-  bool dirty = false;
-  for (std::uint32_t e = 0; e < nentries; ++e) {
-    const auto fbn = static_cast<std::uint32_t>(e / kEntriesPerBlock);
-    const std::uint32_t slot = e % kEntriesPerBlock;
-    const std::uint32_t bno = bmap(di, &dirty, fbn, false);
-    if (bno == 0) continue;
-    store_.read_block(bno, std::span<std::byte, kBlockSize>(blk));
-    auto* de = reinterpret_cast<DirEntry*>(blk) + slot;
+  DirCursor cur;
+  while (DirEntry* de = next_entry(di, &cur)) {
     if (de->ino != kNoIno && name == de->name) {
       de->ino = kNoIno;
-      store_.write_block(bno, std::span<const std::byte, kBlockSize>(blk));
+      store_.write_block(cur.bno, std::span<const std::byte, kBlockSize>(cur.blk));
       return OK;
     }
   }
@@ -320,16 +311,8 @@ std::int64_t MiniFs::dir_remove(Ino dir, std::string_view name) {
 
 bool MiniFs::dir_empty(Ino dir) {
   DiskInode di = load_inode(dir);
-  const std::uint32_t nentries = di.size / sizeof(DirEntry);
-  alignas(8) std::byte blk[kBlockSize];
-  bool dirty = false;
-  for (std::uint32_t e = 0; e < nentries; ++e) {
-    const auto fbn = static_cast<std::uint32_t>(e / kEntriesPerBlock);
-    const std::uint32_t slot = e % kEntriesPerBlock;
-    const std::uint32_t bno = bmap(di, &dirty, fbn, false);
-    if (bno == 0) continue;
-    store_.read_block(bno, std::span<std::byte, kBlockSize>(blk));
-    const auto* de = reinterpret_cast<const DirEntry*>(blk) + slot;
+  DirCursor cur;
+  while (const DirEntry* de = next_entry(di, &cur)) {
     if (de->ino != kNoIno) return false;
   }
   return true;
@@ -401,21 +384,10 @@ std::optional<DirEntry> MiniFs::readdir(Ino dir, std::size_t index) {
   if (!valid_ino(dir)) return std::nullopt;
   DiskInode di = load_inode(dir);
   if (di.mode != static_cast<std::uint16_t>(FileType::kDirectory)) return std::nullopt;
-  const std::uint32_t nentries = di.size / sizeof(DirEntry);
-  alignas(8) std::byte blk[kBlockSize];
-  bool dirty = false;
+  DirCursor cur;
   std::size_t seen = 0;
-  for (std::uint32_t e = 0; e < nentries; ++e) {
-    const auto fbn = static_cast<std::uint32_t>(e / kEntriesPerBlock);
-    const std::uint32_t slot = e % kEntriesPerBlock;
-    const std::uint32_t bno = bmap(di, &dirty, fbn, false);
-    if (bno == 0) continue;
-    store_.read_block(bno, std::span<std::byte, kBlockSize>(blk));
-    const auto* de = reinterpret_cast<const DirEntry*>(blk) + slot;
-    if (de->ino != kNoIno) {
-      if (seen == index) return *de;
-      ++seen;
-    }
+  while (const DirEntry* de = next_entry(di, &cur)) {
+    if (de->ino != kNoIno && seen++ == index) return *de;
   }
   return std::nullopt;
 }

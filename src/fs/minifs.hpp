@@ -154,6 +154,18 @@ class MiniFs {
   /// any store access — re-borrow after every read_block/write_block.
   const std::uint32_t* peek_indirect(const DiskInode& di);
 
+  /// A scan over a directory's entry slots that reads each directory block
+  /// once: `blk` holds disk block `bno`, the block of the slot last returned.
+  struct DirCursor {
+    std::uint32_t next = 0;  // index of the next slot to visit
+    std::uint32_t bno = 0;
+    alignas(8) std::byte blk[kBlockSize];
+  };
+  /// The next entry slot of directory `di`, free or in use, or nullptr past
+  /// the last one; a hole skips its whole block. The slot points into
+  /// cur->blk, which the caller writes back to cur->bno after changing it.
+  DirEntry* next_entry(DiskInode& di, DirCursor* cur);
+
   std::int64_t dir_add(Ino dir, std::string_view name, Ino target);
   std::int64_t dir_remove(Ino dir, std::string_view name);
   [[nodiscard]] bool dir_empty(Ino dir);
