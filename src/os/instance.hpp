@@ -49,7 +49,6 @@ class UserProc final : public kernel::IClient {
 
   [[nodiscard]] kernel::Endpoint ep() const noexcept { return ep_; }
   [[nodiscard]] std::int32_t pid() const noexcept { return pid_; }
-  [[nodiscard]] RunState run_state() const noexcept { return run_state_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] std::int64_t exit_status() const noexcept { return exit_status_; }
 
@@ -125,7 +124,6 @@ class OsInstance {
   /// User processes the instance holds: the live ones, the killed ones, and
   /// init.
   [[nodiscard]] std::size_t user_procs() const noexcept { return procs_.size(); }
-  [[nodiscard]] const std::string& halt_reason() const { return kernel_->halt_reason(); }
 
   /// The five recoverable servers (PM, VM, VFS, DS, RS), with or without
   /// recovery; empty before boot().
